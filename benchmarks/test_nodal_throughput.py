@@ -2,11 +2,12 @@
 
 Two measurements, appended to a ``BENCH_nodal.json`` trajectory:
 
-1. A solver size sweep -- the same batched read answered by the splu
-   oracle, the Schur-complement banded factorisation, and the
-   preconditioned conjugate-gradient path across square geometries --
-   recording wall-clock and each fast solver's relative error against
-   the oracle.
+1. A solver size sweep -- the same batched read answered through the
+   transfer matrix built by sparse LU, the Schur-complement banded
+   factorisation, and the preconditioned conjugate-gradient path
+   across square geometries -- recording wall-clock, the
+   transfer-matrix build time, each fast solver's relative error
+   against ``lu``, and ``lu``'s against the per-input splu oracle.
 2. Monte-Carlo trial throughput in nodal mode on the Fig. 2 column
    workload: per-trial splu solves through ``map_trials`` versus the
    trial-stacked CG kernel (one nominal-state preconditioner shared by
@@ -33,6 +34,10 @@ from repro.experiments.bench_nodal import (
     solver_size_sweep,
 )
 from repro.xbar.solvers import CG_CURRENT_RTOL, SCHUR_RTOL
+
+#: Agreement of the ``lu`` read through the transfer matrix with the
+#: per-input splu solve (relative to the largest column current).
+TRANSFER_RTOL = 1e-12
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_nodal.json"
 
@@ -65,6 +70,7 @@ def test_nodal_throughput():
     # Accuracy contracts hold at every benchmarked size, not only the
     # geometries the unit tests pick.
     for row in sweep:
+        assert row["lu"]["rel_error_vs_splu"] <= TRANSFER_RTOL, row
         assert row["schur"]["rel_error_vs_lu"] <= SCHUR_RTOL, row
         assert row["cg"]["rel_error_vs_lu"] <= CG_CURRENT_RTOL, row
     assert throughput["rel_error"] <= throughput["rel_error_budget"]
@@ -95,14 +101,19 @@ def test_nodal_throughput():
     )
 
     print()
-    print("=== nodal solver size sweep (batched read) ===")
+    print("=== nodal solver size sweep (batched read; T build) ===")
     print(f"{'size':>10} {'lu':>9} {'schur':>9} {'cg':>9} "
-          f"{'schur err':>10} {'cg err':>10}")
+          f"{'lu T':>9} {'schur T':>9} {'cg T':>9} "
+          f"{'lu err':>10} {'schur err':>10} {'cg err':>10}")
     for row in sweep:
         print(f"{row['n']:>4}x{row['m']:<5} "
               f"{row['lu']['seconds']:>8.3f}s "
               f"{row['schur']['seconds']:>8.3f}s "
               f"{row['cg']['seconds']:>8.3f}s "
+              f"{row['lu']['transfer_s']:>8.3f}s "
+              f"{row['schur']['transfer_s']:>8.3f}s "
+              f"{row['cg']['transfer_s']:>8.3f}s "
+              f"{row['lu']['rel_error_vs_splu']:>10.2e} "
               f"{row['schur']['rel_error_vs_lu']:>10.2e} "
               f"{row['cg']['rel_error_vs_lu']:>10.2e}")
     print("=== MC nodal trial throughput (Fig. 2 column workload) ===")

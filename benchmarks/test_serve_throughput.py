@@ -1,10 +1,11 @@
 """Serving throughput: batched reads vs sequential single-query reads.
 
 Times the same 64-query workload against a programmed nodal-mode
-crossbar three ways -- naive sequential (a fresh IR-drop solve per
-query, the pre-serving status quo), cached sequential (one LU
-factorisation shared across single-vector reads) and batched (one
-multi-RHS solve) -- asserts all three agree bit-for-bit and that the
+crossbar three ways -- naive sequential (a fresh network, factorised
+per query, the pre-serving status quo), cached sequential (one cached
+transfer matrix shared across single-vector reads) and batched (one
+read of the whole workload through it) -- asserts all three agree
+bit-for-bit, that they match the per-input splu oracle, and that the
 batched path clears the 5x contract over the naive sequential path.
 Then pushes 200 queries through the full scheduler and records tail
 latency and drop counts.  Everything lands in ``BENCH_serve.json``,
@@ -75,18 +76,25 @@ def test_serve_throughput():
     g = xbar.conductance
     t0 = time.perf_counter()
     naive = np.stack([
-        CrossbarNetwork(g, xbar.config.r_wire).read(q, xbar.config.v_read)
+        CrossbarNetwork(g, xbar.config.r_wire).read_batch(
+            q, xbar.config.v_read
+        )
         for q in queries
     ])
     naive_s = time.perf_counter() - t0
+    # The per-input splu solve stays the oracle for every read path.
+    oracle_net = CrossbarNetwork(g, xbar.config.r_wire)
+    oracle = np.stack([oracle_net.read(q, xbar.config.v_read) for q in queries])
+    oracle_error = np.abs(naive - oracle).max() / np.abs(oracle).max()
+    assert oracle_error <= 1e-12, oracle_error
 
-    # Cached sequential: single-vector reads sharing one LU factor.
+    # Cached sequential: single-vector reads sharing one transfer matrix.
     xbar.read(queries[0], "nodal")  # warm the cache
     t0 = time.perf_counter()
     cached = np.stack([xbar.read(q, "nodal") for q in queries])
     cached_s = time.perf_counter() - t0
 
-    # Batched: one multi-RHS solve for the whole workload.
+    # Batched: one read of the whole workload.
     t0 = time.perf_counter()
     batched = xbar.read(queries, "nodal")
     batched_s = time.perf_counter() - t0

@@ -3,10 +3,13 @@
 Two measurements back the solver subsystem of :mod:`repro.xbar.solvers`
 (see ``docs/ir_drop.md``):
 
-* **Size sweep** -- one cold read (setup + batched solve) per solver
-  across square crossbar sizes, with every non-oracle result checked
-  against the ``lu`` answer on the spot.  This is the serving-shaped
-  cost: a freshly programmed state answering its first query batch.
+* **Size sweep** -- one cold read (setup, transfer-matrix build and
+  the batched read through it) per solver across square crossbar
+  sizes, with the transfer-matrix build timed on its own, every
+  non-oracle result checked against the ``lu`` answer and the ``lu``
+  answer checked against the per-input splu solve on the spot.  This
+  is the serving-shaped cost: a freshly programmed state answering its
+  first query batch.
 * **Monte-Carlo throughput** -- the Fig. 2 column workload in nodal
   mode: the per-trial baseline builds a fresh sparse LU for every
   variation draw (the pre-subsystem cost), while the trial-stacked
@@ -141,10 +144,14 @@ def solver_size_sweep(
 ) -> list[dict]:
     """Cold read wall-clock per solver across crossbar sizes.
 
-    Each entry times ``CrossbarNetwork(...).read_batch(x)`` -- setup
-    plus a ``batch``-wide multi-RHS solve -- per solver on the same
-    conductance state, and records each non-oracle solver's maximum
-    relative column-current error against the ``lu`` answer.
+    Each entry times a cold ``batch``-wide read per solver on the same
+    conductance state: ``seconds`` covers setup, the transfer-matrix
+    build and the read through it, and ``transfer_s`` the build alone
+    (min(n, m) right-hand sides, factorisation included).  It records
+    each non-oracle solver's maximum relative column-current error
+    against the ``lu`` answer, and the ``lu`` answer's against the
+    per-input splu :meth:`~repro.xbar.nodal.CrossbarNetwork.solve`
+    (``rel_error_vs_splu``).
     """
     device = DeviceConfig()
     g_nominal = 1.0 / (10.0 * device.r_on)
@@ -162,11 +169,22 @@ def solver_size_sweep(
         for solver in NODAL_SOLVERS:
             network = CrossbarNetwork(g, r_wire, solver=solver)
             t0 = time.perf_counter()
+            network.transfer_matrix()
+            t1 = time.perf_counter()
             currents = network.read_batch(x)
             elapsed = time.perf_counter() - t0
-            record = {"seconds": round(elapsed, 4)}
+            record = {
+                "seconds": round(elapsed, 4),
+                "transfer_s": round(t1 - t0, 4),
+            }
             if solver == "lu":
                 reference = currents
+                splu = np.stack([network.solve(row).column_current
+                                 for row in x])
+                record["rel_error_vs_splu"] = float(
+                    np.max(np.abs(currents - splu))
+                    / np.max(np.abs(splu))
+                )
             else:
                 scale = float(np.max(np.abs(reference)))
                 record["rel_error_vs_lu"] = float(

@@ -1,17 +1,19 @@
 """Vectorized batched forward pass over a programmed crossbar.
 
-The expensive part of a hardware-faithful read is the IR-drop solve:
-one sparse nodal factorization per crossbar state, one triangular
-solve per input vector.  Reading queries one at a time pays the Python
-and solver dispatch overhead per query; reading them as a matrix lets
-one factorization serve the whole batch (multi-right-hand-side solve),
-which is where the serving throughput comes from.
+The expensive part of a hardware-faithful read is the IR-drop solve.
+With the bit lines grounded a nodal read is linear in its input, so
+each crossbar state pays once for a transfer matrix ``T`` (one sparse
+factorisation and min(rows, cols) solves) and every input vector after
+that is a fixed-order ``x @ T`` (see
+:meth:`~repro.xbar.nodal.CrossbarNetwork.transfer_matrix`).  Reading
+queries as a matrix rather than one at a time still saves the Python
+dispatch per query.
 
 The engine wraps any matvec-capable target (a
 :class:`~repro.xbar.pair.DifferentialCrossbar` or a
 :class:`~repro.xbar.tiling.TiledPair`), routes logical inputs through
 the AMP permutation, and chunks very large batches into microbatches
-so the multi-RHS solves stay memory-bounded.
+so each hardware read stays memory-bounded.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class InferenceEngine:
         mapping: AMP input routing; identity when ``None``.
         ir_mode: Read-fidelity model for every forward pass.
         microbatch: Maximum rows per hardware read; larger input
-            batches are chunked to bound the multi-RHS solve size.
+            batches are chunked to bound the size of each read.
         backend: Array namespace for the hardware reads (see
             :mod:`repro.backend`).  ``None`` (and ``"numpy"``) keep the
             bit-identical reference path; a non-numpy backend is

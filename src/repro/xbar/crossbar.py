@@ -22,6 +22,7 @@ from repro.xbar.ir_drop import (
     read_column_gains,
     read_output_currents,
 )
+from repro.xbar.matmul import batch_invariant_matmul, trial_stacked_matmul
 from repro.xbar.nodal import CrossbarNetwork
 
 __all__ = [
@@ -32,60 +33,6 @@ __all__ = [
 ]
 
 IR_MODES = ("ideal", "reference", "fixed_point", "nodal")
-
-
-def batch_invariant_matmul(x, g, xp: ArrayBackend | str | None = None):
-    """``x @ g`` with per-row results independent of the batch size.
-
-    BLAS picks different kernels and blocking for different operand
-    shapes, so with ``@`` the same input vector can produce last-ulp
-    different outputs alone versus inside a batch.  The serving
-    contract (a batched read is bit-identical to looping single-vector
-    reads) needs a fixed accumulation order; einsum's non-BLAS loop
-    provides one at a cost that is negligible next to any IR-aware
-    solve.
-
-    ``xp`` selects the array namespace (default: the bit-identical
-    numpy reference path; see :mod:`repro.backend`).
-    """
-    bk = resolve_backend(xp)
-    if x.ndim == 1:
-        return bk.einsum("n,nm->m", x, g)
-    return bk.einsum("sn,nm->sm", x, g)
-
-
-# Retained private alias for pre-existing in-module call sites.
-_batch_invariant_matmul = batch_invariant_matmul
-
-
-def trial_stacked_matmul(x, g, xp: ArrayBackend | str | None = None):
-    """Fixed-accumulation matmul over a stack of trial conductances.
-
-    The Monte-Carlo counterpart of :func:`batch_invariant_matmul`:
-    ``g`` carries a leading trial axis ``(T, n, m)`` and ``x`` is
-    either one input batch ``(s, n)`` shared by every trial or a
-    per-trial stack ``(T, s, n)`` (e.g. AMP row permutations that
-    differ per draw).  The returned ``(T, s, m)`` tensor satisfies
-    ``out[t] == batch_invariant_matmul(x[t] if per-trial else x, g[t])``
-    *bit-for-bit*: einsum reduces over ``n`` in the same fixed order
-    for every trial slice, so batching draws cannot perturb a single
-    draw's result.
-
-    ``xp`` selects the array namespace (default: the bit-identical
-    numpy reference path; see :mod:`repro.backend`).
-    """
-    bk = resolve_backend(xp)
-    if g.ndim != 3:
-        raise ValueError(
-            f"g must be a (T, n, m) trial stack, got shape {g.shape}"
-        )
-    if x.ndim == 2:
-        return bk.einsum("sn,tnm->tsm", x, g)
-    if x.ndim == 3:
-        return bk.einsum("tsn,tnm->tsm", x, g)
-    raise ValueError(
-        f"x must be (s, n) or a (T, s, n) trial stack, got shape {x.shape}"
-    )
 
 
 class Crossbar:
@@ -207,22 +154,23 @@ class Crossbar:
         """Pin the nodal solver for this crossbar (``None`` = ambient).
 
         Validated against :data:`~repro.config.NODAL_SOLVERS` by the
-        config; takes effect on the next nodal read (cached
-        factorisations are per-solver, so switching never refactorises
-        the paths already built).
+        config; takes effect on the next nodal read, which rebuilds the
+        transfer matrix with the new solver.
         """
         self.config = dataclasses.replace(self.config, nodal_solver=solver)
 
     def _get_network(self) -> CrossbarNetwork:
-        """Nodal network of the current state, factorisation cached.
+        """Nodal network of the current state, transfer matrix cached.
 
-        The solve setup (factorisation or preconditioner) is the
-        dominant cost of a nodal read; caching it keyed on the
-        device-state version means a batch of queries against an
-        unchanged programmed state pays for one setup, while any
-        reprogramming, drift aging or defect injection transparently
-        invalidates it.  The solver selection is re-resolved on every
-        call so runtime/config changes apply without a rebuild.
+        Building the network's transfer matrix (a factorisation plus
+        min(rows, cols) solves) is the dominant cost of a nodal read;
+        caching the network keyed on the device-state version means
+        every query against an unchanged programmed state is one
+        fixed-order matmul, while any reprogramming, drift aging or
+        defect injection hands the next read a new network.  The solver
+        selection is re-resolved on every call so runtime/config
+        changes apply without a rebuild; a switch drops the transfer
+        matrix the previous solver built.
         """
         version = self.array.state_version
         solver = self._resolve_nodal_solver()
@@ -263,11 +211,11 @@ class Crossbar:
         g = self.conductance
         v_read = self.config.v_read
         if ir_mode == "ideal" or self.config.r_wire == 0:
-            currents = v_read * _batch_invariant_matmul(x, bk.asarray(g), xp=bk)
+            currents = v_read * batch_invariant_matmul(x, bk.asarray(g), xp=bk)
         elif ir_mode == "reference":
             currents = (
                 v_read
-                * _batch_invariant_matmul(x, bk.asarray(g), xp=bk)
+                * batch_invariant_matmul(x, bk.asarray(g), xp=bk)
                 * bk.asarray(self._get_reference_factors())
             )
         elif ir_mode == "fixed_point":

@@ -42,6 +42,12 @@ Three interchangeable solvers answer the system (see
   iterates.  Deterministic (fixed tolerance and iteration order) and
   accurate to the documented :data:`repro.xbar.solvers.CG_CURRENT_RTOL`.
 
+Grounded-bit-line reads (:meth:`CrossbarNetwork.read_batch`) do not
+solve per input: the network is then a fixed linear map ``I = x @ T``,
+and the transfer matrix ``T`` is built once per state from min(n, m)
+right-hand sides by reciprocity.  :meth:`CrossbarNetwork.solve` and
+:meth:`~CrossbarNetwork.solve_batch` stay the per-input oracle.
+
 The sparsity *structure* (COO index arrays, wire values, wire-fixed
 diagonal) depends only on the geometry, so it is assembled once and
 reused across every ``update_conductance``: a conductance change is a
@@ -56,6 +62,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
+from repro.xbar.matmul import batch_invariant_matmul
 from repro.xbar.solvers import (
     NODAL_SOLVERS,
     SchurFactor,
@@ -64,6 +71,11 @@ from repro.xbar.solvers import (
 )
 
 __all__ = ["NodalSolution", "CrossbarNetwork", "NODAL_SOLVERS"]
+
+#: Right-hand-side elements one block of the transfer-matrix build may
+#: hold (32 MB of float64): large arrays solve their min(n, m) unit
+#: drives in column blocks instead of one ``(2*n*m, min(n, m))`` block.
+_TRANSFER_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclasses.dataclass
@@ -126,6 +138,7 @@ class CrossbarNetwork:
         self._schur: SchurFactor | None = None
         self._precond: SchurFactor | None = None
         self._precond_g = self.g.copy()
+        self._transfer: np.ndarray | None = None
         #: Blocked iterations of the most recent cg solve (diagnostic).
         self.last_cg_iterations = 0
 
@@ -133,8 +146,13 @@ class CrossbarNetwork:
     # solver selection
     # ------------------------------------------------------------------
     def set_solver(self, solver: str) -> None:
-        """Switch the answering solver; cached factors stay per-path."""
+        """Switch the answering solver; cached factors stay per-path.
+
+        The transfer matrix is dropped: it was built by the previous
+        solver and must not answer reads of this one.
+        """
         self.solver = validate_solver(solver)
+        self._transfer = None
 
     def set_preconditioner_state(
         self, conductance: np.ndarray | None = None
@@ -242,8 +260,8 @@ class CrossbarNetwork:
             self._structure = self._build_structure()
         return self._structure
 
-    def _assemble_lu(self) -> None:
-        """Values-only rebuild of the LU factor on cached structure."""
+    def _factor_lu(self):
+        """Values-only sparse LU of the current state on cached structure."""
         st = self._get_structure()
         n, m = self.n, self.m
         size = 2 * n * m
@@ -255,10 +273,10 @@ class CrossbarNetwork:
         matrix = coo_matrix(
             (vals, (st["rows"], st["cols"])), shape=(size, size)
         )
-        self._lu = splu(csc_matrix(matrix))
+        return splu(csc_matrix(matrix))
 
     def update_conductance(self, conductance: np.ndarray) -> None:
-        """Replace the device conductances and invalidate the factors.
+        """Replace the device conductances; drop factors and ``T``.
 
         The sparsity structure and the cg preconditioner both survive:
         the structure because it depends only on the geometry, the
@@ -276,13 +294,14 @@ class CrossbarNetwork:
         self.g = conductance
         self._lu = None
         self._schur = None
+        self._transfer = None
 
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
     def _get_lu(self):
         if self._lu is None:
-            self._assemble_lu()
+            self._lu = self._factor_lu()
         return self._lu
 
     def _get_schur(self) -> SchurFactor:
@@ -417,12 +436,13 @@ class CrossbarNetwork:
     ) -> np.ndarray:
         """Column output currents for a batch of read inputs.
 
-        One factorisation (or blocked cg solve) serves the whole batch:
-        the factor depends only on the conductance state, so ``s``
-        inputs are solved as ``s`` right-hand sides.  This is what
-        makes batched inference serving cheap -- the dominant cost of a
-        nodal read is paid once per programmed state rather than once
-        per query.
+        With grounded bit lines (``v_cols`` all zero, the sensing
+        default) the network is a fixed linear map and the batch is
+        answered as ``batch_invariant_matmul(x * v_read, T)`` through
+        the cached :meth:`transfer_matrix`: no solve per input, and a
+        batched read is bit-identical to looping single-row reads.
+        Nonzero terminations fall back to one multi-right-hand-side
+        solve of the whole batch, the same system as :meth:`solve`.
 
         Args:
             x: Inputs in [0, 1], shape ``(s, n)`` or a single ``(n,)``.
@@ -430,9 +450,9 @@ class CrossbarNetwork:
             v_cols: Bit-line termination voltages: scalar (0 = the
                 virtual-ground sensing default), ``(m,)`` shared by the
                 batch, or per-input ``(s, m)``.  Matches the looped
-                :meth:`read`/:meth:`solve` semantics exactly -- the
-                returned current is the current *into* each
-                termination, ``(v_bottom - v_cols) * g_w``.
+                :meth:`read`/:meth:`solve` semantics -- the returned
+                current is the current *into* each termination,
+                ``(v_bottom - v_cols) * g_w``.
 
         Returns:
             Currents, shape ``(s, m)`` (or ``(m,)`` for 1-D input).
@@ -444,6 +464,8 @@ class CrossbarNetwork:
             raise ValueError(
                 f"inputs must have {self.n} features, got {xb.shape[1]}"
             )
+        if not np.any(v_cols):
+            return batch_invariant_matmul(x * v_read, self.transfer_matrix())
         n, m = self.n, self.m
         batch = xb.shape[0]
         v_cols = np.broadcast_to(
@@ -457,6 +479,55 @@ class CrossbarNetwork:
         v = self._solve_rhs(rhs)
         i_col = (v[st["bottom"], :] - v_cols.T) * g_w
         return i_col[:, 0] if single else i_col.T
+
+    def transfer_matrix(self) -> np.ndarray:
+        """Effective conductance ``T`` of the array under wire resistance.
+
+        With the bit lines grounded the column currents are linear in
+        the word-line drive: ``read(x, v_read) == (x * v_read) @ T``,
+        shape ``(n, m)``.  Built by the active solver on first use and
+        cached until :meth:`update_conductance` or :meth:`set_solver`.
+        """
+        if self._transfer is None:
+            self._transfer = self._build_transfer(self.m <= self.n)
+        return self._transfer
+
+    def _build_transfer(self, drive_bit_lines: bool) -> np.ndarray:
+        """Solve ``T`` from unit drives on one side of the array.
+
+        ``T[i, j] = g_w**2 * inv(A)[left_i, bottom_j]`` and the nodal
+        matrix ``A`` is symmetric (reciprocity), so driving every
+        bit-line terminal and reading the word-line driver nodes (m
+        right-hand sides, ``drive_bit_lines``) gives the same ``T`` as
+        driving every word line and reading the bit-line terminals (n
+        right-hand sides); :meth:`transfer_matrix` drives the shorter
+        side.
+
+        The lu path factorises inside this call and drops the factor
+        before returning.  SciPy never frees a SuperLU factor released
+        on a thread other than the one that built it, and a served
+        array builds ``T`` on the scheduler's worker thread while a
+        repair drops the network on the client thread.
+        """
+        n, m = self.n, self.m
+        g_w = 1.0 / self.r_wire
+        st = self._get_structure()
+        if drive_bit_lines:
+            drive, sense = st["bottom"], st["left"]
+        else:
+            drive, sense = st["left"], st["bottom"]
+        solve = (
+            self._factor_lu().solve if self.solver == "lu"
+            else self._solve_rhs
+        )
+        out = np.empty((sense.size, drive.size))
+        step = max(1, _TRANSFER_BLOCK_ELEMENTS // (2 * n * m))
+        for lo in range(0, drive.size, step):
+            nodes = drive[lo : lo + step]
+            rhs = np.zeros((2 * n * m, nodes.size))
+            rhs[nodes, np.arange(nodes.size)] = g_w
+            out[:, lo : lo + nodes.size] = solve(rhs)[sense] * g_w
+        return out if drive_bit_lines else np.ascontiguousarray(out.T)
 
     def program_voltages(
         self, row: int, col: int, v_prog: float

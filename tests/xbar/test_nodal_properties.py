@@ -6,14 +6,20 @@ drivers inject equals the current the terminations collect, and the
 batched read path is exactly the looped one -- including at nonzero
 bit-line termination voltages (the regression of the silent
 grounded-bit-line assumption the old ``read_batch`` carried).
+
+Grounded reads go through the cached transfer matrix ``T``; the
+per-input splu ``solve`` stays the oracle it is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.config import NODAL_SOLVERS
+from repro.config import NODAL_SOLVERS, CrossbarConfig, VariationConfig
+from repro.xbar.crossbar import Crossbar
 from repro.xbar.nodal import CrossbarNetwork
 from repro.xbar.solvers import nodal_operator_apply
 
@@ -22,6 +28,10 @@ GEOMETRIES = [(8, 5), (3, 7), (16, 16), (30, 1), (1, 6)]
 #: KCL residual budget relative to the driving current scale.  The lu
 #: oracle sits at machine epsilon; cg is bounded by its solve tolerance.
 KCL_RTOL = 1e-6
+
+#: Agreement of reads through the transfer matrix with the per-input
+#: splu oracle, relative to the largest oracle current.
+TRANSFER_RTOL = 1e-12
 
 
 def random_conductance(n, m, seed=0):
@@ -194,3 +204,108 @@ class TestBatchedSolvePaths:
         with pytest.raises(ValueError, match="pairs"):
             network.program_voltages_batch(np.zeros((2, 3), dtype=int),
                                            2.9)
+
+
+def _rel_error(value, reference):
+    return np.abs(value - reference).max() / np.abs(reference).max()
+
+
+class TestTransferMatrix:
+    @given(
+        n=st.integers(1, 24),
+        m=st.integers(1, 24),
+        r_wire=st.floats(0.1, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=20, m=6, r_wire=2.5, seed=0)  # n > m
+    @example(n=5, m=17, r_wire=2.5, seed=1)  # n < m
+    @example(n=9, m=9, r_wire=10.0, seed=2)  # n == m
+    @example(n=30, m=1, r_wire=0.5, seed=3)  # one bit line
+    @example(n=1, m=12, r_wire=25.0, seed=4)  # one word line
+    @settings(max_examples=30, deadline=None)
+    def test_reads_match_per_input_splu(self, n, m, r_wire, seed):
+        network = CrossbarNetwork(random_conductance(n, m, seed), r_wire)
+        x = np.random.default_rng(seed + 1).uniform(size=(3, n))
+        through_t = network.read_batch(x, 0.9)
+        oracle = np.stack(
+            [network.solve(row * 0.9, 0.0).column_current for row in x]
+        )
+        assert _rel_error(through_t, oracle) <= TRANSFER_RTOL
+
+    @given(
+        n=st.integers(1, 24),
+        m=st.integers(1, 24),
+        r_wire=st.floats(0.1, 50.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=20, m=6, r_wire=2.5, seed=0)
+    @example(n=5, m=17, r_wire=2.5, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_reciprocity_orientations_agree(self, n, m, r_wire, seed):
+        """Driving bit lines or word lines yields the same ``T``."""
+        network = CrossbarNetwork(random_conductance(n, m, seed), r_wire)
+        by_bit_lines = network._build_transfer(True)
+        by_word_lines = network._build_transfer(False)
+        assert by_bit_lines.shape == by_word_lines.shape == (n, m)
+        assert _rel_error(by_bit_lines, by_word_lines) <= TRANSFER_RTOL
+
+    @pytest.mark.parametrize("rows,cols", [(20, 6), (5, 17)])
+    def test_crossbar_batched_read_is_looped_read(self, rows, cols):
+        xbar = Crossbar(
+            CrossbarConfig(rows=rows, cols=cols, r_wire=2.5),
+            variation=VariationConfig(sigma=0.3),
+            rng=np.random.default_rng(0),
+        )
+        d = xbar.device
+        xbar.program(
+            np.random.default_rng(1).uniform(d.g_off, d.g_on, (rows, cols)),
+            with_cycle_noise=False,
+        )
+        x = np.random.default_rng(2).uniform(size=(33, rows))
+        looped = np.stack([xbar.read(row, "nodal") for row in x])
+        for batch in range(1, 34):
+            assert np.array_equal(xbar.read(x[:batch], "nodal"),
+                                  looped[:batch])
+
+
+class TestServedNodalReads:
+    def test_service_matches_engine_across_a_repair(self):
+        from repro.devices.retention import RetentionConfig, age_pair
+        from repro.serve import (
+            CrossbarService,
+            DriftPolicy,
+            ProgramConfig,
+            program_array,
+        )
+
+        artifact = program_array(ProgramConfig(
+            scheme="vortex", image_size=7, n_train=150, sigma=0.3,
+            r_wire=2.5, ir_mode="nodal", seed=0,
+        ))
+        queries = np.random.default_rng(3).uniform(
+            size=(12, artifact.n_logical)
+        )
+        service = CrossbarService(
+            artifact,
+            policy=DriftPolicy(threshold=0.05, check_every=10**9),
+            nodal_solver="lu",
+        )
+        try:
+            def served_equals_offline():
+                futures = [service.submit(q) for q in queries]
+                served = np.stack([f.result(timeout=60) for f in futures])
+                return np.array_equal(
+                    served, service.engine.forward(queries)
+                )
+
+            assert served_equals_offline()
+            age_pair(
+                service.pair, 3e5,
+                RetentionConfig(nu_median=0.05, nu_sigma=0.5),
+                np.random.default_rng(11),
+            )
+            event = service.monitor.check()
+            assert event is not None and event.action == "remap"
+            assert served_equals_offline()
+        finally:
+            service.close()
