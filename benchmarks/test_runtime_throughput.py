@@ -29,7 +29,7 @@ from repro.experiments.fig2_column import (
     _column_trial,
     _column_trial_batch,
 )
-from repro.runtime import current_runtime, map_trials, map_trials_batched
+from repro.runtime import map_trials, map_trials_batched
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -102,7 +102,6 @@ def test_runtime_throughput():
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "trials": TRIALS,
         "jobs": jobs,
-        "backend": current_runtime().backend,
         "cpu_count": os.cpu_count(),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),

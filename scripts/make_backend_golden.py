@@ -1,11 +1,12 @@
-"""Regenerate the numpy-path golden outputs for the backend refactor.
+"""Regenerate the golden outputs that pin the kernels' numerics.
 
-The backend-parity suite (``tests/backend/test_golden.py``) pins the
-numpy reference path to the exact values the pre-refactor kernels
-produced.  This script reproduces that capture: it exercises forward
-reads, the batched Monte-Carlo evaluator, the stacked variation
-samplers and a programmed-artifact inference pass at fixed seeds, and
-writes the results to ``tests/backend/golden_pre_refactor.npz``.
+``tests/backend/test_golden.py`` pins the array kernels to the exact
+values they produced before an array-namespace shim was put under them
+(and later removed again).  This script reproduces that capture: it
+exercises forward reads, the batched Monte-Carlo evaluator, the stacked
+variation samplers and a programmed-artifact inference pass at fixed
+seeds, and writes the results to
+``tests/backend/golden_pre_refactor.npz``.
 
 It must only be re-run when a PR *intentionally* changes reference
 numerics (and says so); the whole point of the file is that routine

@@ -53,7 +53,6 @@ from repro.core import (
     train_vat,
     tune_gamma,
 )
-from repro.backend import available_backends, get_namespace
 from repro.data import Dataset, make_dataset
 from repro.nn import LinearClassifier, one_vs_all_targets, train_gdt
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
@@ -83,9 +82,7 @@ __all__ = [
     "VortexConfig",
     "VortexResult",
     "WeightScaler",
-    "available_backends",
     "build_pair",
-    "get_namespace",
     "hardware_test_rate",
     "make_dataset",
     "one_vs_all_targets",

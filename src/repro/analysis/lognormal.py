@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.devices.variation import (
     lognormal_multipliers,
     sample_standard_thetas,
@@ -93,11 +92,10 @@ def ks_lognormal(multipliers: np.ndarray, fit: LognormalFit) -> float:
     return float(result.pvalue)
 
 
-def stacked_standard_thetas(
+def stacked_standard_thetas(  # repro-lint: batch-invariant
     rngs: Sequence[np.random.Generator],
     distribution: str,
     shape: tuple[int, ...],
-    xp: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Per-trial unit-std theta draws, stacked to ``(T,) + shape``.
 
@@ -105,23 +103,18 @@ def stacked_standard_thetas(
     ``sample_standard_thetas(rngs[t], distribution, shape)`` -- each
     generator advances precisely as it would in the scalar trial, so a
     batched kernel built on this stack reproduces the looped path
-    bit-for-bit.  ``xp`` selects the array namespace of the *stacked*
-    result; the draws themselves always come from the numpy generators
-    (stream identity across backends, see :mod:`repro.backend`).
+    bit-for-bit.
     """
-    bk = resolve_backend(xp)
-    return bk.stack([
-        bk.asarray(sample_standard_thetas(rng, distribution, shape))
-        for rng in rngs
+    return np.stack([
+        sample_standard_thetas(rng, distribution, shape) for rng in rngs
     ])
 
 
-def stacked_parametric_thetas(
+def stacked_parametric_thetas(  # repro-lint: batch-invariant
     rngs: Sequence[np.random.Generator],
     sigma: float,
     distribution: str,
     shape: tuple[int, ...],
-    xp: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Per-trial persistent device thetas, stacked to ``(T,) + shape``.
 
@@ -130,17 +123,15 @@ def stacked_parametric_thetas(
     advance) -- the batched and scalar paths must consume identical
     numbers of draws from every generator.
     """
-    bk = resolve_backend(xp)
     if sigma == 0:
-        return bk.zeros((len(rngs),) + shape)
-    return sigma * stacked_standard_thetas(rngs, distribution, shape, xp=bk)
+        return np.zeros((len(rngs),) + shape)
+    return sigma * stacked_standard_thetas(rngs, distribution, shape)
 
 
-def stacked_cycle_multipliers(
+def stacked_cycle_multipliers(  # repro-lint: batch-invariant
     rngs: Sequence[np.random.Generator],
     sigma_cycle: float,
     shape: tuple[int, ...],
-    xp: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Per-trial cycle-to-cycle multipliers, stacked to ``(T,) + shape``.
 
@@ -148,10 +139,8 @@ def stacked_cycle_multipliers(
     shape)``; ``sigma_cycle == 0`` returns ones without advancing any
     stream, matching the scalar model.
     """
-    bk = resolve_backend(xp)
     if sigma_cycle == 0:
-        return bk.ones((len(rngs),) + shape)
-    return bk.stack([
-        bk.asarray(lognormal_multipliers(rng, sigma_cycle, shape))
-        for rng in rngs
+        return np.ones((len(rngs),) + shape)
+    return np.stack([
+        lognormal_multipliers(rng, sigma_cycle, shape) for rng in rngs
     ])

@@ -51,7 +51,6 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 _IR_MODE_CHOICES = ("ideal", "reference", "fixed_point", "nodal")
-_BACKEND_CHOICES = ("numpy", "torch")
 _NODAL_SOLVER_CHOICES = ("lu", "schur", "cg")
 
 
@@ -81,14 +80,6 @@ def _add_programming_options(
     parser.add_argument(
         "--ir-mode", choices=_IR_MODE_CHOICES, default="ideal",
     )
-    parser.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default="numpy",
-        help=(
-            "array namespace recorded as the snapshot's serving "
-            "default; programming itself always runs the numpy "
-            "reference path"
-        ),
-    )
 
 
 def _add_serving_options(parser: argparse.ArgumentParser) -> None:
@@ -105,13 +96,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ir-mode", choices=_IR_MODE_CHOICES, default=None,
         help="override the snapshot's read model",
-    )
-    parser.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default=None,
-        help=(
-            "array namespace to serve with (default: the snapshot's "
-            "recorded serving default)"
-        ),
     )
     parser.add_argument(
         "--nodal-solver", choices=_NODAL_SOLVER_CHOICES, default=None,
@@ -135,7 +119,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     import repro
-    from repro.backend import available_backends
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -147,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=(
-            f"%(prog)s {repro.__version__} "
-            f"(backends: {', '.join(available_backends())})"
-        ),
+        version=f"%(prog)s {repro.__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the structured telemetry run log to this JSON file",
     )
-    report.add_argument(
-        "--backend", choices=_BACKEND_CHOICES, default="numpy",
-        help=(
-            "array namespace for backend-aware kernels (numpy is the "
-            "bit-identical reference; torch needs the optional "
-            "dependency installed)"
-        ),
-    )
 
     quick = sub.add_parser(
         "quickstart", help="run the end-to-end Vortex pipeline demo"
@@ -232,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "check the determinism/picklability/cache contracts "
-            "(rules REP001-REP005, see docs/determinism.md)"
+            "(rules REP001-REP005 and REP007-REP009, see docs/linting.md)"
         ),
     )
     add_lint_arguments(lint)
@@ -470,7 +442,6 @@ def _run_report(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        backend=_resolve_cli_backend(args.backend) or "numpy",
     )
     log = RunLog()
     with use_runtime(runtime), use_run_log(log):
@@ -542,7 +513,6 @@ def _run_program(args: argparse.Namespace) -> int:
         redundancy=args.redundancy,
         seed=args.seed,
         ir_mode=args.ir_mode,
-        backend=args.backend,
     )
     cache = ArtifactCache(args.cache_dir)
     key = artifact_key(config)
@@ -565,19 +535,6 @@ def _run_program(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_backend(name: str | None) -> str | None:
-    """Fail fast (with the install hint) on an unavailable backend."""
-    if name is None:
-        return None
-    from repro.backend import BackendUnavailableError, get_namespace
-
-    try:
-        get_namespace(name)
-    except BackendUnavailableError as exc:
-        raise SystemExit(f"repro: backend {name!r} unavailable: {exc}")
-    return name
-
-
 def _build_service(args: argparse.Namespace):
     from repro.runtime.cache import ArtifactCache
     from repro.serve import CrossbarService, DriftPolicy, ProgrammedArray
@@ -597,7 +554,6 @@ def _build_service(args: argparse.Namespace):
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         default_deadline_s=deadline,
-        backend=_resolve_cli_backend(args.backend),
         nodal_solver=args.nodal_solver,
     )
 
@@ -744,7 +700,6 @@ def _run_fleet_program(args: argparse.Namespace) -> int:
         seed=args.seed,
         ir_mode=args.ir_mode,
         n_probes=args.n_probes,
-        backend=args.backend,
     )
     cache = ArtifactCache(args.cache_dir)
     key = fleet_key(config, outcome.weights)
@@ -790,7 +745,6 @@ def _build_fleet_service(args: argparse.Namespace, replicas: int):
         max_batch=getattr(args, "max_batch", 32),
         max_queue=getattr(args, "max_queue", 128),
         default_deadline_s=None if deadline is None else deadline / 1e3,
-        backend=_resolve_cli_backend(getattr(args, "backend", None)),
         nodal_solver=getattr(args, "nodal_solver", None),
     )
 
@@ -836,7 +790,6 @@ def _run_pipeline_program(args: argparse.Namespace) -> int:
         seed=args.seed,
         ir_mode=args.ir_mode,
         n_probes=args.n_probes,
-        backend=args.backend,
     )
     cache = ArtifactCache(args.cache_dir)
     key = pipeline_key(config)
@@ -881,7 +834,6 @@ def _build_pipeline_service(args: argparse.Namespace, replicas: int):
         max_batch=getattr(args, "max_batch", 32),
         max_queue=getattr(args, "max_queue", 256),
         default_deadline_s=None if deadline is None else deadline / 1e3,
-        backend=_resolve_cli_backend(getattr(args, "backend", None)),
         nodal_solver=getattr(args, "nodal_solver", None),
     )
 

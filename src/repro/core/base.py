@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.adc import ADC
 from repro.circuits.sensing import CurrentSense
 from repro.config import (
@@ -200,7 +199,7 @@ def ideal_read_path(spec: HardwareSpec) -> bool:
     return spec.ir_mode == "ideal" or spec.crossbar.r_wire == 0
 
 
-def batched_hardware_test_rates(
+def batched_hardware_test_rates(  # repro-lint: batch-invariant
     g_pos: np.ndarray,
     g_neg: np.ndarray,
     x: np.ndarray,
@@ -208,7 +207,6 @@ def batched_hardware_test_rates(
     spec: HardwareSpec,
     scaler: WeightScaler,
     trial_block: int = 16,
-    backend: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Test rates of a stack of programmed pairs, one hardware pass.
 
@@ -240,9 +238,6 @@ def batched_hardware_test_rates(
         scaler: Weight <-> conductance map of the pairs.
         trial_block: Trials evaluated per einsum call; purely a memory
             knob -- per-slice identity makes any value bit-identical.
-        backend: Array namespace for the ensemble math (default: the
-            bit-identical numpy reference path).  The returned rates
-            are always a numpy array.
 
     Returns:
         Per-trial test rates, shape ``(T,)``.
@@ -252,11 +247,10 @@ def batched_hardware_test_rates(
             "batched_hardware_test_rates only replicates the ideal read "
             f"path (ir_mode={spec.ir_mode!r}, r_wire={spec.crossbar.r_wire})"
         )
-    bk = resolve_backend(backend)
-    g_pos = bk.asarray(g_pos)
-    g_neg = bk.asarray(g_neg)
-    x = bk.asarray(x)
-    labels = bk.asarray(labels, dtype=None)
+    g_pos = np.asarray(g_pos, dtype=float)
+    g_neg = np.asarray(g_neg, dtype=float)
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
     n_trials = g_pos.shape[0]
     v_read = spec.crossbar.v_read
     adc = spec.diff_adc(spec.crossbar.rows)
@@ -269,30 +263,30 @@ def batched_hardware_test_rates(
         gp, gn = g_pos[start:stop], g_neg[start:stop]
         xb = x if x.ndim == 2 else x[start:stop]
         i_diff = (
-            v_read * trial_stacked_matmul(xb, gp, xp=bk)
-            - v_read * trial_stacked_matmul(xb, gn, xp=bk)
+            v_read * trial_stacked_matmul(xb, gp)
+            - v_read * trial_stacked_matmul(xb, gn)
         )
         if adc is not None:
             # Per-trial sense auto-ranging, then the mid-rise bipolar
             # quantiser with each trial's full scale broadcast in.
             x_cal = xb[:256] if xb.ndim == 2 else xb[:, :256]
             i_cal = (
-                v_read * trial_stacked_matmul(x_cal, gp, xp=bk)
-                - v_read * trial_stacked_matmul(x_cal, gn, xp=bk)
+                v_read * trial_stacked_matmul(x_cal, gp)
+                - v_read * trial_stacked_matmul(x_cal, gn)
             )
-            peak = bk.quantile(bk.abs(i_cal), 0.999, axis=(1, 2))
-            fs = bk.maximum(peak * 1.5, fs_floor)[:, None, None]
+            peak = np.quantile(np.abs(i_cal), 0.999, axis=(1, 2))
+            fs = np.maximum(peak * 1.5, fs_floor)[:, None, None]
             levels = 2 ** adc.bits
             lo = -fs
             lsb = (2 * fs) / levels
-            codes = bk.round((bk.clip(i_diff, lo, fs) - lo) / lsb)
-            i_diff = lo + bk.clip(codes, 0, levels - 1) * lsb
+            codes = np.round((np.clip(i_diff, lo, fs) - lo) / lsb)
+            i_diff = lo + np.clip(codes, 0, levels - 1) * lsb
         scores = (i_diff - 0.0) / scale
-        preds = bk.argmax(scores, axis=2)
-        blocks.append(bk.mean(preds == labels[None, :], axis=1))
+        preds = np.argmax(scores, axis=2)
+        blocks.append(np.mean(preds == labels[None, :], axis=1))
     if not blocks:
-        return bk.to_numpy(bk.zeros(0))
-    return bk.to_numpy(bk.concatenate(blocks))
+        return np.zeros(0)
+    return np.concatenate(blocks)
 
 
 def software_rates(

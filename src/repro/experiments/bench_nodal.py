@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.config import NODAL_SOLVERS, DeviceConfig
 from repro.devices.variation import lognormal_multipliers
 from repro.runtime import map_trials, map_trials_batched
@@ -101,10 +100,9 @@ def _nodal_column_trial(
     return network.read(np.ones(cfg.n_devices), cfg.v_read)
 
 
-def _nodal_column_trial_batch(
+def _nodal_column_trial_batch(  # repro-lint: batch-invariant
     rngs: Sequence[np.random.Generator],
     cfg: NodalColumnConfig,
-    backend: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Trial-stacked kernel: one nominal preconditioner, CG per stack.
 
@@ -115,13 +113,11 @@ def _nodal_column_trial_batch(
     refactorises.  Accurate to the documented
     :data:`~repro.xbar.solvers.CG_CURRENT_RTOL` against the baseline.
     """
-    bk = resolve_backend(backend)
-    draws = [
-        bk.asarray(_trial_conductance(rng, cfg)) for rng in rngs
-    ]
-    g_stack = bk.stack(draws, axis=0)
-    nominal = bk.full((cfg.n_devices, cfg.cols), cfg.g_target)
-    x = bk.ones((1, cfg.n_devices))
+    g_stack = np.stack(
+        [_trial_conductance(rng, cfg) for rng in rngs], axis=0
+    )
+    nominal = np.full((cfg.n_devices, cfg.cols), cfg.g_target)
+    x = np.ones((1, cfg.n_devices))
     currents = nodal_read_trial_stack(
         g_stack,
         x,
@@ -129,9 +125,8 @@ def _nodal_column_trial_batch(
         v_read=cfg.v_read,
         solver="cg",
         precond_g=nominal,
-        backend=bk,
     )
-    # (T, 1, cols) -> (T, cols); plain indexing works on every backend.
+    # (T, 1, cols) -> (T, cols)
     return currents[:, 0, :]
 
 

@@ -21,7 +21,6 @@ from repro.analysis.lognormal import (
     stacked_parametric_thetas,
 )
 from repro.analysis.montecarlo import run_monte_carlo
-from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.adc import ADC
 from repro.config import DeviceConfig, VariationConfig
 from repro.devices.memristor import MemristorArray
@@ -124,10 +123,9 @@ def _column_trial(
     )
 
 
-def _column_trial_batch(
+def _column_trial_batch(  # repro-lint: batch-invariant
     rngs: Sequence[np.random.Generator],
     cfg: ColumnTrialConfig,
-    backend: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Trial-batched kernel for :func:`_column_trial`.
 
@@ -139,14 +137,7 @@ def _column_trial_batch(
     evaluates identically per trial slice, so the output is
     bit-identical to looping :func:`_column_trial` over the same
     generators.
-
-    The kernel is backend-aware (see :mod:`repro.backend`): draws stay
-    on the per-trial numpy generators regardless of backend, the stack
-    math runs on ``backend``, and the ADC quantiser (host-side code)
-    round-trips through numpy.  The default numpy path is the
-    bit-identical reference.
     """
-    bk = resolve_backend(backend)
     n_trials = len(rngs)
     device = DeviceConfig()
     variation = VariationConfig(sigma=cfg.sigma)
@@ -155,60 +146,56 @@ def _column_trial_batch(
     target_current = cfg.target_current
     shape = (cfg.n_devices, 1)
     g_target = target_current / (cfg.n_devices * v_read)
-    targets = bk.full(shape, g_target)
+    targets = np.full(shape, g_target)
 
     # Fabrication: each trial's persistent thetas from its own stream.
     thetas = stacked_parametric_thetas(
-        rngs, cfg.sigma, variation.distribution, shape, xp=bk
+        rngs, cfg.sigma, variation.distribution, shape
     )
-    exp_thetas = bk.exp(thetas)
+    exp_thetas = np.exp(thetas)
 
     # --- OLD: one open-loop programming event per trial. ---
     achieved = targets * exp_thetas
     if variation.sigma_cycle > 0:
         achieved = achieved * stacked_cycle_multipliers(
-            rngs, variation.sigma_cycle, shape, xp=bk
+            rngs, variation.sigma_cycle, shape
         )
-    achieved = bk.clip(achieved, g_off, device.g_on)
-    state = bk.clip((achieved - g_off) / g_range, 0.0, 1.0)
+    achieved = np.clip(achieved, g_off, device.g_on)
+    state = np.clip((achieved - g_off) / g_range, 0.0, 1.0)
     g_old = g_off + state * g_range
-    i_old = v_read * bk.sum(g_old, axis=(1, 2))
+    i_old = v_read * np.sum(g_old, axis=(1, 2))
 
     # --- CLD: program-and-sense feedback on the same fabric. ---
-    state = bk.zeros((n_trials,) + shape)
+    state = np.zeros((n_trials,) + shape)
     adc = ADC(cfg.adc_bits, 2.0 * target_current)
     # Trials leave the feedback loop independently: a converged trial
     # stops updating *and stops drawing cycle noise*, exactly like the
-    # scalar trial's early break.  Convergence tracking stays host-side
-    # (numpy bools) under every backend.
+    # scalar trial's early break.
     active = np.asarray([True] * n_trials)
     for _ in range(cfg.cld_iterations):
         g = g_off + state * g_range
-        i_sensed = bk.asarray(
-            adc.quantize(bk.to_numpy(v_read * bk.sum(g, axis=(1, 2))))
-        )
+        i_sensed = adc.quantize(v_read * np.sum(g, axis=(1, 2)))
         error = target_current - i_sensed
-        active &= ~(bk.to_numpy(bk.abs(error)) < adc.lsb)
+        active &= ~(np.abs(error) < adc.lsb)
         if not active.any():
             break
         delta = error / (cfg.n_devices * v_read) * 0.5
         step = delta[:, None, None] * exp_thetas
         if variation.sigma_cycle > 0:
             for t in np.nonzero(active)[0]:
-                step[t] = step[t] * bk.asarray(lognormal_multipliers(
+                step[t] = step[t] * lognormal_multipliers(
                     rngs[t], variation.sigma_cycle, shape
-                ))
-        g_new = bk.clip(g + step, g_off, device.g_on)
-        state_new = bk.clip((g_new - g_off) / g_range, 0.0, 1.0)
-        mask = bk.asarray(active, dtype=bool)
-        state[mask] = state_new[mask]
+                )
+        g_new = np.clip(g + step, g_off, device.g_on)
+        state_new = np.clip((g_new - g_off) / g_range, 0.0, 1.0)
+        state[active] = state_new[active]
     g_cld = g_off + state * g_range
-    i_cld = v_read * bk.sum(g_cld, axis=(1, 2))
+    i_cld = v_read * np.sum(g_cld, axis=(1, 2))
 
-    return bk.stack(
+    return np.stack(
         [
-            bk.abs(i_old - target_current) / target_current,
-            bk.abs(i_cld - target_current) / target_current,
+            np.abs(i_old - target_current) / target_current,
+            np.abs(i_cld - target_current) / target_current,
         ],
         axis=1,
     )

@@ -24,7 +24,6 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.runtime.telemetry import RunLog, current_run_log
 from repro.serve.artifact import ProgrammedArray
 from repro.serve.engine import InferenceEngine
@@ -63,8 +62,6 @@ class ShardReplica:
             :class:`~repro.serve.scheduler.BatchScheduler`).
         microbatch: Engine microbatch size.
         log: Telemetry sink shared with the rest of the fleet.
-        backend: Array namespace for the replica's reads (``None``
-            adopts the shard artifact's recorded default).
         nodal_solver: Solver for ``ir_mode="nodal"`` reads (``None``
             keeps the hardware's own selection).
         name_prefix: Prepended to the replica name (and thus its
@@ -86,7 +83,6 @@ class ShardReplica:
         microbatch: int = 64,
         min_retry_after_s: float = 0.05,
         log: RunLog | None = None,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
         name_prefix: str = "",
     ):
@@ -100,7 +96,7 @@ class ShardReplica:
         )
         self.engine = InferenceEngine.from_artifact(
             artifact, ir_mode=ir_mode, microbatch=microbatch,
-            backend=backend, nodal_solver=nodal_solver,
+            nodal_solver=nodal_solver,
         )
         self.monitor = DriftMonitor(
             self.engine,

@@ -61,11 +61,6 @@ class FleetConfig:
         ir_mode: Read-fidelity model every shard serves with.
         n_probes: Drift-monitor probe count (full-width probes; each
             shard keeps its row slice).
-        backend: Default array namespace the fleet is served with (see
-            :mod:`repro.backend`).  Programming always runs the
-            bit-identical numpy reference path; this field only records
-            the deployment intent ``fleet serve`` adopts when no
-            explicit ``--backend`` is given.
     """
 
     n_rows: int
@@ -76,7 +71,6 @@ class FleetConfig:
     seed: int = 0
     ir_mode: str = "ideal"
     n_probes: int = 16
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.n_rows < 1:
@@ -180,7 +174,10 @@ class ProgrammedFleet:
         doc = cache.get_json(key)
         if doc is None or doc.get("kind") != "fleet_manifest":
             raise KeyError(f"no fleet manifest under key {key!r}")
-        config = FleetConfig(**doc["config"])
+        # Older manifests carry a "backend" field; numpy was the only
+        # one that ever programmed or served, so it is dropped.
+        fields = {k: v for k, v in doc["config"].items() if k != "backend"}
+        config = FleetConfig(**fields)
         shards = [
             ProgrammedArray.load(cache, _shard_key(key, i))
             for i in range(int(doc["n_shards"]))

@@ -17,7 +17,6 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.fleet.engine import ShardReplica
 from repro.fleet.health import RollingReprogrammer
 from repro.fleet.plan import ProgrammedFleet
@@ -53,8 +52,6 @@ class FleetService(ServiceLifecycle):
             :class:`~repro.fleet.health.RollingReprogrammer`).
         log: Telemetry sink; the ambient run log (or a private one)
             when omitted.
-        backend: Array namespace every replica reads with; ``None``
-            adopts the fleet plan's recorded serving default.
         nodal_solver: Solver every replica uses for ``ir_mode="nodal"``
             reads (``None`` keeps the hardware's own selection).
         label_prefix: Prepended to every replica's telemetry lane
@@ -75,7 +72,6 @@ class FleetService(ServiceLifecycle):
         min_retry_after_s: float = 0.05,
         min_live: int = 1,
         log: RunLog | None = None,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
         label_prefix: str = "",
     ):
@@ -89,9 +85,6 @@ class FleetService(ServiceLifecycle):
         self.log = log if log is not None else (
             ambient if ambient is not None else RunLog()
         )
-        if backend is None:
-            backend = getattr(fleet.config, "backend", None)
-        self.backend = backend
         self.groups = [
             ShardGroup(
                 i,
@@ -108,7 +101,6 @@ class FleetService(ServiceLifecycle):
                         microbatch=microbatch,
                         min_retry_after_s=min_retry_after_s,
                         log=self.log,
-                        backend=backend,
                         nodal_solver=nodal_solver,
                         name_prefix=self.label_prefix,
                     )
@@ -185,14 +177,10 @@ class FleetService(ServiceLifecycle):
                 "live": len(group.live_replicas),
                 "replicas": lanes,
             })
-        first = self.groups[0].replicas[0] if self.groups else None
         return {
             "n_shards": self.fleet.n_shards,
             "replicas_per_shard": self.replicas,
             "ir_mode": self.fleet.config.ir_mode,
-            "backend": (
-                first.engine.backend_name if first is not None else "numpy"
-            ),
             "shards": shards,
         }
 
@@ -204,7 +192,7 @@ class FleetService(ServiceLifecycle):
             summary["lanes"] = labels
         return summary
 
-    # -- lifecycle (close/shutdown/context from ServiceLifecycle) ------
+    # -- lifecycle (close/context from ServiceLifecycle) ---------------
     def drain(self, timeout: float | None = None) -> None:
         """Drain every replica of every shard."""
         for group in self.groups:

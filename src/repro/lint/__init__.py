@@ -16,18 +16,14 @@ rules over a repo-wide symbol table:
             with deterministically-hashable fields
 ``REP004``  no mutable default arguments
 ``REP005``  no bare ``except:`` / silently swallowed exceptions
-``REP006``  backend-aware kernels route array ops through the
-            ``xp``/``backend`` namespace object
 ``REP007``  instance state shared across threads is lock-guarded or
             declared ``# guarded-by: <lock>`` / atomic
 ``REP008``  started threads are joined on the drain/close path;
             ``ServiceLifecycle`` implementations expose the full
             ``Service`` surface
-``REP009``  backend-aware kernels reduce through fixed-accumulation
-            helpers (einsum), never bare ``@``/``sum``/``+=`` loops
-``REP010``  backend-aware functions do not call numpy-touching
-            helpers, and forward ``xp``/``backend`` to backend-aware
-            callees
+``REP009``  kernels marked ``# repro-lint: batch-invariant`` reduce
+            through fixed-accumulation helpers (einsum), never bare
+            ``@``/``sum``/``+=`` loops
 ==========  ==========================================================
 
 Run it as ``python -m repro.lint src`` or ``repro lint``; suppress a

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Project-specific determinism/picklability/cache-contract "
-            "checker (rules REP001-REP010)."
+            "checker (rules REP001-REP005 and REP007-REP009)."
         ),
     )
     add_lint_arguments(parser)

@@ -1,12 +1,12 @@
 """Lint driver: file discovery, the two-phase run, suppression filtering.
 
-Phase 1 analyses every file independently (REP001/2/4/5/6/9 plus the
+Phase 1 analyses every file independently (REP001/2/4/5/9 plus the
 raw material for the cross-file passes) — optionally in parallel over
 worker processes (``jobs``), which is sound because per-file analysis
 is a pure function of ``(path, source)``.  Phase 2 joins the per-file
 tables across the whole file set: dataclass definitions against
 cache-key uses (REP003) and the project symbol table for the
-concurrency/lifecycle/backend-purity rules (REP007/REP008/REP010).
+concurrency/lifecycle rules (REP007/REP008).
 Suppression directives and the optional baseline are applied last so
 the engine can report how many findings a tree is explicitly living
 with.

@@ -1,20 +1,13 @@
 """Phase 1/2 of the project-wide analysis: symbol table + cross-module rules.
 
-Phase 1 (:func:`collect_file`) walks each file once and records the raw
-material the cross-module rules need:
-
-* every class, with its methods' attribute reads/writes (and which
-  ``with self.<lock>:`` blocks each access sits inside), its lock
-  attributes, the threads it creates/starts/joins, and which of its
-  methods run on a worker thread -- inferred from
-  ``threading.Thread(target=self.<m>)`` roots plus the
-  ``# repro-lint: thread=worker`` annotation escape hatch, closed over
-  ``self.<m>()`` calls;
-* every function and method, with its ordered parameters, whether it is
-  backend-aware (takes ``xp``/``backend``), which numpy array ops it
-  calls directly, and every call site it makes that the linter can
-  resolve (module-level names through imports, ``self.<m>()`` within a
-  class).
+Phase 1 (:func:`collect_file`) walks each file once and records every
+class, with its methods' attribute reads/writes (and which
+``with self.<lock>:`` blocks each access sits inside), its lock
+attributes, the threads it creates/starts/joins, and which of its
+methods run on a worker thread -- inferred from
+``threading.Thread(target=self.<m>)`` roots plus the
+``# repro-lint: thread=worker`` annotation escape hatch, closed over
+``self.<m>()`` calls.
 
 Phase 2 (:func:`check_project`) joins those tables across the whole
 file set and enforces:
@@ -28,13 +21,6 @@ file set and enforces:
   ``threading.Thread`` must be joined on the ``drain``/``close`` path,
   and every :class:`~repro.serve.protocol.ServiceLifecycle`
   implementation must define the full Service surface.
-* **REP010** -- interprocedural backend purity: a backend-aware
-  function must not call project helpers that touch numpy directly
-  (REP006 across call boundaries), and must forward its ``xp``/
-  ``backend`` when calling another backend-aware helper.  Converting at
-  the host boundary -- wrapping the call in ``asarray``/``to_numpy`` or
-  passing ``to_numpy(...)`` data -- is the porting contract, not a
-  violation, exactly as for REP006.
 
 Everything stays stdlib-only, picklable (for ``--jobs``) and
 deterministic: tables are tuples of frozen dataclasses, and phase 2
@@ -55,9 +41,7 @@ from repro.lint.violation import Violation
 __all__ = [
     "Annotations",
     "AttrAccess",
-    "CallSite",
     "ClassInfo",
-    "FunctionInfo",
     "MethodInfo",
     "ThreadInfo",
     "check_project",
@@ -71,6 +55,9 @@ _THREAD_ANNOTATION = re.compile(
     r"#\s*repro-lint\s*:\s*thread\s*=\s*worker\b"
 )
 _ATOMIC_ANNOTATION = re.compile(r"#\s*repro-lint\s*:\s*atomic\b")
+_BATCH_INVARIANT_ANNOTATION = re.compile(
+    r"#\s*repro-lint\s*:\s*batch-invariant\b"
+)
 _GUARDED_BY = re.compile(r"#\s*guarded-by\s*:\s*(?P<lock>[A-Za-z_]\w*)")
 
 # Methods that count as the teardown surface of a class: a thread join
@@ -80,13 +67,8 @@ _LIFECYCLE_ROOTS = frozenset(
 )
 
 # The Service protocol surface a ServiceLifecycle implementation must
-# provide itself (close/shutdown/context management come from the mixin).
+# provide itself (close and context management come from the mixin).
 _SERVICE_SURFACE = ("submit", "predict", "status", "stats", "drain")
-
-_BACKEND_PARAM_NAMES = frozenset({"xp", "backend"})
-
-# Call wrappers that mark an explicit host/backend conversion boundary.
-_BOUNDARY_WRAPPERS = frozenset({"asarray", "to_numpy"})
 
 # Lock factories recognised as creating a lock attribute.
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "make_lock"})
@@ -103,22 +85,6 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-# numpy ops a helper "touches directly" for REP010 purposes -- the same
-# namespace-routed set REP006 enforces inside backend-aware functions.
-_BACKEND_PORTED_OPS = frozenset(
-    {
-        "einsum", "stack", "concatenate", "clip", "where", "exp",
-        "log", "sqrt", "abs", "sign", "round", "maximum", "minimum",
-        "quantile", "argmax", "argsort", "mean", "sum", "prod",
-        "cumsum", "zeros", "ones", "full", "empty", "take",
-        "atleast_2d", "reshape", "transpose", "matmul", "dot",
-        "tensordot",
-    }
-)
-
-_BACKEND_PKG_FRAGMENT = "repro/backend/"
-
-
 @dataclasses.dataclass(frozen=True)
 class Annotations:
     """Per-file inline annotations, keyed by 1-based source line.
@@ -128,11 +94,14 @@ class Annotations:
         atomic_lines: Lines carrying ``# repro-lint: atomic``.
         guarded_lines: Line -> lock attribute name from
             ``# guarded-by: <lock>``.
+        batch_invariant_lines: Lines carrying
+            ``# repro-lint: batch-invariant`` (REP009's scope).
     """
 
     worker_lines: frozenset[int]
     atomic_lines: frozenset[int]
     guarded_lines: tuple[tuple[int, str], ...]
+    batch_invariant_lines: frozenset[int]
 
     def guard_for(self, line: int) -> str | None:
         for guarded_line, lock in self.guarded_lines:
@@ -142,7 +111,7 @@ class Annotations:
 
 
 def parse_annotations(source: str) -> Annotations:
-    """Extract thread/atomic/guarded-by annotations from comments.
+    """Extract thread/atomic/guarded-by/batch-invariant annotations.
 
     Parsed from tokenizer output like the suppression directives, so an
     annotation inside a string literal is never mistaken for one.
@@ -151,6 +120,7 @@ def parse_annotations(source: str) -> Annotations:
     """
     worker: set[int] = set()
     atomic: set[int] = set()
+    batch_invariant: set[int] = set()
     guarded: list[tuple[int, str]] = []
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -164,6 +134,8 @@ def parse_annotations(source: str) -> Annotations:
             worker.add(line)
         if _ATOMIC_ANNOTATION.search(tok.string):
             atomic.add(line)
+        if _BATCH_INVARIANT_ANNOTATION.search(tok.string):
+            batch_invariant.add(line)
         match = _GUARDED_BY.search(tok.string)
         if match is not None:
             guarded.append((line, match.group("lock")))
@@ -171,6 +143,7 @@ def parse_annotations(source: str) -> Annotations:
         worker_lines=frozenset(worker),
         atomic_lines=frozenset(atomic),
         guarded_lines=tuple(guarded),
+        batch_invariant_lines=frozenset(batch_invariant),
     )
 
 
@@ -266,61 +239,11 @@ class ClassInfo:
 
 
 @dataclasses.dataclass(frozen=True)
-class CallSite:
-    """One call a function makes that phase 2 may resolve.
-
-    Attributes:
-        kind: ``"name"`` (module-level name) or ``"self"`` (method).
-        callee: The called name.
-        line: Call line.
-        n_args: Positional argument count.
-        keywords: Keyword argument names present at the call.
-        at_boundary: The call is wrapped in an ``asarray``/``to_numpy``
-            conversion, or passes ``to_numpy(...)`` data -- the
-            explicit host-boundary idiom, exempt from REP010.
-    """
-
-    kind: str
-    callee: str
-    line: int
-    n_args: int
-    keywords: tuple[str, ...]
-    at_boundary: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class FunctionInfo:
-    """One function or method, as the backend-purity rules see it."""
-
-    name: str
-    qualname: str
-    path: str
-    line: int
-    #: Enclosing class name ("" for module-level functions).
-    cls: str
-    params: tuple[str, ...]
-    backend_aware: bool
-    #: Direct ``np.<op>()`` uses of the REP006 op set: ``(op, line)``.
-    numpy_ops: tuple[tuple[str, int], ...]
-    calls: tuple[CallSite, ...]
-
-    @property
-    def backend_param_index(self) -> int | None:
-        for i, param in enumerate(self.params):
-            if param in _BACKEND_PARAM_NAMES:
-                return i
-        return None
-
-
-@dataclasses.dataclass(frozen=True)
 class FileSymbols:
     """Everything one file contributes to the project-wide pass."""
 
     path: str
     classes: tuple[ClassInfo, ...]
-    functions: tuple[FunctionInfo, ...]
-    #: Imported name -> dotted ``module.original`` it resolves to.
-    imports: tuple[tuple[str, str], ...]
 
 
 # -- phase-1 collection ----------------------------------------------------
@@ -478,129 +401,21 @@ def _walk_stmts(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
         yield from ast.walk(stmt)
 
 
-class _FunctionCollector(ast.NodeVisitor):
-    """Record one function's numpy ops and resolvable call sites."""
-
-    def __init__(self, numpy_names: set[str]):
-        self.numpy_names = numpy_names
-        self.numpy_ops: list[tuple[str, int]] = []
-        self.calls: list[CallSite] = []
-        self._boundary_depth = 0
-
-    def _is_boundary_wrapper(self, func: ast.AST) -> bool:
-        if isinstance(func, ast.Attribute):
-            return func.attr in _BOUNDARY_WRAPPERS
-        if isinstance(func, ast.Name):
-            return func.id in _BOUNDARY_WRAPPERS
-        return False
-
-    def _has_to_numpy_arg(self, node: ast.Call) -> bool:
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, ast.Call) and self._is_boundary_wrapper(
-                arg.func
-            ):
-                return True
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _BACKEND_PORTED_OPS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.numpy_names
-        ):
-            self.numpy_ops.append((func.attr, node.lineno))
-        kind = callee = None
-        if isinstance(func, ast.Name):
-            kind, callee = "name", func.id
-        else:
-            attr = _self_attr(func)
-            if attr is not None:
-                kind, callee = "self", attr
-        if kind is not None and callee is not None:
-            at_boundary = (
-                self._boundary_depth > 0 or self._has_to_numpy_arg(node)
-            )
-            self.calls.append(
-                CallSite(
-                    kind=kind,
-                    callee=callee,
-                    line=node.lineno,
-                    n_args=len(node.args),
-                    keywords=tuple(
-                        kw.arg for kw in node.keywords
-                        if kw.arg is not None
-                    ),
-                    at_boundary=at_boundary,
-                )
-            )
-        if self._is_boundary_wrapper(func):
-            self._boundary_depth += 1
-            self.generic_visit(node)
-            self._boundary_depth -= 1
-        else:
-            self.generic_visit(node)
-
-
-def _function_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    args = node.args
-    return tuple(
-        a.arg
-        for a in list(args.posonlyargs) + list(args.args)
-        + list(args.kwonlyargs)
-    )
-
-
 def collect_file(
     path: str, tree: ast.Module, annotations: Annotations
 ) -> FileSymbols:
     """Phase-1 symbol collection for one parsed file."""
     threading_names = {"threading"}
-    imports: list[tuple[str, str]] = []
-    numpy_names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if alias.name == "numpy":
-                    numpy_names.add(bound)
                 if alias.name == "threading" and alias.asname:
                     threading_names.add(alias.asname)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                imports.append((bound, f"{module}.{alias.name}"))
 
     classes: list[ClassInfo] = []
-    functions: list[FunctionInfo] = []
-
-    def collect_function(
-        node: ast.FunctionDef | ast.AsyncFunctionDef, cls: str
-    ) -> FunctionInfo:
-        collector = _FunctionCollector(numpy_names)
-        for stmt in node.body:
-            collector.visit(stmt)
-        params = _function_params(node)
-        return FunctionInfo(
-            name=node.name,
-            qualname=f"{cls}.{node.name}" if cls else node.name,
-            path=path,
-            line=node.lineno,
-            cls=cls,
-            params=params,
-            backend_aware=bool(
-                set(params) & _BACKEND_PARAM_NAMES
-            ),
-            numpy_ops=tuple(collector.numpy_ops),
-            calls=tuple(collector.calls),
-        )
 
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(collect_function(node, ""))
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             methods: list[MethodInfo] = []
             threads: list[ThreadInfo] = []
             atomic: list[str] = []
@@ -610,7 +425,6 @@ def collect_file(
                     stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
                     continue
-                functions.append(collect_function(stmt, node.name))
                 collector = _MethodCollector()
                 for sub in stmt.body:
                     collector.visit(sub)
@@ -661,12 +475,7 @@ def collect_file(
                     guarded_attrs=tuple(sorted(set(guarded))),
                 )
             )
-    return FileSymbols(
-        path=path,
-        classes=tuple(classes),
-        functions=tuple(functions),
-        imports=tuple(imports),
-    )
+    return FileSymbols(path=path, classes=tuple(classes))
 
 
 def _base_names(node: ast.ClassDef) -> Iterator[str]:
@@ -711,106 +520,6 @@ def _lock_assignments(
 
 
 # -- phase-2 rules ---------------------------------------------------------
-
-
-def _module_keys(path: str) -> list[str]:
-    """Dotted-suffix candidates a file can be imported as.
-
-    ``src/repro/xbar/crossbar.py`` -> ``crossbar``,
-    ``xbar.crossbar``, ``repro.xbar.crossbar``, ... so both absolute
-    project imports and flat fixture imports resolve.
-    """
-    normalized = path.replace("\\", "/")
-    if normalized.endswith(".py"):
-        normalized = normalized[: -len(".py")]
-    parts = [p for p in normalized.split("/") if p not in ("", ".")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    keys = []
-    for i in range(len(parts)):
-        keys.append(".".join(parts[i:]))
-    return keys
-
-
-class ProjectTable:
-    """The joined phase-1 tables of a whole lint run."""
-
-    def __init__(self, symbols: Sequence[FileSymbols]):
-        self.symbols = list(symbols)
-        # (module key, function name) -> FunctionInfo, dropped if the
-        # key is claimed by more than one file (ambiguous -> unresolved).
-        self._module_functions: dict[tuple[str, str], FunctionInfo] = {}
-        ambiguous: set[tuple[str, str]] = set()
-        # (path, class, method) -> FunctionInfo for self-call lookup.
-        self._methods: dict[tuple[str, str, str], FunctionInfo] = {}
-        self._imports: dict[str, dict[str, str]] = {}
-        for sym in symbols:
-            self._imports[sym.path] = dict(sym.imports)
-            for fn in sym.functions:
-                if fn.cls:
-                    self._methods[(sym.path, fn.cls, fn.name)] = fn
-                    continue
-                for key in _module_keys(sym.path):
-                    entry = (key, fn.name)
-                    if entry in self._module_functions:
-                        ambiguous.add(entry)
-                    else:
-                        self._module_functions[entry] = fn
-        for entry in ambiguous:
-            self._module_functions.pop(entry, None)
-
-    def resolve(
-        self, caller: FunctionInfo, site: CallSite
-    ) -> FunctionInfo | None:
-        """The project function a call site provably targets, if any."""
-        if site.kind == "self" and caller.cls:
-            return self._methods.get(
-                (caller.path, caller.cls, site.callee)
-            )
-        if site.kind != "name":
-            return None
-        # Same module first, then through this file's imports.
-        for key in _module_keys(caller.path):
-            fn = self._module_functions.get((key, site.callee))
-            if fn is not None and fn.path == caller.path:
-                return fn
-        dotted = self._imports.get(caller.path, {}).get(site.callee)
-        if dotted is None:
-            return None
-        module, _, name = dotted.rpartition(".")
-        return self._module_functions.get((module, name))
-
-    def touches_numpy(
-        self, fn: FunctionInfo, _seen: frozenset[str] = frozenset()
-    ) -> tuple[str, str, int] | None:
-        """Evidence ``(qualname, op, line)`` that ``fn`` (or a helper it
-        provably calls, transitively) uses numpy array ops directly.
-
-        The walk stops at backend-aware functions (their own REP006
-        holds them to the namespace) and at the backend package (the
-        reference delegation layer).
-        """
-        key = f"{fn.path}::{fn.qualname}"
-        if key in _seen or len(_seen) > 12:
-            return None
-        if fn.backend_aware:
-            return None
-        if _BACKEND_PKG_FRAGMENT in fn.path.replace("\\", "/"):
-            return None
-        if fn.numpy_ops:
-            op, line = fn.numpy_ops[0]
-            return (fn.qualname, op, line)
-        seen = _seen | {key}
-        for site in fn.calls:
-            if site.at_boundary:
-                continue
-            callee = self.resolve(fn, site)
-            if callee is None:
-                continue
-            evidence = self.touches_numpy(callee, seen)
-            if evidence is not None:
-                return evidence
-        return None
 
 
 def _check_rep007(cls: ClassInfo) -> Iterator[Violation]:
@@ -986,78 +695,11 @@ def _reachable_from(cls: ClassInfo, roots: frozenset[str]) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _check_rep010(
-    table: ProjectTable, fn: FunctionInfo
-) -> Iterator[Violation]:
-    if not fn.backend_aware:
-        return
-    if _BACKEND_PKG_FRAGMENT in fn.path.replace("\\", "/"):
-        return
-    for site in fn.calls:
-        if site.at_boundary:
-            continue
-        callee = table.resolve(fn, site)
-        if callee is None or callee is fn:
-            continue
-        if _BACKEND_PKG_FRAGMENT in callee.path.replace("\\", "/"):
-            continue
-        if callee.backend_aware:
-            index = callee.backend_param_index
-            passed_kw = bool(
-                set(site.keywords) & _BACKEND_PARAM_NAMES
-            )
-            # For methods the caller does not supply ``self``
-            # positionally, so the parameter lands one slot earlier.
-            effective = site.n_args + (
-                1 if callee.cls and site.kind == "self" else 0
-            )
-            passed_pos = index is not None and effective > index
-            if not passed_kw and not passed_pos:
-                yield Violation(
-                    path=fn.path,
-                    line=site.line,
-                    col=1,
-                    code="REP010",
-                    message=(
-                        f"'{fn.qualname}' calls backend-aware "
-                        f"'{callee.qualname}' without forwarding "
-                        "xp/backend; the callee silently falls back to "
-                        "numpy, so pass the namespace through "
-                        "(e.g. xp=bk)"
-                    ),
-                )
-            continue
-        evidence = table.touches_numpy(callee)
-        if evidence is not None:
-            qualname, op, line = evidence
-            via = (
-                "" if qualname == callee.qualname
-                else f" (via '{qualname}')"
-            )
-            yield Violation(
-                path=fn.path,
-                line=site.line,
-                col=1,
-                code="REP010",
-                message=(
-                    f"backend-aware '{fn.qualname}' calls "
-                    f"'{callee.qualname}'{via}, which touches numpy "
-                    f"directly (np.{op} at {callee.path}:{line}); port "
-                    "the helper (give it an xp parameter and forward "
-                    "it) or convert at the host boundary "
-                    "(bk.asarray(helper(to_numpy(x))))"
-                ),
-            )
-
-
 def check_project(symbols: Sequence[FileSymbols]) -> list[Violation]:
-    """Phase 2: run REP007/REP008/REP010 over the joined symbol table."""
-    table = ProjectTable(symbols)
+    """Phase 2: run REP007/REP008 over the joined symbol table."""
     violations: list[Violation] = []
     for sym in symbols:
         for cls in sym.classes:
             violations.extend(_check_rep007(cls))
             violations.extend(_check_rep008(cls))
-        for fn in sym.functions:
-            violations.extend(_check_rep010(table, fn))
     return violations

@@ -1,11 +1,11 @@
 """Per-file AST analysis implementing the REP rule set.
 
 One :class:`FileChecker` walk produces (a) direct violations of
-REP001/REP002/REP004/REP005/REP006/REP009 and (b) the raw material of
-the cross-file passes: every dataclass definition and cache-key use
+REP001/REP002/REP004/REP005/REP009 and (b) the raw material of the
+cross-file passes: every dataclass definition and cache-key use
 (REP003, resolved in :mod:`repro.lint.cachekeys`) and the per-file
-symbol table the project-wide rules join (REP007/REP008/REP010,
-resolved in :mod:`repro.lint.project`).
+symbol table the project-wide rules join (REP007/REP008, resolved in
+:mod:`repro.lint.project`).
 
 The checker is deliberately conservative: it only reports what it can
 *prove* from the AST (a literal lambda, a name assigned from a lambda
@@ -19,7 +19,12 @@ import ast
 import dataclasses
 from typing import Iterator
 
-from repro.lint.project import FileSymbols, collect_file, parse_annotations
+from repro.lint.project import (
+    Annotations,
+    FileSymbols,
+    collect_file,
+    parse_annotations,
+)
 from repro.lint.violation import Violation
 
 __all__ = [
@@ -84,28 +89,6 @@ _UNSTABLE_FIELD_TYPES = frozenset(
 )
 
 _MUTABLE_BUILTIN_CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
-# Array ops a backend-aware kernel must route through its namespace
-# object (REP006).  ``asarray``/``nonzero`` are deliberately absent:
-# converting at the host boundary (and host-side index extraction) is
-# the porting contract, not a violation.
-_BACKEND_PORTED_OPS = frozenset(
-    {
-        "einsum", "stack", "concatenate", "clip", "where", "exp",
-        "log", "sqrt", "abs", "sign", "round", "maximum", "minimum",
-        "quantile", "argmax", "argsort", "mean", "sum", "prod",
-        "cumsum", "zeros", "ones", "full", "empty", "take",
-        "atleast_2d", "reshape", "transpose", "matmul", "dot",
-        "tensordot",
-    }
-)
-
-# Parameter names that mark a function as backend-aware.
-_BACKEND_PARAM_NAMES = frozenset({"xp", "backend"})
-
-# The backend package is the reference implementation: it *is* the
-# numpy delegation layer, so REP006 does not apply inside it.
-_REP006_EXEMPT_FRAGMENT = "repro/backend/"
 
 # The blessed fixed-accumulation helpers: reductions routed through
 # these are bit-stable under batching, so REP009 never fires on them —
@@ -202,9 +185,9 @@ class _Scope:
         # name -> tag: "lambda", "nested_func", "bad_partial",
         #              or a dataclass-ish class name (from `x = Cls(...)`)
         self.bindings: dict[str, str] = {}
-        # Function scopes only: declares an xp/backend parameter, so
-        # REP006 holds its array ops to the namespace object.
-        self.backend_aware = False
+        # Function scopes only: carries the batch-invariant marker on
+        # its ``def`` line, so REP009 polices its accumulations.
+        self.batch_invariant = False
         # Function scopes only: this *is* a blessed accumulation
         # helper, so REP009 does not police its internals.
         self.rep009_exempt = False
@@ -217,8 +200,9 @@ class _Scope:
 class FileChecker(ast.NodeVisitor):
     """Single-pass rule checker over one module's AST."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, annotations: Annotations):
         self.path = path
+        self._batch_invariant_lines = annotations.batch_invariant_lines
         self.violations: list[Violation] = []
         self.dataclasses: list[DataclassInfo] = []
         self.cache_key_uses: list[CacheKeyUse] = []
@@ -231,9 +215,6 @@ class FileChecker(ast.NodeVisitor):
         self._randomstate_names: set[str] = set()
         self._partial_names: set[str] = set()
         self._functools_names: set[str] = set()
-        self._rep006_exempt = (
-            _REP006_EXEMPT_FRAGMENT in path.replace("\\", "/")
-        )
         self._loop_depth = 0
 
     # -- helpers -------------------------------------------------------
@@ -504,42 +485,14 @@ class FileChecker(ast.NodeVisitor):
                     "default to None and create inside the function",
                 )
 
-    # -- REP006 --------------------------------------------------------
-    def _check_rep006(self, node: ast.Call) -> None:
-        if self._rep006_exempt:
-            return
-        scope = next(
-            (s for s in reversed(self.scopes) if s.kind == "function"),
-            None,
-        )
-        if scope is None or not scope.backend_aware:
-            return
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _BACKEND_PORTED_OPS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self._numpy_names
-        ):
-            self._report(
-                node,
-                "REP006",
-                f"np.{func.attr}() inside a backend-aware kernel; this "
-                "function takes an xp/backend parameter, so its array "
-                "ops must go through the namespace object (bk."
-                f"{func.attr}) to run identically under every backend",
-            )
-
     # -- REP009 --------------------------------------------------------
     def _rep009_scope(self) -> _Scope | None:
         """The enclosing function scope REP009 applies to, if any."""
-        if self._rep006_exempt:
-            return None
         scope = next(
             (s for s in reversed(self.scopes) if s.kind == "function"),
             None,
         )
-        if scope is None or not scope.backend_aware or scope.rep009_exempt:
+        if scope is None or not scope.batch_invariant or scope.rep009_exempt:
             return None
         return scope
 
@@ -548,11 +501,11 @@ class FileChecker(ast.NodeVisitor):
             self._report(
                 node,
                 "REP009",
-                "'@' in a backend-aware kernel picks a shape-dependent "
+                "'@' in a batch-invariant kernel picks a shape-dependent "
                 "BLAS accumulation strategy and is not bit-stable under "
                 "batching; route the product through "
                 "batch_invariant_matmul / trial_stacked_matmul or "
-                "xp.einsum",
+                "np.einsum",
             )
         self.generic_visit(node)
 
@@ -567,10 +520,10 @@ class FileChecker(ast.NodeVisitor):
             self._report(
                 node,
                 "REP009",
-                "builtin sum() in a backend-aware kernel reduces by "
-                "repeated '+' outside the namespace object; use "
-                "xp.sum(..., axis=...) or xp.einsum so every backend "
-                "reduces each trial slice in the same fixed order",
+                "builtin sum() in a batch-invariant kernel reduces by "
+                "repeated '+' in iteration order; use "
+                "np.sum(..., axis=...) or np.einsum so each trial "
+                "slice reduces in the same fixed order",
             )
 
     def visit_For(self, node: ast.For) -> None:
@@ -590,9 +543,9 @@ class FileChecker(ast.NodeVisitor):
                 self._report(
                     node,
                     "REP009",
-                    "'@=' in a backend-aware kernel is a BLAS product "
+                    "'@=' in a batch-invariant kernel is a BLAS product "
                     "with shape-dependent accumulation; use "
-                    "batch_invariant_matmul / xp.einsum",
+                    "batch_invariant_matmul / np.einsum",
                 )
             elif (
                 isinstance(node.op, ast.Add)
@@ -605,8 +558,8 @@ class FileChecker(ast.NodeVisitor):
                     "REP009",
                     f"'{node.target.id} +=' inside a loop accumulates "
                     "in iteration order, which chunking reorders; "
-                    "stack the terms and reduce once with xp.einsum or "
-                    "a trailing-axis xp.sum",
+                    "stack the terms and reduce once with np.einsum or "
+                    "a trailing-axis np.sum",
                 )
         self.generic_visit(node)
 
@@ -721,9 +674,7 @@ class FileChecker(ast.NodeVisitor):
         all_args = (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         )
-        scope.backend_aware = any(
-            arg.arg in _BACKEND_PARAM_NAMES for arg in all_args
-        )
+        scope.batch_invariant = node.lineno in self._batch_invariant_lines
         scope.rep009_exempt = node.name in _BLESSED_ACCUMULATORS
         for arg in all_args:
             if arg.annotation is not None:
@@ -781,7 +732,6 @@ class FileChecker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_rep001(node)
         self._check_rep002(node)
-        self._check_rep006(node)
         self._check_rep009_sum(node)
         self._check_cache_key_flow(node)
         self.generic_visit(node)
@@ -805,11 +755,12 @@ def analyze_file(path: str, source: str) -> FileAnalysis:
             dataclasses=(),
             cache_key_uses=(),
         )
-    checker = FileChecker(path)
+    annotations = parse_annotations(source)
+    checker = FileChecker(path, annotations)
     checker.visit(tree)
     return FileAnalysis(
         violations=tuple(checker.violations),
         dataclasses=tuple(checker.dataclasses),
         cache_key_uses=tuple(checker.cache_key_uses),
-        symbols=collect_file(path, tree, parse_annotations(source)),
+        symbols=collect_file(path, tree, annotations),
     )

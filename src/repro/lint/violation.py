@@ -4,10 +4,9 @@ Each rule guards one of the contracts the runtime engine made
 load-bearing (see ``docs/determinism.md``): seed discipline (REP001),
 process-pool picklability (REP002), cache-key stability (REP003), two
 general determinism/robustness hygiene rules (REP004, REP005),
-backend-namespace discipline in ported kernels (REP006, see
-``docs/backends.md``), cross-thread state and lifecycle discipline in
-the serving stack (REP007, REP008), fixed-order accumulation in
-batched kernels (REP009), and interprocedural backend purity (REP010).
+cross-thread state and lifecycle discipline in the serving stack
+(REP007, REP008), and fixed-order accumulation in batch-invariant
+kernels (REP009).
 The full catalogue with examples lives in ``docs/linting.md``.
 """
 
@@ -36,12 +35,6 @@ RULES: dict[str, str] = {
     ),
     "REP004": "mutable default argument",
     "REP005": "bare except or silently swallowed exception",
-    "REP006": (
-        "direct numpy call in a backend-aware kernel: functions taking "
-        "an xp/backend parameter must route array ops through the "
-        "namespace object (asarray/nonzero conversion boundaries "
-        "excepted)"
-    ),
     "REP007": (
         "unguarded shared mutable state: an instance attribute shared "
         "between a worker-thread method and the public API must be "
@@ -54,16 +47,11 @@ RULES: dict[str, str] = {
         "implementation must expose the full Service protocol surface"
     ),
     "REP009": (
-        "order-unstable accumulation in a backend-aware kernel: use "
-        "the blessed einsum/stacked-reduction helpers "
-        "(batch_invariant_matmul, xp.einsum), not bare '@', builtin "
-        "sum(), or '+=' accumulation loops"
-    ),
-    "REP010": (
-        "interprocedural backend purity: a backend-aware function must "
-        "not call helpers that touch numpy directly, and must forward "
-        "xp/backend to backend-aware callees (host-boundary "
-        "asarray/to_numpy conversions excepted)"
+        "order-unstable accumulation in a kernel marked "
+        "'# repro-lint: batch-invariant': use the blessed "
+        "einsum/stacked-reduction helpers (batch_invariant_matmul, "
+        "np.einsum), not bare '@', builtin sum(), or '+=' "
+        "accumulation loops"
     ),
 }
 
@@ -78,7 +66,7 @@ class Violation:
         path: File the violation was found in (as given to the engine).
         line: 1-based source line.
         col: 1-based source column.
-        code: Rule code (``REP001`` .. ``REP010``).
+        code: Rule code (``REP001`` .. ``REP009``).
         message: Human-readable description of this specific finding.
     """
 

@@ -33,7 +33,6 @@ import time
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.lint.sanitize import make_lock
 from repro.nn.bsb import BSBConfig, BSBResult
 
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-def stage_activation(out_scaled, gain: float,
-                     xp: ArrayBackend | str | None = None):
+def stage_activation(out_scaled, gain: float):  # repro-lint: batch-invariant
     """Digital inter-layer activation: ReLU, gain, clamp to [0, 1].
 
     The scaled layer output re-enters the next crossbar as word-line
@@ -54,13 +52,9 @@ def stage_activation(out_scaled, gain: float,
     normalises the activation range first (the same expression
     :meth:`~repro.nn.mlp.MLPOnCrossbars.scores` computes, kept
     identical so the pipeline is bit-compatible with the offline
-    reference).  ``xp`` selects the array namespace (default: the
-    bit-identical numpy reference path).
+    reference).
     """
-    bk = resolve_backend(xp)
-    return bk.clip(
-        bk.maximum(out_scaled, 0.0) * gain, 0.0, 1.0
-    )
+    return np.clip(np.maximum(out_scaled, 0.0) * gain, 0.0, 1.0)
 
 
 class DirectLane:
@@ -76,14 +70,11 @@ class DirectLane:
         tiled: Restored layer hardware
             (:meth:`~repro.fleet.plan.ProgrammedFleet.build_tiled`).
         ir_mode: Read-fidelity model for every read.
-        backend: Array namespace forwarded to the tiled read path.
     """
 
-    def __init__(self, tiled, ir_mode: str = "ideal",
-                 backend: ArrayBackend | str | None = None):
+    def __init__(self, tiled, ir_mode: str = "ideal"):
         self.tiled = tiled
         self.ir_mode = ir_mode
-        self.backend = backend
 
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
@@ -91,10 +82,7 @@ class DirectLane:
         future: concurrent.futures.Future = concurrent.futures.Future()
         try:
             future.set_result(
-                self.tiled.matvec(
-                    np.asarray(x, dtype=float), self.ir_mode,
-                    backend=self.backend,
-                )
+                self.tiled.matvec(np.asarray(x, dtype=float), self.ir_mode)
             )
         except Exception as exc:  # pragma: no cover - hardware faults
             future.set_exception(exc)
@@ -113,9 +101,6 @@ class PipelineEngine:
             recall on a single layer).
         hidden_gain: Calibrated inter-layer gain (MLP).
         dynamics: Recall dynamics (required for ``'bsb'``).
-        xp: Array namespace for the digital activation stage; the
-            default numpy reference path is what the bit-identity
-            contract is stated against.
     """
 
     def __init__(
@@ -125,7 +110,6 @@ class PipelineEngine:
         kind: str = "mlp",
         hidden_gain: float = 1.0,
         dynamics: BSBConfig | None = None,
-        xp: ArrayBackend | str | None = None,
     ):
         if not lanes:
             raise ValueError("a pipeline needs at least one lane")
@@ -147,7 +131,6 @@ class PipelineEngine:
         self.kind = kind
         self.hidden_gain = float(hidden_gain)
         self.dynamics = dynamics
-        self.xp = xp
         # Recall telemetry, written by lane worker callbacks and read
         # by status/stats callers; one leaf lock guards every access.
         self._state = make_lock("pipeline-state")
@@ -226,7 +209,7 @@ class PipelineEngine:
             return
         self._stage(
             index + 1,
-            stage_activation(out, self.hidden_gain, xp=self.xp),
+            stage_activation(out, self.hidden_gain),
             deadline,
             done,
         )
@@ -412,7 +395,6 @@ class PipelineEngine:
 def offline_engine(
     artifact,
     ir_mode: str | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> PipelineEngine:
     """The in-process reference deployment of a programmed pipeline.
 
@@ -428,12 +410,10 @@ def offline_engine(
         artifact: A :class:`~repro.pipeline.plan.PipelineArtifact`.
         ir_mode: Read-model override (the artifact's mode when
             ``None``).
-        backend: Array namespace for the tiled reads.
     """
     mode = ir_mode if ir_mode is not None else artifact.config.ir_mode
     lanes = [
-        DirectLane(fleet.build_tiled(), mode, backend=backend)
-        for fleet in artifact.layers
+        DirectLane(fleet.build_tiled(), mode) for fleet in artifact.layers
     ]
     kind = artifact.config.kind
     return PipelineEngine(

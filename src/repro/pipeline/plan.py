@@ -75,8 +75,6 @@ class PipelineConfig:
         seed: Master seed: dataset rendering, weight init, fabrication.
         ir_mode: Read-fidelity model the pipeline serves with.
         n_probes: Drift-monitor probe count per layer.
-        backend: Default array namespace the pipeline is served with;
-            programming always runs the numpy reference path.
     """
 
     kind: str = "mlp"
@@ -91,7 +89,6 @@ class PipelineConfig:
     seed: int = 0
     ir_mode: str = "ideal"
     n_probes: int = 16
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.kind not in PIPELINE_KINDS:
@@ -292,8 +289,11 @@ class PipelineArtifact:
         if arrays is None:
             raise KeyError(f"no pipeline arrays under key {key!r}")
         n_layers = int(doc["n_layers"])
+        # Older manifests carry a "backend" field; numpy was the only
+        # one that ever programmed or served, so it is dropped.
+        fields = {k: v for k, v in doc["config"].items() if k != "backend"}
         return cls(
-            config=PipelineConfig(**doc["config"]),
+            config=PipelineConfig(**fields),
             layers=[
                 ProgrammedFleet.load(cache, _layer_key(key, i))
                 for i in range(n_layers)
@@ -392,7 +392,6 @@ def program_pipeline(
             seed=config.seed + index,
             ir_mode=config.ir_mode,
             n_probes=probes.shape[0],
-            backend=config.backend,
         )
         return program_fleet(fleet_config, w, probes=probes)
 

@@ -18,7 +18,6 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.fleet.service import FleetService
 from repro.nn.bsb import BSBResult
 from repro.pipeline.engine import PipelineEngine
@@ -54,8 +53,6 @@ class PipelineService(ServiceLifecycle):
         min_live: Quorum for rolling recovery, per layer.
         log: Telemetry sink shared by every layer; the ambient run log
             (or a private one) when omitted.
-        backend: Array namespace every replica reads with; ``None``
-            adopts the pipeline's recorded serving default.
         nodal_solver: Solver every replica in every layer uses for
             ``ir_mode="nodal"`` reads (``None`` keeps the hardware's
             own selection).
@@ -74,7 +71,6 @@ class PipelineService(ServiceLifecycle):
         min_retry_after_s: float = 0.05,
         min_live: int = 1,
         log: RunLog | None = None,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
     ):
         self.artifact = artifact
@@ -87,9 +83,6 @@ class PipelineService(ServiceLifecycle):
         self.log = log if log is not None else (
             ambient if ambient is not None else RunLog()
         )
-        if backend is None:
-            backend = artifact.config.backend
-        self.backend = backend
         self.layer_services = [
             FleetService(
                 fleet,
@@ -105,7 +98,6 @@ class PipelineService(ServiceLifecycle):
                 min_retry_after_s=min_retry_after_s,
                 min_live=min_live,
                 log=self.log,
-                backend=backend,
                 nodal_solver=nodal_solver,
                 label_prefix=f"layer{i}/",
             )
@@ -212,7 +204,6 @@ class PipelineService(ServiceLifecycle):
             "kind": self.kind,
             "n_layers": self.artifact.n_layers,
             "ir_mode": self.ir_mode,
-            "backend": layers[0]["backend"] if layers else "numpy",
             "hidden_gain": self.artifact.hidden_gain,
             "activation": self.artifact.activation,
             "layers": layers,
@@ -266,7 +257,7 @@ class PipelineService(ServiceLifecycle):
             summary["recall"] = self.engine.recall_stats()
         return summary
 
-    # -- lifecycle (close/shutdown/context from ServiceLifecycle) ------
+    # -- lifecycle (close/context from ServiceLifecycle) ---------------
     def drain(self, timeout: float | None = None) -> None:
         """Drain every replica of every layer, front to back.
 

@@ -43,27 +43,20 @@ class RuntimeConfig:
             ``--no-cache``).
         chunk_size: Trials per worker task; ``None`` picks a size that
             gives each worker a few chunks for load balancing.
-        backend: Array namespace for backend-aware batched kernels
-            (``"numpy"`` or ``"torch"``; see :mod:`repro.backend`).
-            Kernels that have not opted into backend execution keep
-            running the numpy reference path, so flipping this switch
-            can accelerate but never break an experiment.  Availability
-            is checked lazily at the first backend-aware call.
         nodal_solver: Default solver for ``ir_mode="nodal"`` reads
             (one of :data:`~repro.config.NODAL_SOLVERS`); crossbars
             whose :class:`~repro.config.CrossbarConfig` pins an
-            explicit ``nodal_solver`` keep their own.  Like ``backend``,
-            this knob never participates in seeding or cache keys:
-            every solver answers the same circuit system, so switching
-            it changes wall-clock and last-ulp rounding only (see
-            ``docs/ir_drop.md`` for the tolerance contract).
+            explicit ``nodal_solver`` keep their own.  This knob never
+            participates in seeding or cache keys: every solver answers
+            the same circuit system, so switching it changes wall-clock
+            and last-ulp rounding only (see ``docs/ir_drop.md`` for the
+            tolerance contract).
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
     chunk_size: int | None = None
-    backend: str = "numpy"
     nodal_solver: str = "lu"
 
     def __post_init__(self) -> None:

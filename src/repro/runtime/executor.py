@@ -43,15 +43,12 @@ values through per-trial Python lists.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
-import inspect
 import pickle
 import time
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend, to_numpy
 from repro.runtime.config import current_runtime, resolve_jobs
 from repro.runtime.telemetry import current_run_log
 
@@ -136,7 +133,7 @@ def _run_batch_chunk(
     bit-identical to looped ones.
     """
     rngs = [trial_rng(seed, i) for i in range(start, stop)]
-    block = np.asarray(to_numpy(batch_trial(rngs)), dtype=float)
+    block = np.asarray(batch_trial(rngs), dtype=float)
     if block.ndim < 1 or block.shape[0] != stop - start:
         raise ValueError(
             f"batch kernel returned shape {block.shape} for a chunk of "
@@ -268,23 +265,6 @@ def map_trials(
     )
 
 
-def _kernel_accepts_backend(fn: Callable) -> bool:
-    """Whether a batch kernel has opted into backend execution.
-
-    A kernel opts in by declaring a ``backend`` parameter (directly or
-    via ``**kwargs``); :func:`map_trials_batched` only forwards the
-    active backend to kernels that did, so an ambient non-numpy
-    backend accelerates ported kernels without breaking legacy ones.
-    """
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "backend" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
 def map_trials_batched(
     batch_trial: BatchTrialFn,
     trials: int,
@@ -292,7 +272,6 @@ def map_trials_batched(
     jobs: int | None = None,
     chunk_size: int | None = None,
     label: str = "montecarlo",
-    backend: ArrayBackend | str | None = None,
 ) -> np.ndarray:
     """Run a vectorised kernel over deterministic chunks of trials.
 
@@ -319,35 +298,11 @@ def map_trials_batched(
             Any value yields bit-identical results; larger chunks
             amortise more Python overhead at more memory per call.
         label: Telemetry label for the run log.
-        backend: Array namespace handed to backend-aware kernels
-            (``backend=`` parameter); ``None`` reads the ambient
-            :class:`~repro.runtime.config.RuntimeConfig`.  The numpy
-            default leaves the reference path untouched (bit-identical
-            to pre-backend behaviour).  A non-numpy backend is
-            forwarded only to kernels that declare a ``backend``
-            parameter: an explicit request on an unported kernel
-            raises, while an ambient one silently falls back to the
-            reference path.  Kernel outputs are always converted back
-            to numpy before assembly.
 
     Returns:
         Array of shape ``(trials,) + value_shape``.
     """
-    bk = resolve_backend(
-        backend if backend is not None else current_runtime().backend
-    )
-    if not bk.is_reference:
-        if _kernel_accepts_backend(batch_trial):
-            batch_trial = functools.partial(batch_trial, backend=bk)
-        elif backend is not None:
-            raise TypeError(
-                f"kernel {getattr(batch_trial, '__name__', batch_trial)!r} "
-                "does not accept a 'backend' parameter; port it to "
-                "repro.backend or drop the explicit backend argument"
-            )
-    # Results are host numpy arrays by contract at any backend, so the
-    # chunk-assembly helpers allocate numpy on purpose (host boundary).
-    return _map_chunked(  # repro-lint: disable=REP010
+    return _map_chunked(
         _run_batch_chunk, _run_batch_chunk_remote, batch_trial, trials,
         seed=seed, jobs=jobs, chunk_size=chunk_size, label=label,
         kernel="batched",

@@ -63,12 +63,6 @@ class ProgramConfig:
         seed: Master seed for fabrication, pre-test and training.
         ir_mode: Read-fidelity model used at serving time.
         n_probes: Size of the drift-monitor probe set.
-        backend: Default array namespace the artifact is served with
-            (see :mod:`repro.backend`).  Programming always runs the
-            bit-identical numpy reference path -- this field never
-            changes the programmed conductances, it only records the
-            deployment intent that ``serve`` picks up when no explicit
-            ``--backend`` is given.
     """
 
     scheme: str = "vortex"
@@ -80,7 +74,6 @@ class ProgramConfig:
     seed: int = 0
     ir_mode: str = "ideal"
     n_probes: int = 32
-    backend: str = "numpy"
 
 
 def artifact_key(config: ProgramConfig) -> str:
@@ -264,7 +257,6 @@ def _snapshot_metadata(
         "sigma": config.sigma,
         "image_size": config.image_size,
         "seed": config.seed,
-        "backend": config.backend,
     }
     meta.update(extra)
     return meta

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend, to_numpy
 from repro.core.amp import RowMapping
 from repro.serve.artifact import ProgrammedArray
 
@@ -36,11 +35,6 @@ class InferenceEngine:
         ir_mode: Read-fidelity model for every forward pass.
         microbatch: Maximum rows per hardware read; larger input
             batches are chunked to bound the size of each read.
-        backend: Array namespace for the hardware reads (see
-            :mod:`repro.backend`).  ``None`` (and ``"numpy"``) keep the
-            bit-identical reference path; a non-numpy backend is
-            forwarded to the target's ``matvec`` and the scores are
-            converted back, so the engine's outputs are always numpy.
         nodal_solver: Solver for ``ir_mode="nodal"`` reads (one of
             :data:`~repro.config.NODAL_SOLVERS`); ``None`` keeps the
             target's own selection (config pin or ambient runtime).
@@ -54,7 +48,6 @@ class InferenceEngine:
         mapping: RowMapping | None = None,
         ir_mode: str = "ideal",
         microbatch: int = 64,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
     ):
         if microbatch < 1:
@@ -63,7 +56,6 @@ class InferenceEngine:
         self.mapping = mapping
         self.ir_mode = ir_mode
         self.microbatch = int(microbatch)
-        self.backend = None if backend is None else resolve_backend(backend)
         self.nodal_solver = nodal_solver
         if nodal_solver is not None:
             # Tolerate matvec-only targets (test doubles): the knob
@@ -78,29 +70,16 @@ class InferenceEngine:
         artifact: ProgrammedArray,
         ir_mode: str | None = None,
         microbatch: int = 64,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
     ) -> "InferenceEngine":
-        """Reconstruct the hardware from a snapshot and wrap it.
-
-        ``backend=None`` adopts the artifact's recorded serving default
-        (its ``metadata["backend"]``, numpy when absent).
-        """
-        if backend is None:
-            backend = artifact.metadata.get("backend")
+        """Reconstruct the hardware from a snapshot and wrap it."""
         return cls(
             target=artifact.build_pair(),
             mapping=artifact.mapping,
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
-            backend=backend,
             nodal_solver=nodal_solver,
         )
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active array namespace (``"numpy"`` default)."""
-        return "numpy" if self.backend is None else self.backend.name
 
     @property
     def n_features(self) -> int:
@@ -139,23 +118,12 @@ class InferenceEngine:
                 f"input width {xb.shape[1]} != engine width "
                 f"{self.n_features}"
             )
-        # The reference path calls matvec without a backend argument so
-        # any matvec-capable target (including test doubles) serves;
-        # only opted-in backends are forwarded, and scores always come
-        # home as numpy.
-        run_on = None if self.backend is None or self.backend.is_reference \
-            else self.backend
         chunks = []
         for start in range(0, xb.shape[0], self.microbatch):
             chunk = xb[start : start + self.microbatch]
             if self.mapping is not None:
                 chunk = self.mapping.inputs_to_physical(chunk)
-            if run_on is None:
-                chunks.append(self.target.matvec(chunk, self.ir_mode))
-            else:
-                chunks.append(to_numpy(
-                    self.target.matvec(chunk, self.ir_mode, backend=run_on)
-                ))
+            chunks.append(self.target.matvec(chunk, self.ir_mode))
         scores = np.concatenate(chunks, axis=0)
         return scores[0] if single else scores
 

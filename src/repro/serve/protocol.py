@@ -13,10 +13,8 @@ The lifecycle verbs are:
   everything already queued.
 * ``close(timeout)`` -- full release of the service (drains first);
   also what ``with service:`` runs on exit.
-* ``shutdown(timeout)`` -- deprecated alias of :meth:`close`, kept for
-  pre-protocol callers.
 
-:class:`ServiceLifecycle` supplies ``close``/``shutdown``/context
+:class:`ServiceLifecycle` supplies ``close``/context
 management on top of a concrete ``drain``, so both services implement
 the lifecycle once.
 """
@@ -24,7 +22,6 @@ the lifecycle once.
 from __future__ import annotations
 
 import concurrent.futures
-import warnings
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -69,7 +66,7 @@ class Service(Protocol):
 
 
 class ServiceLifecycle:
-    """Mixin: ``close``/``shutdown``/``with`` on top of ``drain``."""
+    """Mixin: ``close``/``with`` on top of ``drain``."""
 
     def drain(self, timeout: float | None = None) -> None:
         raise NotImplementedError
@@ -77,16 +74,6 @@ class ServiceLifecycle:
     def close(self, timeout: float | None = None) -> None:
         """Drain and release the service (idempotent)."""
         self.drain(timeout)
-
-    def shutdown(self, timeout: float | None = None) -> None:
-        """Deprecated alias of :meth:`close`."""
-        warnings.warn(
-            f"{type(self).__name__}.shutdown() is deprecated; "
-            "use close() (or drain() to stop intake only)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.close(timeout)
 
     def __enter__(self):
         return self

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.core.amp import run_amp
 from repro.core.old import program_pair_open_loop
 from repro.core.pretest import pretest_pair
@@ -52,9 +51,6 @@ class CrossbarService(ServiceLifecycle):
             the artifact's recorded seed when omitted (so a service
             restarted from the same artifact repairs identically).
         log: Telemetry sink shared by scheduler and monitor.
-        backend: Array namespace for the hardware reads; ``None``
-            adopts the artifact's recorded serving default (see
-            :class:`~repro.serve.engine.InferenceEngine`).
         nodal_solver: Solver for ``ir_mode="nodal"`` reads; ``None``
             keeps the hardware's own selection.
     """
@@ -70,7 +66,6 @@ class CrossbarService(ServiceLifecycle):
         microbatch: int = 64,
         rng: np.random.Generator | None = None,
         log: RunLog | None = None,
-        backend: ArrayBackend | str | None = None,
         nodal_solver: str | None = None,
     ):
         self.artifact = artifact
@@ -85,14 +80,11 @@ class CrossbarService(ServiceLifecycle):
         )
         self.pair = artifact.build_pair()
         self.policy = policy if policy is not None else DriftPolicy()
-        if backend is None:
-            backend = artifact.metadata.get("backend")
         self.engine = InferenceEngine(
             self.pair,
             mapping=artifact.mapping,
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
-            backend=backend,
             nodal_solver=nodal_solver,
         )
         self.monitor = DriftMonitor(
@@ -139,13 +131,12 @@ class CrossbarService(ServiceLifecycle):
         return {
             "scheme": self.artifact.scheme,
             "ir_mode": self.engine.ir_mode,
-            "backend": self.engine.backend_name,
             "n_features": self.engine.n_features,
             "depth": self.scheduler.depth,
             "discrepancy": round(self.monitor.discrepancy(), 6),
         }
 
-    # -- lifecycle (close/shutdown/context from ServiceLifecycle) ------
+    # -- lifecycle (close/context from ServiceLifecycle) ---------------
     def drain(self, timeout: float | None = None) -> None:
         """Stop intake, answer everything already queued."""
         self.scheduler.shutdown(timeout)

@@ -13,7 +13,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
 from repro.runtime.config import current_runtime
@@ -183,51 +182,37 @@ class Crossbar:
             self._network.set_solver(solver)
         return self._network
 
-    def read(
-        self,
-        x: np.ndarray,
-        ir_mode: str = "ideal",
-        backend: ArrayBackend | str | None = None,
+    def read(  # repro-lint: batch-invariant
+        self, x: np.ndarray, ir_mode: str = "ideal"
     ) -> np.ndarray:
         """Sensed bit-line currents for input(s) ``x`` in [0, 1].
 
         Args:
             x: Input features, shape ``(rows,)`` or batch ``(s, rows)``.
             ir_mode: One of :data:`IR_MODES`.
-            backend: Array namespace for the linear read math (default:
-                the bit-identical numpy reference path).  The ideal and
-                reference models run natively on the backend; the
-                wire-solver models (``fixed_point``, ``nodal``) and the
-                sensing chain are sparse/host-side code and round-trip
-                through numpy, with the result converted back.
 
         Returns:
             Currents in Ampere, shape ``(cols,)`` or ``(s, cols)``.
         """
         if ir_mode not in IR_MODES:
             raise ValueError(f"ir_mode must be one of {IR_MODES}, got {ir_mode!r}")
-        bk = resolve_backend(backend)
-        x = bk.asarray(x)
+        x = np.asarray(x, dtype=float)
         g = self.conductance
         v_read = self.config.v_read
         if ir_mode == "ideal" or self.config.r_wire == 0:
-            currents = v_read * batch_invariant_matmul(x, bk.asarray(g), xp=bk)
+            currents = v_read * batch_invariant_matmul(x, g)
         elif ir_mode == "reference":
             currents = (
                 v_read
-                * batch_invariant_matmul(x, bk.asarray(g), xp=bk)
-                * bk.asarray(self._get_reference_factors())
+                * batch_invariant_matmul(x, g)
+                * self._get_reference_factors()
             )
         elif ir_mode == "fixed_point":
-            currents = bk.asarray(read_output_currents(
-                g, bk.to_numpy(x), self.config.r_wire, v_read
-            ))
+            currents = read_output_currents(g, x, self.config.r_wire, v_read)
         else:  # nodal
-            currents = bk.asarray(
-                self._get_network().read_batch(bk.to_numpy(x), v_read)
-            )
+            currents = self._get_network().read_batch(x, v_read)
         if self.sense is not None:
-            currents = bk.asarray(self.sense.sense(bk.to_numpy(currents)))
+            currents = self.sense.sense(currents)
         return currents
 
     def read_single_cell(

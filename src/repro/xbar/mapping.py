@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.config import DeviceConfig
 
 __all__ = ["WeightScaler", "split_signed"]
@@ -121,21 +120,17 @@ class WeightScaler:
             np.asarray(g_pos, dtype=float)
         ) - self.conductance_to_magnitude(np.asarray(g_neg, dtype=float))
 
-    def currents_to_outputs(
-        self,
-        i_pos: np.ndarray,
-        i_neg: np.ndarray,
-        v_read: float,
-        xp: ArrayBackend | str | None = None,
+    def currents_to_outputs(  # repro-lint: batch-invariant
+        self, i_pos: np.ndarray, i_neg: np.ndarray, v_read: float
     ) -> np.ndarray:
         """Convert differential currents back to weight-domain outputs.
 
         Inverts the read chain ``I = v_read * x @ G``: the differential
         current divided by ``v_read * g_range / w_max`` recovers
         ``x @ W`` up to the offset cancelled by the differential pair.
-        ``xp`` selects the array namespace (default numpy).
         """
-        bk = resolve_backend(xp)
         d = self.device
         scale = v_read * d.g_range / self.w_max
-        return (bk.asarray(i_pos) - bk.asarray(i_neg)) / scale
+        return (
+            np.asarray(i_pos, dtype=float) - np.asarray(i_neg, dtype=float)
+        ) / scale

@@ -12,29 +12,25 @@ so both can use them; ``crossbar`` re-exports them.
 
 from __future__ import annotations
 
-from repro.backend import ArrayBackend, resolve_backend
+import numpy as np
 
 __all__ = ["batch_invariant_matmul", "trial_stacked_matmul"]
 
 
-def batch_invariant_matmul(x, g, xp: ArrayBackend | str | None = None):
+def batch_invariant_matmul(x, g):  # repro-lint: batch-invariant
     """``x @ g`` with per-row results independent of the batch size.
 
     The serving contract (a batched read is bit-identical to looping
     single-vector reads) needs a fixed accumulation order; einsum's
     non-BLAS loop provides one at a cost that is negligible next to
     any IR-aware solve.
-
-    ``xp`` selects the array namespace (default: the bit-identical
-    numpy reference path; see :mod:`repro.backend`).
     """
-    bk = resolve_backend(xp)
     if x.ndim == 1:
-        return bk.einsum("n,nm->m", x, g)
-    return bk.einsum("sn,nm->sm", x, g)
+        return np.einsum("n,nm->m", x, g)
+    return np.einsum("sn,nm->sm", x, g)
 
 
-def trial_stacked_matmul(x, g, xp: ArrayBackend | str | None = None):
+def trial_stacked_matmul(x, g):  # repro-lint: batch-invariant
     """Fixed-accumulation matmul over a stack of trial conductances.
 
     The Monte-Carlo counterpart of :func:`batch_invariant_matmul`:
@@ -46,19 +42,15 @@ def trial_stacked_matmul(x, g, xp: ArrayBackend | str | None = None):
     *bit-for-bit*: einsum reduces over ``n`` in the same fixed order
     for every trial slice, so batching draws cannot perturb a single
     draw's result.
-
-    ``xp`` selects the array namespace (default: the bit-identical
-    numpy reference path; see :mod:`repro.backend`).
     """
-    bk = resolve_backend(xp)
     if g.ndim != 3:
         raise ValueError(
             f"g must be a (T, n, m) trial stack, got shape {g.shape}"
         )
     if x.ndim == 2:
-        return bk.einsum("sn,tnm->tsm", x, g)
+        return np.einsum("sn,tnm->tsm", x, g)
     if x.ndim == 3:
-        return bk.einsum("tsn,tnm->tsm", x, g)
+        return np.einsum("tsn,tnm->tsm", x, g)
     raise ValueError(
         f"x must be (s, n) or a (T, s, n) trial stack, got shape {x.shape}"
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.adc import ADC
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
@@ -161,35 +160,28 @@ class DifferentialCrossbar:
             old_adc.bits, full_scale, bipolar=old_adc.bipolar
         )
 
-    def matvec(
-        self,
-        x: np.ndarray,
-        ir_mode: str = "ideal",
-        backend: ArrayBackend | str | None = None,
+    def matvec(  # repro-lint: batch-invariant
+        self, x: np.ndarray, ir_mode: str = "ideal"
     ) -> np.ndarray:
         """Weight-domain outputs ``~ x @ W`` through the hardware path.
 
         Args:
             x: Input features in [0, 1], ``(rows,)`` or ``(s, rows)``.
             ir_mode: Read fidelity (see :class:`~repro.xbar.crossbar.Crossbar`).
-            backend: Array namespace for the read math (default: the
-                bit-identical numpy reference path).  The differential
-                ADC sense is host-side and round-trips through numpy.
 
         Returns:
             Outputs in weight units, ``(cols,)`` or ``(s, cols)``.
         """
-        bk = resolve_backend(backend)
-        i_pos = self.positive.read(x, ir_mode, backend=bk)
-        i_neg = self.negative.read(x, ir_mode, backend=bk)
+        i_pos = self.positive.read(x, ir_mode)
+        i_neg = self.negative.read(x, ir_mode)
         i_diff = i_pos - i_neg
         if self.diff_sense is not None:
-            i_diff = bk.asarray(self.diff_sense.sense(bk.to_numpy(i_diff)))
+            i_diff = self.diff_sense.sense(i_diff)
         scores = self.scaler.currents_to_outputs(
-            i_diff, 0.0, self.config.v_read, xp=bk
+            i_diff, 0.0, self.config.v_read
         )
         if self.digital_gains is not None:
-            scores = scores * bk.asarray(self.digital_gains)
+            scores = scores * self.digital_gains
         return scores
 
     def calibrate_digital_gains(

@@ -399,17 +399,39 @@ def _read_rhs_stack(
     return rhs
 
 
-def _nodal_read_trial_stack_host(
+def nodal_read_trial_stack(  # repro-lint: batch-invariant
     g_stack: np.ndarray,
     x: np.ndarray,
     r_wire: float,
-    v_read: float,
-    solver: str,
-    precond_g: np.ndarray | None,
-    tol: float,
-    max_iter: int,
+    v_read: float = 1.0,
+    solver: str = "cg",
+    precond_g: np.ndarray | None = None,
+    tol: float = CG_TOL,
+    max_iter: int = CG_MAX_ITER,
 ) -> np.ndarray:
-    """Numpy implementation behind :func:`nodal_read_trial_stack`."""
+    """Nodal column currents for a whole stack of conductance trials.
+
+    The Monte-Carlo nodal kernel: instead of factorising per trial,
+    all ``T`` trials and ``s`` read inputs are solved as one blocked
+    multi-right-hand-side problem (``solver="cg"``, preconditioned by
+    one :class:`SchurFactor` of ``precond_g`` -- pass the nominal,
+    pre-variation conductance state; trial mean when ``None``) or as
+    ``T`` reduced banded factorisations (``solver="schur"``).
+
+    Args:
+        g_stack: Trial conductances, shape ``(T, n, m)``.
+        x: Read inputs in [0, 1], shape ``(s, n)`` (or ``(n,)``).
+        r_wire: Wire segment resistance (> 0).
+        v_read: Read voltage scale.
+        solver: ``"cg"`` or ``"schur"``.
+        precond_g: Nominal conductance state for the shared cg
+            preconditioner (ignored by ``"schur"``).
+        tol: CG relative-residual tolerance.
+        max_iter: CG iteration cap.
+
+    Returns:
+        Column currents, shape ``(T, s, m)``.
+    """
     g_stack = np.asarray(g_stack, dtype=float)
     if g_stack.ndim != 3:
         raise ValueError(
@@ -431,6 +453,8 @@ def _nodal_read_trial_stack_host(
     if solver == "cg":
         if precond_g is None:
             precond_g = np.mean(g_stack, axis=0)
+        else:
+            precond_g = np.asarray(precond_g, dtype=float)
         precond = SchurFactor(precond_g, r_wire)
         rhs = _read_rhs_stack(x, t_count, n, m, g_w, v_read)
         v, _ = cg_nodal_solve(
@@ -449,61 +473,6 @@ def _nodal_read_trial_stack_host(
         "trial-stacked reads support solver 'cg' or 'schur'; for the "
         f"'lu' oracle use CrossbarNetwork per trial (got {solver!r})"
     )
-
-
-def nodal_read_trial_stack(
-    g_stack,
-    x,
-    r_wire: float,
-    v_read: float = 1.0,
-    solver: str = "cg",
-    precond_g=None,
-    tol: float = CG_TOL,
-    max_iter: int = CG_MAX_ITER,
-    backend=None,
-):
-    """Nodal column currents for a whole stack of conductance trials.
-
-    The Monte-Carlo nodal kernel: instead of factorising per trial,
-    all ``T`` trials and ``s`` read inputs are solved as one blocked
-    multi-right-hand-side problem (``solver="cg"``, preconditioned by
-    one :class:`SchurFactor` of ``precond_g`` -- pass the nominal,
-    pre-variation conductance state; trial mean when ``None``) or as
-    ``T`` reduced banded factorisations (``solver="schur"``).
-
-    The kernel is backend-aware (see :mod:`repro.backend`): operands
-    are converted at the host boundary, the sparse solves run host-side
-    (scipy), and the currents are returned on ``backend``.
-
-    Args:
-        g_stack: Trial conductances, shape ``(T, n, m)``.
-        x: Read inputs in [0, 1], shape ``(s, n)`` (or ``(n,)``).
-        r_wire: Wire segment resistance (> 0).
-        v_read: Read voltage scale.
-        solver: ``"cg"`` or ``"schur"``.
-        precond_g: Nominal conductance state for the shared cg
-            preconditioner (ignored by ``"schur"``).
-        tol: CG relative-residual tolerance.
-        max_iter: CG iteration cap.
-        backend: Array namespace of the returned currents.
-
-    Returns:
-        Column currents, shape ``(T, s, m)``.
-    """
-    from repro.backend import resolve_backend
-
-    bk = resolve_backend(backend)
-    currents = _nodal_read_trial_stack_host(
-        bk.to_numpy(bk.asarray(g_stack)),
-        bk.to_numpy(bk.asarray(x)),
-        r_wire,
-        v_read,
-        solver,
-        None if precond_g is None else bk.to_numpy(bk.asarray(precond_g)),
-        tol,
-        max_iter,
-    )
-    return bk.asarray(currents)
 
 
 # ----------------------------------------------------------------------

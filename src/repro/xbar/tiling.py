@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.adc import ADC
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
@@ -143,11 +142,8 @@ class TiledPair:
         for tile, w_tile in zip(self.tiles, self._split(w, axis=0)):
             tile.program_weights(w_tile, with_cycle_noise)
 
-    def partial_matvec(
-        self,
-        x: np.ndarray,
-        ir_mode: str = "ideal",
-        backend: ArrayBackend | str | None = None,
+    def partial_matvec(  # repro-lint: batch-invariant
+        self, x: np.ndarray, ir_mode: str = "ideal"
     ) -> list[np.ndarray]:
         """Per-tile weight-domain partial outputs, in tile order.
 
@@ -156,19 +152,15 @@ class TiledPair:
         the left-to-right sum of this list.  The fleet layer reads
         shards remotely and reduces the gathered partials in the same
         order, so a scatter-gather read reproduces a local tiled read
-        bit-for-bit.  ``backend`` selects the array namespace (default:
-        the bit-identical numpy reference path).
+        bit-for-bit.
         """
-        bk = resolve_backend(backend)
-        x = bk.asarray(x)
+        x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_rows:
             raise ValueError(
                 f"input width {x.shape[-1]} != layer rows {self.n_rows}"
             )
         return [
-            tile.matvec(
-                bk.take_range(x, start, stop, axis=-1), ir_mode, backend=bk
-            )
+            tile.matvec(x[..., start:stop], ir_mode)
             for tile, (start, stop) in zip(self.tiles, self.ranges)
         ]
 
@@ -188,11 +180,8 @@ class TiledPair:
             total = total + part
         return total
 
-    def matvec(
-        self,
-        x: np.ndarray,
-        ir_mode: str = "ideal",
-        backend: ArrayBackend | str | None = None,
+    def matvec(  # repro-lint: batch-invariant
+        self, x: np.ndarray, ir_mode: str = "ideal"
     ) -> np.ndarray:
         """Digitally summed tile outputs ``~ x @ W`` (normalised).
 
@@ -202,9 +191,7 @@ class TiledPair:
         solve per tile under ``'nodal'``) and is bit-identical to
         looping the single-query path over the batch rows.
         """
-        return self.reduce_partials(
-            self.partial_matvec(x, ir_mode, backend=backend)
-        )
+        return self.reduce_partials(self.partial_matvec(x, ir_mode))
 
     def effective_weights(self) -> np.ndarray:
         """Realised (normalised) weights concatenated across tiles."""

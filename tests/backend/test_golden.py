@@ -1,10 +1,10 @@
-"""Numpy-path bit-identity against captured pre-refactor outputs.
+"""Kernel bit-identity against captured pre-refactor outputs.
 
 ``golden_pre_refactor.npz`` was written by
-``scripts/make_backend_golden.py`` *before* the kernels were ported to
-the backend namespace.  Re-running the same capture on today's code
-must reproduce every array byte-for-byte: the numpy reference path is
-a refactor, not a numerics change.  If a future PR intentionally moves
+``scripts/make_backend_golden.py`` *before* the kernels were routed
+through an array-namespace shim (since removed again).  Re-running the
+same capture on today's code must reproduce every array byte-for-byte:
+both refactors are refactors, not numerics changes.  If a future PR intentionally moves
 reference numerics, it must regenerate the goldens and say so.
 """
 
@@ -55,7 +55,7 @@ def test_numpy_path_is_bit_identical_to_pre_refactor(golden, fresh):
         if not np.array_equal(golden[name], fresh[name])
     ]
     assert mismatched == [], (
-        "numpy reference path drifted from pre-refactor capture: "
+        "kernel numerics drifted from pre-refactor capture: "
         f"{mismatched}; if intentional, regenerate with "
         "scripts/make_backend_golden.py and document the change"
     )

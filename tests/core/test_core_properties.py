@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -97,12 +97,22 @@ class TestMappingProperties:
         assert cost_a == pytest.approx(cost_b)
 
 
+# Subnormal weights: x_i * |w_ij| used to underflow, so the plain and
+# the gained inputs ranked their rows differently.
+_SUBNORMAL_W = np.full((5, 3), 5e-324)
+# Subnormals beside a normal-range peak in the same matrix.
+_MIXED_SCALE_W = np.full((5, 3), 5e-324)
+_MIXED_SCALE_W[0, 0] = 0.75
+
+
 class TestSensitivityProperties:
     @given(
         w=arrays(float, (5, 3),
                  elements=st.floats(min_value=-1, max_value=1)),
         gain=st.floats(min_value=0.1, max_value=10.0),
     )
+    @example(w=_SUBNORMAL_W, gain=2.0)
+    @example(w=_MIXED_SCALE_W, gain=1.5)
     @settings(max_examples=20, deadline=None)
     def test_order_invariant_to_uniform_gains(self, w, gain):
         x = np.linspace(0.1, 1.0, 5)

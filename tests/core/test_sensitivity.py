@@ -56,3 +56,36 @@ class TestMappingOrder:
         w = np.ones((4, 1))
         x = np.ones(4)
         assert mapping_order(w, x).tolist() == [0, 1, 2, 3]
+
+    def test_zero_rows_rank_last_in_index_order(self):
+        w = np.array([[0.0], [1.0], [0.0], [2.0]])
+        x = np.array([1.0, 0.5, 0.3, 0.0])
+        assert mapping_order(w, x).tolist() == [1, 0, 2, 3]
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            mapping_order(np.ones(3), np.ones(3))
+
+    def test_matches_row_sensitivity_ranking_on_normal_range_data(self, rng):
+        # The exponent/mantissa ranking is a pure re-encoding of the
+        # sensitivities, so wherever nothing underflows it must equal
+        # a stable sort of row_sensitivity bit for bit.
+        for _ in range(50):
+            n, m = rng.integers(1, 40), rng.integers(1, 8)
+            scales = 10.0 ** rng.uniform(-150, 150, (n, 1))
+            w = rng.uniform(-1, 1, (n, m)) * scales
+            w[rng.random(n) < 0.2] = 0.0
+            x = rng.random(n)
+            x[rng.random(n) < 0.2] = 0.0
+            w[n // 2:] = w[: n - n // 2]  # duplicated rows: exact ties
+            x[n // 2:] = x[: n - n // 2]
+            expected = np.argsort(-row_sensitivity(w, x), kind="stable")
+            assert np.array_equal(mapping_order(w, x), expected)
+
+    def test_subnormal_rows_keep_their_order(self):
+        # x_i * 5e-324 rounds to 0 or 5e-324, so row_sensitivity alone
+        # ties rows 0 and 2 and would rank row 0 first.
+        w = np.full((3, 2), 5e-324)
+        x = np.array([0.6, 0.3, 0.9])
+        assert mapping_order(w, x).tolist() == [2, 0, 1]
+

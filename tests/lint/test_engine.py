@@ -51,16 +51,14 @@ class TestSuppressions:
     def test_multi_code_inline_directive(self):
         # One directive, several codes: all suppressed on that line.
         source = (
-            "import numpy as np\n"
-            "def f(items=[], xp=np):\n"
-            "    return np.einsum('i->', xp.asarray(items))"
-            "  # repro-lint: disable=REP004,REP006\n"
+            "def f(x, w, items=[]):  # repro-lint: batch-invariant\n"
+            "    return x @ w  # repro-lint: disable=REP004,REP009\n"
         )
         from repro.lint import lint_sources
 
         result = lint_sources([("f.py", source)])
         assert [v.code for v in result.violations] == ["REP004"]
-        assert [v.code for v in result.suppressed] == ["REP006"]
+        assert [v.code for v in result.suppressed] == ["REP009"]
 
     def test_multi_code_directive_with_spaces_and_case(self):
         smap = parse_suppressions(

@@ -1,4 +1,4 @@
-"""Cross-module rules (REP007, REP008, REP010) and the symbol table."""
+"""Cross-module rules (REP007, REP008) and the symbol table."""
 
 from pathlib import Path
 
@@ -71,52 +71,6 @@ class TestRep008:
         assert codes_of(lint_fixture("rep008_good.py")) == []
 
 
-class TestRep010:
-    def test_flags_direct_transitive_and_dropped_backend(self):
-        result = lint_fixture("rep010_bad.py")
-        assert codes_of(result) == ["REP010"] * 3
-        assert lines_of(result) == [19, 23, 29]
-
-    def test_clean_on_forwarding_and_boundaries(self):
-        assert codes_of(lint_fixture("rep010_good.py")) == []
-
-    def test_cross_file_resolution(self):
-        helpers = (
-            "src/repro/xbar/helpers.py",
-            "import numpy as np\n"
-            "def smooth(x):\n"
-            "    return np.convolve(x, np.ones(3), mode='same')\n",
-        )
-        kernel = (
-            "src/repro/xbar/kernel.py",
-            "import numpy as np\n"
-            "from repro.xbar.helpers import smooth\n"
-            "def program(x, xp=np):\n"
-            "    return smooth(x)\n",
-        )
-        result = lint_sources([helpers, kernel])
-        assert codes_of(result) == ["REP010"]
-        assert result.violations[0].path == "src/repro/xbar/kernel.py"
-        assert result.violations[0].line == 4
-        assert "smooth" in result.violations[0].message
-
-    def test_backend_package_callee_is_trusted(self):
-        backend = (
-            "src/repro/backend/core.py",
-            "import numpy as np\n"
-            "def dispatch(x):\n"
-            "    return np.asarray(x)\n",
-        )
-        kernel = (
-            "src/repro/xbar/kernel.py",
-            "import numpy as np\n"
-            "from repro.backend.core import dispatch\n"
-            "def program(x, xp=np):\n"
-            "    return dispatch(x)\n",
-        )
-        assert codes_of(lint_sources([backend, kernel])) == []
-
-
 class TestAnnotations:
     def test_parse_annotations_maps_lines(self):
         source = (
@@ -124,12 +78,14 @@ class TestAnnotations:
             "    def run(self):  # repro-lint: thread=worker\n"
             "        self.n = 1  # repro-lint: atomic\n"
             "        self.m = 2  # guarded-by: _lock\n"
+            "def kernel(x):  # repro-lint: batch-invariant\n"
         )
         ann = parse_annotations(source)
         assert ann.worker_lines == frozenset({2})
         assert ann.atomic_lines == frozenset({3})
         assert ann.guard_for(4) == "_lock"
         assert ann.guard_for(3) is None
+        assert ann.batch_invariant_lines == frozenset({5})
 
     def test_annotation_inside_string_is_ignored(self):
         ann = parse_annotations('s = "# repro-lint: thread=worker"\n')

@@ -3,12 +3,13 @@
 This is the executable form of the determinism contracts: any new
 unseeded RNG, unpicklable trial callable, unstable cache key, mutable
 default, swallowed exception, unguarded cross-thread state, leaked
-worker thread, order-unstable accumulation or backend-purity break
-under ``src/repro`` fails the suite (and the ``repro-lint`` CI job)
+worker thread or order-unstable accumulation in a batch-invariant
+kernel under ``src/repro`` fails the suite (and the ``repro-lint`` CI job)
 until fixed or explicitly suppressed.
 """
 
 import json
+import re
 from pathlib import Path
 
 import repro
@@ -39,8 +40,8 @@ def test_concurrency_rules_are_actually_enforced():
     # Guard against the clean-tree assertion passing because the new
     # cross-module rules were accidentally disabled rather than because
     # the tree is clean.
-    assert {"REP007", "REP008", "REP009", "REP010"} <= set(RULES)
-    result = lint_paths([SRC_ROOT], select=["REP007", "REP008", "REP010"])
+    assert {"REP007", "REP008", "REP009"} <= set(RULES)
+    result = lint_paths([SRC_ROOT], select=["REP007", "REP008", "REP009"])
     # The project pass ran (it would have flagged these files before
     # the scheduler/fleet fixes); zero findings means fixed, not off.
     assert result.violations == ()
@@ -55,7 +56,46 @@ def test_suppressions_in_tree_are_reviewed_waivers():
     waived = sorted(
         (Path(v.path).name, v.code) for v in result.suppressed
     )
-    assert waived == [("executor.py", "REP010")]
+    assert waived == []
+
+
+# The array-math kernels REP009 polices: every function whose results
+# must not depend on how trials or queries are batched.
+BATCH_INVARIANT_KERNELS = {
+    "analysis/lognormal.py::stacked_standard_thetas",
+    "analysis/lognormal.py::stacked_parametric_thetas",
+    "analysis/lognormal.py::stacked_cycle_multipliers",
+    "core/base.py::batched_hardware_test_rates",
+    "experiments/fig2_column.py::_column_trial_batch",
+    "experiments/bench_nodal.py::_nodal_column_trial_batch",
+    "pipeline/engine.py::stage_activation",
+    "xbar/crossbar.py::read",
+    "xbar/mapping.py::currents_to_outputs",
+    "xbar/pair.py::matvec",
+    "xbar/tiling.py::partial_matvec",
+    "xbar/tiling.py::matvec",
+    "xbar/solvers.py::nodal_read_trial_stack",
+    "xbar/matmul.py::batch_invariant_matmul",
+    "xbar/matmul.py::trial_stacked_matmul",
+}
+
+_MARKED_DEF = re.compile(
+    r"^\s*def\s+(\w+)\(.*#\s*repro-lint\s*:\s*batch-invariant\b"
+)
+
+
+def test_batch_invariant_marker_coverage_is_pinned():
+    # REP009 only polices marked functions, so dropping a marker would
+    # silently switch the rule off for that kernel.  Adding or removing
+    # one has to be a visible edit of this set.
+    marked = set()
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            match = _MARKED_DEF.match(line)
+            if match is not None:
+                rel = path.relative_to(SRC_ROOT).as_posix()
+                marked.add(f"{rel}::{match.group(1)}")
+    assert marked == BATCH_INVARIANT_KERNELS
 
 
 def test_baseline_file_carries_no_hidden_debt():

@@ -23,13 +23,6 @@ class TestStageActivation:
         expected = np.clip(np.maximum(out, 0.0) * gain, 0.0, 1.0)
         assert np.array_equal(stage_activation(out, gain), expected)
 
-    def test_backend_string_accepted(self, rng):
-        out = rng.normal(size=(3, 4))
-        assert np.array_equal(
-            stage_activation(out, 0.5, xp="numpy"),
-            stage_activation(out, 0.5),
-        )
-
 
 class TestValidation:
     def test_engine_rejects_bad_wiring(self, mlp_artifact):
