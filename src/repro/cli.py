@@ -15,7 +15,6 @@ Usage::
     python -m repro fleet status --cache-dir C --fleet KEY
     python -m repro cache stats --cache-dir C
     python -m repro cache prune --cache-dir C --max-size-mb 100
-    python -m repro bench nodal            # IR-drop solver benchmark
 
 The report subcommand regenerates the paper's tables/figures at the
 chosen scale and prints (or writes) the combined text report.
@@ -51,7 +50,6 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 _IR_MODE_CHOICES = ("ideal", "reference", "fixed_point", "nodal")
-_NODAL_SOLVER_CHOICES = ("lu", "schur", "cg")
 
 
 def _add_programming_options(
@@ -96,15 +94,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ir-mode", choices=_IR_MODE_CHOICES, default=None,
         help="override the snapshot's read model",
-    )
-    parser.add_argument(
-        "--nodal-solver", choices=_NODAL_SOLVER_CHOICES, default=None,
-        help=(
-            "solver for ir_mode=nodal reads: lu (bit-exact oracle), "
-            "schur (structure-exploiting direct) or cg (preconditioned "
-            "iterative); default keeps the hardware's own selection "
-            "(see docs/ir_drop.md)"
-        ),
     )
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--max-queue", type=int, default=128)
@@ -376,38 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="noisy probes recalled per stored BSB pattern",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run a performance benchmark and print the JSON entry",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bnodal = bench_sub.add_parser(
-        "nodal",
-        help=(
-            "nodal-solver benchmark: lu/schur/cg wall-clock across "
-            "crossbar sizes plus Monte-Carlo trial throughput "
-            "(see docs/ir_drop.md)"
-        ),
-    )
-    bnodal.add_argument(
-        "--trials", type=int, default=128,
-        help="Monte-Carlo trials of the throughput measurement",
-    )
-    bnodal.add_argument(
-        "--sizes", type=int, nargs="+", default=None,
-        help="square crossbar sizes to sweep (default: 64 128 256)",
-    )
-    bnodal.add_argument(
-        "--seed", type=int, default=1234,
-    )
-    bnodal.add_argument(
-        "--output", type=str, default=None,
-        help=(
-            "append the entry to this JSON trajectory file "
-            "(e.g. BENCH_nodal.json) instead of only printing it"
-        ),
-    )
-
     cache = sub.add_parser(
         "cache", help="inspect or prune the artifact cache"
     )
@@ -554,7 +511,6 @@ def _build_service(args: argparse.Namespace):
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         default_deadline_s=deadline,
-        nodal_solver=args.nodal_solver,
     )
 
 
@@ -745,7 +701,6 @@ def _build_fleet_service(args: argparse.Namespace, replicas: int):
         max_batch=getattr(args, "max_batch", 32),
         max_queue=getattr(args, "max_queue", 128),
         default_deadline_s=None if deadline is None else deadline / 1e3,
-        nodal_solver=getattr(args, "nodal_solver", None),
     )
 
 
@@ -834,7 +789,6 @@ def _build_pipeline_service(args: argparse.Namespace, replicas: int):
         max_batch=getattr(args, "max_batch", 32),
         max_queue=getattr(args, "max_queue", 256),
         default_deadline_s=None if deadline is None else deadline / 1e3,
-        nodal_solver=getattr(args, "nodal_solver", None),
     )
 
 
@@ -931,38 +885,6 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         service.close()
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.experiments.bench_nodal import DEFAULT_SIZES, run_nodal_bench
-
-    sizes = (
-        DEFAULT_SIZES
-        if args.sizes is None
-        else tuple((s, s) for s in args.sizes)
-    )
-    entry = run_nodal_bench(
-        trials=args.trials, sizes=sizes, seed=args.seed
-    )
-    entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    print(json.dumps(entry, indent=2, sort_keys=True))
-    if args.output:
-        target = Path(args.output)
-        trajectory = {"runs": []}
-        if target.exists():
-            try:
-                trajectory = json.loads(
-                    target.read_text(encoding="utf-8")
-                )
-            except json.JSONDecodeError:
-                pass
-        trajectory.setdefault("runs", []).append(entry)
-        _write_text(target, json.dumps(trajectory, indent=2) + "\n")
-        print(f"trajectory appended to {target}", file=sys.stderr)
-    return 0
-
-
 def _run_cache(args: argparse.Namespace) -> int:
     import json
 
@@ -994,8 +916,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_fleet(args)
     if args.command == "pipeline":
         return _run_pipeline(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "cache":
         return _run_cache(args)
     return 2  # pragma: no cover - argparse enforces the choices

@@ -88,13 +88,6 @@ class VariationConfig:
     distribution: str = "lognormal"
 
 
-#: Valid nodal-solver selections, in accuracy/cost order: ``"lu"`` is
-#: the generic sparse-LU oracle, ``"schur"`` the structure-exploiting
-#: reduced direct solve, ``"cg"`` the preconditioned iterative solve
-#: (see :mod:`repro.xbar.solvers`).
-NODAL_SOLVERS = ("lu", "schur", "cg")
-
-
 @dataclasses.dataclass(frozen=True)
 class CrossbarConfig:
     """Crossbar array geometry and interconnect parameters.
@@ -106,30 +99,12 @@ class CrossbarConfig:
             cross-points, in Ohm (the paper uses 2.5 Ohm).
         v_read: Read voltage applied on the word lines during inference
             and sensing, in Volt.
-        nodal_solver: Solver backing ``ir_mode="nodal"`` reads on this
-            crossbar: one of :data:`NODAL_SOLVERS`, or ``None`` (the
-            default) to adopt the ambient
-            :class:`~repro.runtime.config.RuntimeConfig` selection.
-            Every solver answers the same circuit problem; they differ
-            only in cost and in last-ulp rounding (``"lu"`` is the
-            bit-exact oracle, the others carry tolerance contracts --
-            see ``docs/ir_drop.md``).
     """
 
     rows: int = 784
     cols: int = 10
     r_wire: float = 2.5
     v_read: float = 1.0
-    nodal_solver: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.nodal_solver is not None and (
-            self.nodal_solver not in NODAL_SOLVERS
-        ):
-            raise ValueError(
-                f"nodal_solver must be one of {NODAL_SOLVERS} or None, "
-                f"got {self.nodal_solver!r}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -62,8 +62,6 @@ class ShardReplica:
             :class:`~repro.serve.scheduler.BatchScheduler`).
         microbatch: Engine microbatch size.
         log: Telemetry sink shared with the rest of the fleet.
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads (``None``
-            keeps the hardware's own selection).
         name_prefix: Prepended to the replica name (and thus its
             telemetry lane label).  A multi-fleet composition such as
             ``repro.pipeline`` uses ``"layer<k>/"`` so one shared run
@@ -83,7 +81,6 @@ class ShardReplica:
         microbatch: int = 64,
         min_retry_after_s: float = 0.05,
         log: RunLog | None = None,
-        nodal_solver: str | None = None,
         name_prefix: str = "",
     ):
         self.artifact = artifact
@@ -96,7 +93,6 @@ class ShardReplica:
         )
         self.engine = InferenceEngine.from_artifact(
             artifact, ir_mode=ir_mode, microbatch=microbatch,
-            nodal_solver=nodal_solver,
         )
         self.monitor = DriftMonitor(
             self.engine,

@@ -52,8 +52,6 @@ class FleetService(ServiceLifecycle):
             :class:`~repro.fleet.health.RollingReprogrammer`).
         log: Telemetry sink; the ambient run log (or a private one)
             when omitted.
-        nodal_solver: Solver every replica uses for ``ir_mode="nodal"``
-            reads (``None`` keeps the hardware's own selection).
         label_prefix: Prepended to every replica's telemetry lane
             label (``repro.pipeline`` passes ``"layer<k>/"`` so one
             shared run log splits per layer).
@@ -72,7 +70,6 @@ class FleetService(ServiceLifecycle):
         min_retry_after_s: float = 0.05,
         min_live: int = 1,
         log: RunLog | None = None,
-        nodal_solver: str | None = None,
         label_prefix: str = "",
     ):
         if replicas < 1:
@@ -101,7 +98,6 @@ class FleetService(ServiceLifecycle):
                         microbatch=microbatch,
                         min_retry_after_s=min_retry_after_s,
                         log=self.log,
-                        nodal_solver=nodal_solver,
                         name_prefix=self.label_prefix,
                     )
                     for r in range(self.replicas)

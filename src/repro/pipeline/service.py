@@ -53,9 +53,6 @@ class PipelineService(ServiceLifecycle):
         min_live: Quorum for rolling recovery, per layer.
         log: Telemetry sink shared by every layer; the ambient run log
             (or a private one) when omitted.
-        nodal_solver: Solver every replica in every layer uses for
-            ``ir_mode="nodal"`` reads (``None`` keeps the hardware's
-            own selection).
     """
 
     def __init__(
@@ -71,7 +68,6 @@ class PipelineService(ServiceLifecycle):
         min_retry_after_s: float = 0.05,
         min_live: int = 1,
         log: RunLog | None = None,
-        nodal_solver: str | None = None,
     ):
         self.artifact = artifact
         self.kind = artifact.config.kind
@@ -98,7 +94,6 @@ class PipelineService(ServiceLifecycle):
                 min_retry_after_s=min_retry_after_s,
                 min_live=min_live,
                 log=self.log,
-                nodal_solver=nodal_solver,
                 label_prefix=f"layer{i}/",
             )
             for i, fleet in enumerate(artifact.layers)

@@ -23,8 +23,6 @@ import os
 from pathlib import Path
 from typing import Iterator
 
-from repro.config import NODAL_SOLVERS
-
 __all__ = ["RuntimeConfig", "current_runtime", "use_runtime", "resolve_jobs"]
 
 
@@ -43,21 +41,12 @@ class RuntimeConfig:
             ``--no-cache``).
         chunk_size: Trials per worker task; ``None`` picks a size that
             gives each worker a few chunks for load balancing.
-        nodal_solver: Default solver for ``ir_mode="nodal"`` reads
-            (one of :data:`~repro.config.NODAL_SOLVERS`); crossbars
-            whose :class:`~repro.config.CrossbarConfig` pins an
-            explicit ``nodal_solver`` keep their own.  This knob never
-            participates in seeding or cache keys: every solver answers
-            the same circuit system, so switching it changes wall-clock
-            and last-ulp rounding only (see ``docs/ir_drop.md`` for the
-            tolerance contract).
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
     chunk_size: int | None = None
-    nodal_solver: str = "lu"
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -65,11 +54,6 @@ class RuntimeConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.nodal_solver not in NODAL_SOLVERS:
-            raise ValueError(
-                f"nodal_solver must be one of {NODAL_SOLVERS}, "
-                f"got {self.nodal_solver!r}"
             )
 
     @property

@@ -206,7 +206,12 @@ class ProgrammedArray:
         """
         m = self.metadata
         device = DeviceConfig(**m["device"])
-        config = CrossbarConfig(**m["crossbar"])
+        # Older snapshots pin a "nodal_solver" ("lu", "schur", "cg" or
+        # None); sparse LU is now the only one and answers the same
+        # circuit, so the field is dropped.
+        config = CrossbarConfig(**{
+            k: v for k, v in m["crossbar"].items() if k != "nodal_solver"
+        })
         scaler = WeightScaler(self.w_max, device)
         diff_sense = None
         if m.get("adc") is not None:

@@ -35,11 +35,6 @@ class InferenceEngine:
         ir_mode: Read-fidelity model for every forward pass.
         microbatch: Maximum rows per hardware read; larger input
             batches are chunked to bound the size of each read.
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads (one of
-            :data:`~repro.config.NODAL_SOLVERS`); ``None`` keeps the
-            target's own selection (config pin or ambient runtime).
-            Pinned on the target, so it applies to every forward pass
-            regardless of which runtime context later runs them.
     """
 
     def __init__(
@@ -48,7 +43,6 @@ class InferenceEngine:
         mapping: RowMapping | None = None,
         ir_mode: str = "ideal",
         microbatch: int = 64,
-        nodal_solver: str | None = None,
     ):
         if microbatch < 1:
             raise ValueError(f"microbatch must be >= 1, got {microbatch}")
@@ -56,13 +50,6 @@ class InferenceEngine:
         self.mapping = mapping
         self.ir_mode = ir_mode
         self.microbatch = int(microbatch)
-        self.nodal_solver = nodal_solver
-        if nodal_solver is not None:
-            # Tolerate matvec-only targets (test doubles): the knob
-            # only matters for hardware that actually solves nodally.
-            pin = getattr(target, "set_nodal_solver", None)
-            if pin is not None:
-                pin(nodal_solver)
 
     @classmethod
     def from_artifact(
@@ -70,7 +57,6 @@ class InferenceEngine:
         artifact: ProgrammedArray,
         ir_mode: str | None = None,
         microbatch: int = 64,
-        nodal_solver: str | None = None,
     ) -> "InferenceEngine":
         """Reconstruct the hardware from a snapshot and wrap it."""
         return cls(
@@ -78,7 +64,6 @@ class InferenceEngine:
             mapping=artifact.mapping,
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
-            nodal_solver=nodal_solver,
         )
 
     @property

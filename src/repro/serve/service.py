@@ -51,8 +51,12 @@ class CrossbarService(ServiceLifecycle):
             the artifact's recorded seed when omitted (so a service
             restarted from the same artifact repairs identically).
         log: Telemetry sink shared by scheduler and monitor.
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads; ``None``
-            keeps the hardware's own selection.
+        nodal_solver: ``None`` or ``"lu"`` (sparse LU, the only nodal
+            solver); any other value raises :class:`ValueError`.  It
+            sets nothing: it is kept because callers written when the
+            solver was selectable, among them the
+            ``serve-nodal-repair`` workload of ``perfbench``, pass
+            ``nodal_solver="lu"``.
     """
 
     def __init__(
@@ -68,6 +72,10 @@ class CrossbarService(ServiceLifecycle):
         log: RunLog | None = None,
         nodal_solver: str | None = None,
     ):
+        if nodal_solver not in (None, "lu"):
+            raise ValueError(
+                f"nodal_solver must be None or 'lu', got {nodal_solver!r}"
+            )
         self.artifact = artifact
         if rng is None:
             rng = np.random.default_rng(
@@ -85,7 +93,6 @@ class CrossbarService(ServiceLifecycle):
             mapping=artifact.mapping,
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
-            nodal_solver=nodal_solver,
         )
         self.monitor = DriftMonitor(
             self.engine,

@@ -7,8 +7,10 @@ estimation, and weight <-> conductance mapping.
 
 from repro.xbar.crossbar import IR_MODES, Crossbar
 from repro.xbar.ir_drop import (
+    CorrectedDecomposition,
     IRDropDecomposition,
     column_ladder_solve,
+    fit_decomposed_correction,
     program_column_factors,
     program_factors,
     program_row_factors,
@@ -25,22 +27,10 @@ from repro.xbar.sneak import (
     grounded_row_read,
     sneak_current_estimate,
 )
-from repro.xbar.solvers import (
-    CG_CURRENT_RTOL,
-    SCHUR_RTOL,
-    CorrectedDecomposition,
-    SchurFactor,
-    cg_nodal_solve,
-    fit_decomposed_correction,
-    nodal_operator_apply,
-    nodal_read_trial_stack,
-)
 from repro.xbar.tiling import TiledPair, split_rows
 
 __all__ = [
-    "CG_CURRENT_RTOL",
     "IR_MODES",
-    "SCHUR_RTOL",
     "Crossbar",
     "CrossbarNetwork",
     "CorrectedDecomposition",
@@ -48,14 +38,10 @@ __all__ = [
     "IRDropDecomposition",
     "NodalSolution",
     "PulsePlan",
-    "SchurFactor",
     "TiledPair",
     "WeightScaler",
-    "cg_nodal_solve",
     "column_ladder_solve",
     "fit_decomposed_correction",
-    "nodal_operator_apply",
-    "nodal_read_trial_stack",
     "execute_plan",
     "floating_row_read",
     "grounded_row_read",

@@ -9,13 +9,10 @@ currents on the bit lines (Section 2.2.1 of the paper).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
-from repro.runtime.config import current_runtime
 from repro.devices.memristor import MemristorArray
 from repro.xbar.ir_drop import (
     read_column_gains,
@@ -143,21 +140,6 @@ class Crossbar:
             self._reference_version = version
         return self._reference_factors
 
-    def _resolve_nodal_solver(self) -> str:
-        """The active nodal solver: config pin, else the ambient runtime."""
-        if self.config.nodal_solver is not None:
-            return self.config.nodal_solver
-        return current_runtime().nodal_solver
-
-    def set_nodal_solver(self, solver: str | None) -> None:
-        """Pin the nodal solver for this crossbar (``None`` = ambient).
-
-        Validated against :data:`~repro.config.NODAL_SOLVERS` by the
-        config; takes effect on the next nodal read, which rebuilds the
-        transfer matrix with the new solver.
-        """
-        self.config = dataclasses.replace(self.config, nodal_solver=solver)
-
     def _get_network(self) -> CrossbarNetwork:
         """Nodal network of the current state, transfer matrix cached.
 
@@ -166,20 +148,12 @@ class Crossbar:
         caching the network keyed on the device-state version means
         every query against an unchanged programmed state is one
         fixed-order matmul, while any reprogramming, drift aging or
-        defect injection hands the next read a new network.  The solver
-        selection is re-resolved on every call so runtime/config
-        changes apply without a rebuild; a switch drops the transfer
-        matrix the previous solver built.
+        defect injection hands the next read a new network.
         """
         version = self.array.state_version
-        solver = self._resolve_nodal_solver()
         if self._network is None or self._network_version != version:
-            self._network = CrossbarNetwork(
-                self.conductance, self.config.r_wire, solver=solver
-            )
+            self._network = CrossbarNetwork(self.conductance, self.config.r_wire)
             self._network_version = version
-        elif self._network.solver != solver:
-            self._network.set_solver(solver)
         return self._network
 
     def read(  # repro-lint: batch-invariant

@@ -1,4 +1,4 @@
-"""Full nodal analysis of a memristor crossbar, with pluggable solvers.
+"""Full nodal analysis of a memristor crossbar.
 
 This is the circuit-level ground truth for the IR-drop studies of
 Section 3.2.  The crossbar is modelled as the complete resistive
@@ -27,20 +27,8 @@ same code answers both questions of the paper:
   V, one bit line at 0, everything else at V/2; the output of interest
   is the voltage actually delivered across the selected cell.
 
-Three interchangeable solvers answer the system (see
-:mod:`repro.xbar.solvers` and ``docs/ir_drop.md``):
-
-* ``"lu"`` -- generic sparse LU (``splu``) over the full ``2*n*m``
-  Laplacian.  The bit-exact oracle every other path is tested against.
-* ``"schur"`` -- eliminate the top plane by banded ladder solves and
-  factorise only the reduced SPD ``n*m`` system (bandwidth ``m``).
-  Matches the oracle to <= 1e-9 relative error on column currents.
-* ``"cg"`` -- matrix-free conjugate gradients preconditioned by a
-  factorisation of the *nominal* conductance state, which
-  :meth:`CrossbarNetwork.update_conductance` deliberately keeps: a
-  Monte-Carlo sweep refactorises nothing, each variation draw only
-  iterates.  Deterministic (fixed tolerance and iteration order) and
-  accurate to the documented :data:`repro.xbar.solvers.CG_CURRENT_RTOL`.
+One solver answers the system: generic sparse LU (``splu``) over the
+full ``2*n*m`` Laplacian (see ``docs/ir_drop.md``).
 
 Grounded-bit-line reads (:meth:`CrossbarNetwork.read_batch`) do not
 solve per input: the network is then a fixed linear map ``I = x @ T``,
@@ -63,14 +51,8 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.xbar.matmul import batch_invariant_matmul
-from repro.xbar.solvers import (
-    NODAL_SOLVERS,
-    SchurFactor,
-    cg_nodal_solve,
-    validate_solver,
-)
 
-__all__ = ["NodalSolution", "CrossbarNetwork", "NODAL_SOLVERS"]
+__all__ = ["NodalSolution", "CrossbarNetwork"]
 
 #: Right-hand-side elements one block of the transfer-matrix build may
 #: hold (32 MB of float64): large arrays solve their min(n, m) unit
@@ -106,20 +88,12 @@ class CrossbarNetwork:
         conductance: Memristor conductance matrix ``G``, shape
             ``(n, m)``, in Siemens.
         r_wire: Wire segment resistance in Ohm (> 0).
-        solver: Which factorisation answers the solves -- one of
-            :data:`~repro.config.NODAL_SOLVERS` (default ``"lu"``).
 
     The conductance matrix is captured at construction; build a new
     network (or call :meth:`update_conductance`) after reprogramming.
-    The state captured at construction also becomes the *nominal*
-    state of the cg preconditioner, which ``update_conductance``
-    deliberately does not invalidate (see
-    :meth:`set_preconditioner_state`).
     """
 
-    def __init__(
-        self, conductance: np.ndarray, r_wire: float, solver: str = "lu"
-    ):
+    def __init__(self, conductance: np.ndarray, r_wire: float):
         conductance = np.asarray(conductance, dtype=float)
         if conductance.ndim != 2:
             raise ValueError("conductance must be a 2-D matrix")
@@ -132,55 +106,9 @@ class CrossbarNetwork:
         self.g = conductance
         self.n, self.m = conductance.shape
         self.r_wire = float(r_wire)
-        self.solver = validate_solver(solver)
         self._structure: dict[str, np.ndarray] | None = None
         self._lu = None
-        self._schur: SchurFactor | None = None
-        self._precond: SchurFactor | None = None
-        self._precond_g = self.g.copy()
         self._transfer: np.ndarray | None = None
-        #: Blocked iterations of the most recent cg solve (diagnostic).
-        self.last_cg_iterations = 0
-
-    # ------------------------------------------------------------------
-    # solver selection
-    # ------------------------------------------------------------------
-    def set_solver(self, solver: str) -> None:
-        """Switch the answering solver; cached factors stay per-path.
-
-        The transfer matrix is dropped: it was built by the previous
-        solver and must not answer reads of this one.
-        """
-        self.solver = validate_solver(solver)
-        self._transfer = None
-
-    def set_preconditioner_state(
-        self, conductance: np.ndarray | None = None
-    ) -> None:
-        """Re-anchor the cg preconditioner on a nominal state.
-
-        Args:
-            conductance: The nominal (pre-variation) conductance state
-                to factorise; the network's *current* state when
-                ``None``.
-
-        The preconditioner survives :meth:`update_conductance` by
-        design -- that is what lets a Monte-Carlo chunk reuse one
-        factorisation across every draw -- so re-anchor it explicitly
-        when the network moves to a genuinely different operating point
-        (e.g. after reprogramming to new targets).
-        """
-        g = self.g if conductance is None else np.asarray(
-            conductance, dtype=float
-        )
-        if g.shape != (self.n, self.m):
-            raise ValueError(
-                f"expected shape {(self.n, self.m)}, got {g.shape}"
-            )
-        if np.any(g <= 0):
-            raise ValueError("conductances must be strictly positive")
-        self._precond_g = g.copy()
-        self._precond = None
 
     # ------------------------------------------------------------------
     # assembly
@@ -276,13 +204,10 @@ class CrossbarNetwork:
         return splu(csc_matrix(matrix))
 
     def update_conductance(self, conductance: np.ndarray) -> None:
-        """Replace the device conductances; drop factors and ``T``.
+        """Replace the device conductances; drop the factor and ``T``.
 
-        The sparsity structure and the cg preconditioner both survive:
-        the structure because it depends only on the geometry, the
-        preconditioner because Monte-Carlo draws are perturbations of
-        the same nominal state (re-anchor it via
-        :meth:`set_preconditioner_state` after a genuine reprogram).
+        The sparsity structure survives: it depends only on the
+        geometry.
         """
         conductance = np.asarray(conductance, dtype=float)
         if conductance.shape != (self.n, self.m):
@@ -293,7 +218,6 @@ class CrossbarNetwork:
             raise ValueError("conductances must be strictly positive")
         self.g = conductance
         self._lu = None
-        self._schur = None
         self._transfer = None
 
     # ------------------------------------------------------------------
@@ -303,30 +227,6 @@ class CrossbarNetwork:
         if self._lu is None:
             self._lu = self._factor_lu()
         return self._lu
-
-    def _get_schur(self) -> SchurFactor:
-        if self._schur is None:
-            self._schur = SchurFactor(self.g, self.r_wire)
-        return self._schur
-
-    def _get_precond(self) -> SchurFactor:
-        if self._precond is None:
-            self._precond = SchurFactor(self._precond_g, self.r_wire)
-        return self._precond
-
-    def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Dispatch ``A x = rhs`` (single or multi-RHS) to the solver."""
-        if self.solver == "schur":
-            return self._get_schur().solve(rhs)
-        if self.solver == "cg":
-            single = rhs.ndim == 1
-            block = rhs[:, None] if single else rhs
-            v, iterations = cg_nodal_solve(
-                self.g[None], block[None], self.r_wire, self._get_precond()
-            )
-            self.last_cg_iterations = iterations
-            return v[0][:, 0] if single else v[0]
-        return self._get_lu().solve(rhs)
 
     def solve(
         self, v_rows: np.ndarray, v_cols: np.ndarray | float = 0.0
@@ -353,7 +253,7 @@ class CrossbarNetwork:
         rhs[st["left"]] = v_rows * g_w
         rhs[st["bottom"]] += v_cols * g_w
 
-        v = self._solve_rhs(rhs)
+        v = self._get_lu().solve(rhs)
         v_top = v[: n * m].reshape(n, m)
         v_bottom = v[n * m :].reshape(n, m)
         dv = v_top - v_bottom
@@ -373,10 +273,9 @@ class CrossbarNetwork:
         """Solve a batch of driver configurations against one factor.
 
         The multi-right-hand-side companion of :meth:`solve`: all ``B``
-        configurations share the factorisation (or the blocked cg
-        iteration), which is what makes V/2 program-mode sweeps and
-        defect pretests cheap -- they stop paying the solve dispatch
-        per probed cell.
+        configurations share the factorisation, which is what makes V/2
+        program-mode sweeps and defect pretests cheap -- they stop
+        paying the solve dispatch per probed cell.
 
         Args:
             v_rows: Word-line driver voltages, shape ``(B, n)``.
@@ -404,7 +303,7 @@ class CrossbarNetwork:
         rhs[st["left"], :] = v_rows.T * g_w
         rhs[st["bottom"], :] += v_cols.T * g_w
 
-        v = self._solve_rhs(rhs)
+        v = self._get_lu().solve(rhs)
         v_top = v[: n * m].T.reshape(batch, n, m)
         v_bottom = v[n * m :].T.reshape(batch, n, m)
         dv = v_top - v_bottom
@@ -476,7 +375,7 @@ class CrossbarNetwork:
         rhs = np.zeros((2 * n * m, batch))
         rhs[st["left"], :] = (xb * v_read).T * g_w
         rhs[st["bottom"], :] += v_cols.T * g_w
-        v = self._solve_rhs(rhs)
+        v = self._get_lu().solve(rhs)
         i_col = (v[st["bottom"], :] - v_cols.T) * g_w
         return i_col[:, 0] if single else i_col.T
 
@@ -485,8 +384,8 @@ class CrossbarNetwork:
 
         With the bit lines grounded the column currents are linear in
         the word-line drive: ``read(x, v_read) == (x * v_read) @ T``,
-        shape ``(n, m)``.  Built by the active solver on first use and
-        cached until :meth:`update_conductance` or :meth:`set_solver`.
+        shape ``(n, m)``.  Built on first use and cached until
+        :meth:`update_conductance`.
         """
         if self._transfer is None:
             self._transfer = self._build_transfer(self.m <= self.n)
@@ -503,8 +402,8 @@ class CrossbarNetwork:
         right-hand sides); :meth:`transfer_matrix` drives the shorter
         side.
 
-        The lu path factorises inside this call and drops the factor
-        before returning.  SciPy never frees a SuperLU factor released
+        The factor is built inside this call and dropped before
+        returning.  SciPy never frees a SuperLU factor released
         on a thread other than the one that built it, and a served
         array builds ``T`` on the scheduler's worker thread while a
         repair drops the network on the client thread.
@@ -516,10 +415,7 @@ class CrossbarNetwork:
             drive, sense = st["bottom"], st["left"]
         else:
             drive, sense = st["left"], st["bottom"]
-        solve = (
-            self._factor_lu().solve if self.solver == "lu"
-            else self._solve_rhs
-        )
+        solve = self._factor_lu().solve
         out = np.empty((sense.size, drive.size))
         step = max(1, _TRANSFER_BLOCK_ELEMENTS // (2 * n * m))
         for lo in range(0, drive.size, step):

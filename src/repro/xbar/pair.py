@@ -121,11 +121,6 @@ class DifferentialCrossbar:
         self.positive.set_reference_input(x_reference)
         self.negative.set_reference_input(x_reference)
 
-    def set_nodal_solver(self, solver: str | None) -> None:
-        """Pin the nodal solver on both arrays (``None`` = ambient)."""
-        self.positive.set_nodal_solver(solver)
-        self.negative.set_nodal_solver(solver)
-
     def calibrate_sense(
         self,
         x_calibration: np.ndarray,

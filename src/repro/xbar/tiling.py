@@ -261,8 +261,3 @@ class TiledPair:
         x_ref = np.asarray(x_reference, dtype=float)
         for tile, x_tile in zip(self.tiles, self._split(x_ref, axis=-1)):
             tile.set_reference_input(x_tile)
-
-    def set_nodal_solver(self, solver: str | None) -> None:
-        """Pin the nodal solver on every tile (``None`` = ambient)."""
-        for tile in self.tiles:
-            tile.set_nodal_solver(solver)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import NODAL_SOLVERS
 from repro.fleet import (
     FleetConfig,
     FleetService,
@@ -62,27 +61,6 @@ class TestExactness:
         try:
             assert np.array_equal(service.forward(x), reference)
             assert np.array_equal(service.predict(x[0]), reference[0])
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize("solver", NODAL_SOLVERS)
-    def test_nodal_solver_knob_serves_every_solver(self, solver):
-        # Serving in ir_mode="nodal" must work unchanged under every
-        # nodal_solver=.  lu is the oracle (exact); schur/cg answer
-        # within their documented bounds, far inside the ADC step.
-        fleet, service = make_service(
-            10, ir_mode="nodal", r_wire=2.0, nodal_solver=solver
-        )
-        x = np.random.default_rng(5).random((6, N_ROWS))
-        reference = fleet.build_tiled().matvec(x, "nodal")
-        try:
-            out = service.forward(x)
-            if solver == "lu":
-                assert np.array_equal(out, reference)
-            else:
-                np.testing.assert_allclose(
-                    out, reference, rtol=1e-6, atol=1e-8
-                )
         finally:
             service.close()
 

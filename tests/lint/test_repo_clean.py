@@ -67,14 +67,12 @@ BATCH_INVARIANT_KERNELS = {
     "analysis/lognormal.py::stacked_cycle_multipliers",
     "core/base.py::batched_hardware_test_rates",
     "experiments/fig2_column.py::_column_trial_batch",
-    "experiments/bench_nodal.py::_nodal_column_trial_batch",
     "pipeline/engine.py::stage_activation",
     "xbar/crossbar.py::read",
     "xbar/mapping.py::currents_to_outputs",
     "xbar/pair.py::matvec",
     "xbar/tiling.py::partial_matvec",
     "xbar/tiling.py::matvec",
-    "xbar/solvers.py::nodal_read_trial_stack",
     "xbar/matmul.py::batch_invariant_matmul",
     "xbar/matmul.py::trial_stacked_matmul",
 }

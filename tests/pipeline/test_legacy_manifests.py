@@ -1,11 +1,14 @@
-"""Artifacts written with a ``"backend"`` field still load and serve.
+"""Artifacts written with retired fields still load and serve.
 
 Snapshots and manifests used to record a serving array namespace
 (always ``"numpy"``) in ``ProgrammedArray.metadata`` and in the
-``FleetConfig``/``PipelineConfig`` manifest configs.  The field is
-gone from the configs; a cache written in that older form must load,
-and its served answers must equal the offline engine on the loaded
-artifact bit for bit.
+``FleetConfig``/``PipelineConfig`` manifest configs, and every
+snapshot's crossbar config (``metadata["crossbar"]``, fleet shards and
+pipeline layers included) carried a ``"nodal_solver"``.  Both fields
+are gone; a cache written in that older form must load, and its served
+answers must equal the offline engine on the loaded artifact bit for
+bit.  ``CrossbarService`` keeps its ``nodal_solver`` keyword for older
+callers, but only ``None`` and ``"lu"`` pass it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro.fleet import (
     FleetConfig,
@@ -38,8 +42,12 @@ from repro.serve.artifact import (
 from repro.serve.engine import InferenceEngine
 
 
-def _add_backend_fields(root) -> int:
-    """Rewrite every cached JSON document in the older on-disk form."""
+def _write_older_form(root, nodal_solver=None) -> int:
+    """Rewrite every cached JSON document in the older on-disk form.
+
+    Adds the ``"backend"`` field to every config and metadata block and
+    pins ``nodal_solver`` in every snapshot's crossbar config.
+    """
     rewritten = 0
     for path in sorted(root.rglob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -47,6 +55,9 @@ def _add_backend_fields(root) -> int:
             if isinstance(doc.get(field), dict):
                 doc[field]["backend"] = "numpy"
                 rewritten += 1
+        crossbar = (doc.get("metadata") or {}).get("crossbar")
+        if isinstance(crossbar, dict):
+            crossbar["nodal_solver"] = nodal_solver
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
     return rewritten
 
@@ -55,7 +66,7 @@ def test_programmed_array_with_backend_metadata_serves(tmp_path):
     config = ProgramConfig(scheme="old", image_size=7, n_train=100, seed=2)
     cache = ArtifactCache(tmp_path)
     key = program_array(config).save(cache, artifact_key(config))
-    assert _add_backend_fields(tmp_path) == 1
+    assert _write_older_form(tmp_path) == 1
 
     loaded = ProgrammedArray.load(cache, key)
     assert loaded.metadata["backend"] == "numpy"
@@ -74,7 +85,7 @@ def test_fleet_manifest_with_backend_field_serves(tmp_path):
     cache = ArtifactCache(tmp_path)
     key = program_fleet(config, w).save(cache, fleet_key(config, w))
     # The manifest plus one metadata block per shard.
-    assert _add_backend_fields(tmp_path) == 4
+    assert _write_older_form(tmp_path) == 4
 
     loaded = ProgrammedFleet.load(cache, key)
     assert loaded.config == config
@@ -89,7 +100,7 @@ def test_pipeline_manifest_with_backend_field_serves(
 ):
     cache = ArtifactCache(tmp_path)
     key = mlp_artifact.save(cache, pipeline_key(mlp_config))
-    assert _add_backend_fields(tmp_path) > mlp_artifact.n_layers
+    assert _write_older_form(tmp_path) > mlp_artifact.n_layers
 
     loaded = PipelineArtifact.load(cache, key)
     assert loaded.config == mlp_config
@@ -97,3 +108,38 @@ def test_pipeline_manifest_with_backend_field_serves(
     expected = offline_engine(loaded).forward(x)
     with PipelineService(loaded) as service:
         assert np.array_equal(service.forward(x, timeout=30.0), expected)
+
+
+def test_programmed_array_with_pinned_cg_serves_through_lu(tmp_path):
+    # A pinned "cg" (or "schur") answers the same circuit through lu.
+    config = ProgramConfig(scheme="old", image_size=7, n_train=100, seed=2)
+    cache = ArtifactCache(tmp_path)
+    key = program_array(config).save(cache, artifact_key(config))
+    _write_older_form(tmp_path, nodal_solver="cg")
+
+    loaded = ProgrammedArray.load(cache, key)
+    assert loaded.metadata["crossbar"]["nodal_solver"] == "cg"
+    x = np.random.default_rng(0).random((6, loaded.n_logical))
+    expected = InferenceEngine.from_artifact(
+        loaded, ir_mode="nodal"
+    ).forward(x)
+    with CrossbarService(loaded, ir_mode="nodal") as service:
+        served = np.stack(
+            [service.submit(row).result(timeout=30.0) for row in x]
+        )
+    assert np.array_equal(served, expected)
+
+
+def test_crossbar_service_rejects_retired_nodal_solvers():
+    artifact = program_array(
+        ProgramConfig(scheme="old", image_size=7, n_train=100, seed=2)
+    )
+    for solver in ("cg", "schur"):
+        with pytest.raises(ValueError, match="nodal_solver"):
+            CrossbarService(artifact, nodal_solver=solver)
+    with CrossbarService(artifact, nodal_solver="lu") as service:
+        x = np.random.default_rng(0).random(artifact.n_logical)
+        assert np.array_equal(
+            service.predict(x, timeout=30.0),
+            InferenceEngine.from_artifact(artifact).forward(x),
+        )

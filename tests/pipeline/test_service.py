@@ -34,28 +34,16 @@ class TestServedMLP:
             assert np.array_equal(service.forward(x, timeout=30.0),
                                   expected)
 
-    @pytest.mark.parametrize("solver", ["lu", "schur", "cg"])
-    def test_nodal_solver_knob_serves_every_solver(
-        self, mlp_config, mlp_artifact, solver
-    ):
+    def test_nodal_serves_bit_identical(self, mlp_config, mlp_artifact):
         # The end-to-end acceptance smoke: a whole served pipeline in
-        # ir_mode="nodal" under each nodal solver.  lu matches the
-        # offline engine exactly; the fast solvers stay within their
-        # documented bounds, far inside the ADC step.
+        # ir_mode="nodal" matches the offline engine exactly.
         x = mlp_config.dataset().x_test[:4]
         expected = offline_engine(
             mlp_artifact, ir_mode="nodal"
         ).forward(x)
-        with PipelineService(
-            mlp_artifact, ir_mode="nodal", nodal_solver=solver
-        ) as service:
-            out = service.forward(x, timeout=60.0)
-        if solver == "lu":
-            assert np.array_equal(out, expected)
-        else:
-            np.testing.assert_allclose(
-                out, expected, rtol=1e-6, atol=1e-8
-            )
+        with PipelineService(mlp_artifact, ir_mode="nodal") as service:
+            assert np.array_equal(service.forward(x, timeout=60.0),
+                                  expected)
 
     def test_replicas_do_not_change_results(
         self, mlp_config, mlp_artifact

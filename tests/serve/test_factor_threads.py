@@ -50,7 +50,6 @@ def lifecycle(i):
     service = CrossbarService(
         artifact,
         policy=DriftPolicy(threshold=1e9, check_every=10**9),
-        nodal_solver="lu",
     )
     service.predict(query, timeout=60.0)  # read on the worker thread
     age_pair(service.pair, 10.0, RetentionConfig(), np.random.default_rng(i))

@@ -1,11 +1,11 @@
-"""The cached transfer matrix answers exactly one state and one solver.
+"""The cached transfer matrix answers exactly one state.
 
 A nodal read with grounded bit lines is ``(x * v_read) @ T``, where
 ``T`` is cached per network.  Every write that changes what a read
 returns must hand the next read a freshly built ``T``: programming,
 close-loop updates, snapshot restores, retention aging and defect
-injection (all through the device-state version), and a solver switch
-(a ``T`` built by ``cg`` must never answer an ``lu`` read).
+injection (all through the device-state version), and a direct
+``update_conductance`` on a network.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ def inputs() -> np.ndarray:
     return np.random.default_rng(7).uniform(size=(5, ROWS))
 
 
-def fresh_read(xbar, x: np.ndarray, solver: str = "lu") -> np.ndarray:
+def fresh_read(xbar, x: np.ndarray) -> np.ndarray:
     """The read a network built from scratch on this state returns."""
-    network = CrossbarNetwork(
-        xbar.conductance, xbar.config.r_wire, solver=solver
-    )
+    network = CrossbarNetwork(xbar.conductance, xbar.config.r_wire)
     return network.read_batch(x, xbar.config.v_read)
 
 
@@ -109,33 +107,7 @@ class TestCrossbarTriggers:
         self.check(write)
 
 
-class TestSolverSwitch:
-    def test_crossbar_set_nodal_solver(self):
-        xbar = make_pair().positive
-        x = inputs()
-        lu = xbar.read(x, "nodal")
-        xbar.set_nodal_solver("cg")
-        cg = fresh_read(xbar, x, "cg")
-        assert np.array_equal(xbar.read(x, "nodal"), cg)
-        xbar.set_nodal_solver("lu")
-        assert np.array_equal(xbar.read(x, "nodal"), lu)
-
-    @pytest.mark.parametrize("solver", ["schur", "cg"])
-    def test_network_set_solver(self, solver):
-        xbar = make_pair().positive
-        network = CrossbarNetwork(xbar.conductance, xbar.config.r_wire)
-        x = inputs()
-        lu = network.read_batch(x)
-        stale = network.transfer_matrix()
-        network.set_solver(solver)
-        assert network.transfer_matrix() is not stale
-        expected = CrossbarNetwork(
-            xbar.conductance, xbar.config.r_wire, solver=solver
-        ).read_batch(x)
-        assert np.array_equal(network.read_batch(x), expected)
-        network.set_solver("lu")
-        assert np.array_equal(network.read_batch(x), lu)
-
+class TestNetworkUpdate:
     def test_network_update_conductance(self):
         pair = make_pair()
         network = CrossbarNetwork(
@@ -166,7 +138,7 @@ class TestFactorLifetime:
         from repro.xbar.crossbar import Crossbar
 
         xbar = Crossbar(
-            CrossbarConfig(rows=6, cols=m, r_wire=2.5, nodal_solver="lu"),
+            CrossbarConfig(rows=6, cols=m, r_wire=2.5),
             rng=np.random.default_rng(0),
         )
         xbar.read(np.full(6, 0.5), "nodal")
