@@ -25,7 +25,8 @@ class CurrentSense:
             an ideal infinite-resolution sense amplifier.
         noise_std: Standard deviation of additive Gaussian readout
             noise, in the same units as the sensed current (A).
-        rng: Random generator for the noise draws.
+        rng: Random generator for the noise draws; a noiseless sense
+            draws nothing and needs none.
     """
 
     def __init__(
@@ -38,7 +39,9 @@ class CurrentSense:
             raise ValueError(f"noise_std must be >= 0, got {noise_std}")
         self.adc = adc
         self.noise_std = float(noise_std)
-        self.rng = ensure_rng(rng, "repro.circuits.sensing.CurrentSense")
+        self.rng = rng
+        if self.noise_std > 0:
+            self.rng = ensure_rng(rng, "repro.circuits.sensing.CurrentSense")
 
     def sense(self, current: np.ndarray | float) -> np.ndarray:
         """One sensing operation on a current (or array of currents)."""

@@ -1,4 +1,4 @@
-"""Shared experiment configuration and dataset caching.
+"""Shared experiment configuration, dataset caching and VAT trainings.
 
 Every driver in :mod:`repro.experiments` accepts an
 :class:`ExperimentScale` so the same code serves two purposes: the
@@ -13,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from repro.data.datasets import Dataset, make_dataset
+import repro.core.vat as vat
+from repro.core.base import TrainingOutcome
+from repro.data.datasets import N_CLASSES, Dataset, make_dataset
 from repro.nn.gdt import GDTConfig
 from repro.runtime.cache import get_cache
 
-__all__ = ["ExperimentScale", "get_dataset", "DEFAULT_SEED"]
+__all__ = ["ExperimentScale", "get_dataset", "train_vat_once", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 7
 
@@ -74,6 +76,15 @@ class ExperimentScale:
 @functools.lru_cache(maxsize=8)
 def _cached_dataset(
     n_train: int, n_test: int, seed: int, image_size: int
+) -> tuple[Dataset, dict[vat.VATConfig, TrainingOutcome]]:
+    # The dataset and the memo of cold-start VAT trainings on it
+    # (:func:`train_vat_once`): one cache entry holds both, so clearing
+    # this cache forgets the trainings together with the data.
+    return _render_dataset(n_train, n_test, seed, image_size), {}
+
+
+def _render_dataset(
+    n_train: int, n_test: int, seed: int, image_size: int
 ) -> Dataset:
     # Disk layer below the in-process memo: dataset rendering is
     # deterministic in its arguments, so the artifact cache can hand a
@@ -119,4 +130,43 @@ def get_dataset(scale: ExperimentScale, image_size: int = 28) -> Dataset:
         scale: Sample counts and seed.
         image_size: Side length after under-sampling (28, 14 or 7).
     """
-    return _cached_dataset(scale.n_train, scale.n_test, scale.seed, image_size)
+    return _cached_dataset(
+        scale.n_train, scale.n_test, scale.seed, image_size
+    )[0]
+
+
+def train_vat_once(
+    scale: ExperimentScale,
+    image_size: int,
+    config: vat.VATConfig,
+    outcome: TrainingOutcome | None = None,
+) -> TrainingOutcome:
+    """Cold-start VAT training on the benchmark training split, once.
+
+    Fig. 4, Fig. 7 and Fig. 8 train overlapping sets of the same
+    problems (one dataset, one :class:`~repro.core.vat.VATConfig`).
+    The first request for a config trains it with
+    :func:`repro.core.vat.train_vat`; later requests get the same
+    outcome back, with its weights made read-only.  The memo lives and
+    dies with the in-process dataset memo of :func:`get_dataset`.
+
+    Args:
+        scale: Sample counts and seed of the dataset.
+        image_size: Benchmark resolution.
+        config: The training problem (``w_init`` is always zeros).
+        outcome: The same training already run elsewhere -- on a
+            worker process of the Fig. 4 sweep -- to store on a miss
+            instead of training again.
+
+    Returns:
+        The memoised :class:`~repro.core.base.TrainingOutcome`.
+    """
+    ds, memo = _cached_dataset(
+        scale.n_train, scale.n_test, scale.seed, image_size
+    )
+    if config not in memo:
+        if outcome is None:
+            outcome = vat.train_vat(ds.x_train, ds.y_train, N_CLASSES, config)
+        outcome.weights.setflags(write=False)
+        memo[config] = outcome
+    return memo[config]

@@ -14,11 +14,15 @@ import functools
 
 import numpy as np
 
+from repro.core.base import TrainingOutcome
 from repro.core.self_tuning import injected_rate
 from repro.core.vat import VATConfig, train_vat
 from repro.data.datasets import N_CLASSES
-from repro.experiments.common import ExperimentScale, get_dataset
-from repro.nn.gdt import GDTConfig
+from repro.experiments.common import (
+    ExperimentScale,
+    get_dataset,
+    train_vat_once,
+)
 from repro.nn.metrics import rate_from_scores
 from repro.runtime.executor import parallel_map
 
@@ -26,30 +30,28 @@ __all__ = ["VATTradeoffResult", "run_fig4"]
 
 
 def _gamma_point(
-    gamma: float,
+    cfg: VATConfig,
     x_train: np.ndarray,
     y_train: np.ndarray,
     x_test: np.ndarray,
     y_test: np.ndarray,
-    sigma: float,
-    gdt: GDTConfig,
     n_injections: int,
     thetas: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, TrainingOutcome]:
     """One sweep point: (training, clean test, injected test) rates.
 
     Pure given its inputs (the injection draws are pre-drawn and
     shared), so the engine can run the gamma grid on worker processes
-    with results bit-identical to the serial sweep.
+    with results bit-identical to the serial sweep.  The training
+    outcome comes back too, for the parent's training memo.
     """
-    cfg = VATConfig(gamma=float(gamma), sigma=sigma, gdt=gdt)
     outcome = train_vat(x_train, y_train, N_CLASSES, cfg)
     clean = rate_from_scores(x_test @ outcome.weights, y_test)
     injected = injected_rate(
-        outcome.weights, x_test, y_test, sigma, n_injections,
+        outcome.weights, x_test, y_test, cfg.sigma, n_injections,
         thetas=thetas,
     )
-    return np.array([outcome.training_rate, clean, injected])
+    return np.array([outcome.training_rate, clean, injected]), outcome
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,18 +112,25 @@ def run_fig4(
     shape = (scale.n_injections, ds.n_features, N_CLASSES)
     thetas = np.random.default_rng(scale.seed + 41).standard_normal(shape)
 
+    configs = [
+        VATConfig(gamma=float(g), sigma=sigma, gdt=scale.gdt())
+        for g in scale.gammas
+    ]
     points = parallel_map(
         functools.partial(
             _gamma_point,
             x_train=ds.x_train, y_train=ds.y_train,
             x_test=ds.x_test, y_test=ds.y_test,
-            sigma=sigma, gdt=scale.gdt(),
             n_injections=scale.n_injections, thetas=thetas,
         ),
-        scale.gammas,
+        configs,
         label="fig4",
     )
-    rates = np.asarray(points)
+    # Fig. 7 and Fig. 8 train some of these problems again; hand them
+    # the outcomes, wherever they were trained.
+    for cfg, (_, outcome) in zip(configs, points):
+        train_vat_once(scale, image_size, cfg, outcome)
+    rates = np.asarray([point for point, _ in points])
     gammas = np.asarray(scale.gammas, dtype=float)
     injected_arr = rates[:, 2]
     return VATTradeoffResult(

@@ -31,10 +31,14 @@ from repro.core.old import OLDConfig, program_pair_open_loop
 from repro.core.pretest import pretest_pair
 from repro.core.sensitivity import mapping_order
 from repro.core.swv import swv_pair
-from repro.core.vat import VATConfig, train_vat
+from repro.core.vat import VATConfig
 from repro.config import CrossbarConfig, VariationConfig
 from repro.data.datasets import N_CLASSES
-from repro.experiments.common import ExperimentScale, get_dataset
+from repro.experiments.common import (
+    ExperimentScale,
+    get_dataset,
+    train_vat_once,
+)
 from repro.xbar.mapping import WeightScaler
 
 __all__ = ["AMPStudyResult", "run_fig7"]
@@ -221,11 +225,15 @@ def run_fig7(
     scaler = WeightScaler(1.0)
     x_mean = ds.x_train.mean(axis=0)
 
-    # Train once per gamma (shared across fabrication trials).
-    outcomes = []
-    for gamma in scale.gammas:
-        cfg = VATConfig(gamma=float(gamma), sigma=sigma, gdt=scale.gdt())
-        outcomes.append(train_vat(ds.x_train, ds.y_train, N_CLASSES, cfg))
+    # Train once per gamma (shared across fabrication trials, and with
+    # the Fig. 4 sweep of the same grid).
+    outcomes = [
+        train_vat_once(
+            scale, image_size,
+            VATConfig(gamma=float(gamma), sigma=sigma, gdt=scale.gdt()),
+        )
+        for gamma in scale.gammas
+    ]
 
     summary = run_monte_carlo(
         functools.partial(

@@ -25,10 +25,14 @@ from repro.core.old import OLDConfig, program_pair_open_loop
 from repro.core.pretest import pretest_pair
 from repro.core.sensitivity import mapping_order
 from repro.core.swv import swv_pair
-from repro.core.vat import VATConfig, train_vat
+from repro.core.vat import VATConfig
 from repro.config import CrossbarConfig, SensingConfig, VariationConfig
 from repro.data.datasets import N_CLASSES
-from repro.experiments.common import ExperimentScale, get_dataset
+from repro.experiments.common import (
+    ExperimentScale,
+    get_dataset,
+    train_vat_once,
+)
 from repro.xbar.mapping import WeightScaler
 
 __all__ = ["ADCStudyResult", "run_fig8", "DEFAULT_BITS", "DEFAULT_SIGMAS"]
@@ -142,7 +146,7 @@ def run_fig8(
     rates = np.zeros((len(sigmas), len(bits)))
     for si, sigma in enumerate(sigmas):
         cfg = VATConfig(gamma=gamma, sigma=sigma, gdt=scale.gdt())
-        outcome = train_vat(ds.x_train, ds.y_train, N_CLASSES, cfg)
+        outcome = train_vat_once(scale, image_size, cfg)
         summary = run_monte_carlo(
             functools.partial(
                 _fig8_trial,

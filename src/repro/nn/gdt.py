@@ -6,6 +6,14 @@ minimises the (optionally robust) hinge objective of
 :mod:`repro.nn.objectives` by full-batch subgradient descent with
 momentum and step decay -- deterministic given the initial weights, so
 experiments reproduce bit-for-bit from a seed.
+
+Each epoch makes one forward pass: the margins and penalty norms at the
+updated weights give that epoch's loss and are kept for the next
+epoch's subgradient, the inputs are squared once per call, and the
+penalty is not evaluated at all when its scale is zero.  The result is
+bit-identical to evaluating :func:`~repro.nn.objectives.robust_hinge_gradient`
+and :func:`~repro.nn.objectives.robust_hinge_loss` separately each
+epoch.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.nn.objectives import robust_hinge_gradient, robust_hinge_loss
+from repro.nn.objectives import _check_scale, _forward, _gradient, _loss
 
 __all__ = ["GDTConfig", "GDTResult", "train_gdt"]
 
@@ -91,19 +99,24 @@ def train_gdt(
         if w.shape != (n, m):
             raise ValueError(f"w_init shape {w.shape} != ({n}, {m})")
 
+    _check_scale(penalty_scale)
+
+    x2 = x * x
+    margin, pen_norm = _forward(x, x2, w, y, penalty_scale)
     velocity = np.zeros_like(w)
     lr = cfg.learning_rate
     history: list[float] = []
     converged = False
     prev_loss = np.inf
     for _ in range(cfg.epochs):
-        grad = robust_hinge_gradient(x, w, y, penalty_scale)
+        grad = _gradient(x, x2, w, y, margin, pen_norm, penalty_scale)
         if cfg.l2 > 0:
             grad = grad + cfg.l2 * w
         velocity = cfg.momentum * velocity - lr * grad
         w = w + velocity
         lr *= cfg.decay
-        loss = robust_hinge_loss(x, w, y, penalty_scale)
+        margin, pen_norm = _forward(x, x2, w, y, penalty_scale)
+        loss = _loss(margin, pen_norm, penalty_scale)
         if cfg.l2 > 0:
             loss += 0.5 * cfg.l2 * float(np.sum(w * w))
         history.append(loss)

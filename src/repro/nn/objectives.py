@@ -44,6 +44,70 @@ def _validate(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+def _forward(
+    x: np.ndarray,
+    x2: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
+    penalty_scale: float,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Margins ``y * (x . w)`` and penalty norms at ``w``.
+
+    The one forward pass that both the loss and the subgradient read.
+    ``x2`` is ``x * x``, so a trainer can square its inputs once; the
+    penalty norm is skipped (``None``) at ``penalty_scale == 0``, where
+    it would only ever be multiplied by zero.
+    """
+    margin = y * (x @ w)
+    if penalty_scale == 0:
+        return margin, None
+    return margin, _penalty_norm(x2, w)
+
+
+def _loss(
+    margin: np.ndarray, pen_norm: np.ndarray | None, penalty_scale: float
+) -> float:
+    """Column-summed sample mean of the (robust) hinge at a forward."""
+    slack = 1.0 - margin
+    if pen_norm is not None:
+        slack = slack + penalty_scale * pen_norm
+    return float(np.mean(np.sum(np.maximum(0.0, slack), axis=1)))
+
+
+def _gradient(
+    x: np.ndarray,
+    x2: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
+    margin: np.ndarray,
+    pen_norm: np.ndarray | None,
+    penalty_scale: float,
+) -> np.ndarray:
+    """Subgradient of :func:`_loss` w.r.t. ``W`` from the same forward.
+
+    For an active sample/column the penalty contributes
+    ``penalty_scale * (x^2 (.) w) / ||x (.) w||_2``.
+    """
+    s = x.shape[0]
+    if pen_norm is None:
+        active = (margin < 1.0).astype(float)
+        return -(x.T @ (active * y)) / s
+    active = (margin < 1.0 + penalty_scale * pen_norm).astype(float)
+    grad = -(x.T @ (active * y)) / s
+    # d/dW of ||x (.) w||_2 summed over active samples.
+    weights = active / pen_norm  # (s, m)
+    return grad + penalty_scale * (x2.T @ weights) * w / s
+
+
+def _penalty_norm(x2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.sqrt(x2 @ (w * w) + _EPS)
+
+
+def _check_scale(penalty_scale: float) -> None:
+    if not penalty_scale >= 0:
+        raise ValueError(f"penalty_scale must be >= 0, got {penalty_scale}")
+
+
 def hinge_loss(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
     """Hinge loss: mean over samples of the per-column sums (Eq. 3).
 
@@ -51,18 +115,12 @@ def hinge_loss(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
     column problems are summed here (they share no weights) and the
     sample mean keeps the value comparable across dataset sizes.
     """
-    _validate(x, w, y)
-    margin = y * (x @ w)
-    return float(np.mean(np.sum(np.maximum(0.0, 1.0 - margin), axis=1)))
+    return robust_hinge_loss(x, w, y, 0.0)
 
 
 def hinge_gradient(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Subgradient of the mean hinge loss w.r.t. ``W``."""
-    _validate(x, w, y)
-    margin = y * (x @ w)
-    active = (margin < 1.0).astype(float)
-    s = x.shape[0]
-    return -(x.T @ (active * y)) / s
+    return robust_hinge_gradient(x, w, y, 0.0)
 
 
 def variation_penalty(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -75,7 +133,7 @@ def variation_penalty(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Returns:
         Array of shape ``(samples, columns)``.
     """
-    return np.sqrt((x * x) @ (w * w) + _EPS)
+    return _penalty_norm(x * x, w)
 
 
 def robust_hinge_loss(
@@ -92,13 +150,8 @@ def robust_hinge_loss(
             ``exp(theta)``).
     """
     _validate(x, w, y)
-    if penalty_scale < 0:
-        raise ValueError(f"penalty_scale must be >= 0, got {penalty_scale}")
-    margin = y * (x @ w)
-    pen = penalty_scale * variation_penalty(x, w)
-    return float(
-        np.mean(np.sum(np.maximum(0.0, 1.0 - margin + pen), axis=1))
-    )
+    _check_scale(penalty_scale)
+    return _loss(*_forward(x, x * x, w, y, penalty_scale), penalty_scale)
 
 
 def robust_hinge_gradient(
@@ -110,15 +163,7 @@ def robust_hinge_gradient(
     ``penalty_scale * (x^2 (.) w) / ||x (.) w||_2``.
     """
     _validate(x, w, y)
-    if penalty_scale < 0:
-        raise ValueError(f"penalty_scale must be >= 0, got {penalty_scale}")
-    s = x.shape[0]
-    margin = y * (x @ w)
-    pen_norm = variation_penalty(x, w)
-    active = (margin < 1.0 + penalty_scale * pen_norm).astype(float)
-    grad = -(x.T @ (active * y)) / s
-    if penalty_scale > 0:
-        # d/dW of ||x (.) w||_2 summed over active samples.
-        weights = active / pen_norm  # (s, m)
-        grad = grad + penalty_scale * ((x * x).T @ weights) * w / s
-    return grad
+    _check_scale(penalty_scale)
+    x2 = x * x
+    margin, pen_norm = _forward(x, x2, w, y, penalty_scale)
+    return _gradient(x, x2, w, y, margin, pen_norm, penalty_scale)

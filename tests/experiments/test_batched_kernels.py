@@ -69,6 +69,26 @@ class TestFig2Kernel:
             combos=((1, 1), (1, 5), (1, None), (4, 3)),
         )
 
+    def test_column_workload_serial_parallel_batched(self):
+        # The Fig. 2 column workload at its study size: looped serial,
+        # looped on two workers and the batched kernel agree exactly.
+        cfg = ColumnTrialConfig(
+            sigma=0.5, n_devices=100, target_current=1e-3, v_read=1.0,
+            adc_bits=6, cld_iterations=60,
+        )
+        trial = functools.partial(_column_trial, cfg=cfg)
+        serial = map_trials(trial, 96, seed=1234, jobs=1)
+        assert np.array_equal(
+            serial, map_trials(trial, 96, seed=1234, jobs=2)
+        )
+        assert np.array_equal(
+            serial,
+            map_trials_batched(
+                functools.partial(_column_trial_batch, cfg=cfg), 96,
+                seed=1234, jobs=1,
+            ),
+        )
+
 
 class TestFig7Kernel:
     def test_bit_identical(self, tiny_dataset):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.nn.gdt import GDTConfig, train_gdt
 from repro.nn.linear import one_vs_all_targets
+from repro.nn.objectives import robust_hinge_gradient, robust_hinge_loss
 
 
 def separable_problem(rng, n=60, d=6):
@@ -87,3 +90,82 @@ class TestValidation:
         y = one_vs_all_targets(labels, 3)
         with pytest.raises(ValueError, match="w_init"):
             train_gdt(x, y, w_init=np.zeros((2, 2)))
+
+    def test_negative_penalty_scale_rejected(self, rng):
+        x, labels = separable_problem(rng)
+        y = one_vs_all_targets(labels, 3)
+        with pytest.raises(ValueError, match="penalty_scale"):
+            train_gdt(x, y, penalty_scale=-0.1)
+
+
+def two_call_gdt(x, y, penalty_scale, cfg, w_init):
+    """The trainer before its epoch was fused: gradient and loss each
+    evaluate their own forward pass through the public objectives."""
+    n, m = x.shape[1], y.shape[1]
+    w = np.zeros((n, m)) if w_init is None else np.array(w_init, dtype=float)
+    velocity = np.zeros_like(w)
+    lr = cfg.learning_rate
+    history = []
+    converged = False
+    prev_loss = np.inf
+    for _ in range(cfg.epochs):
+        grad = robust_hinge_gradient(x, w, y, penalty_scale)
+        if cfg.l2 > 0:
+            grad = grad + cfg.l2 * w
+        velocity = cfg.momentum * velocity - lr * grad
+        w = w + velocity
+        lr *= cfg.decay
+        loss = robust_hinge_loss(x, w, y, penalty_scale)
+        if cfg.l2 > 0:
+            loss += 0.5 * cfg.l2 * float(np.sum(w * w))
+        history.append(loss)
+        if abs(prev_loss - loss) < cfg.tolerance:
+            converged = True
+            break
+        prev_loss = loss
+    return w, history, converged
+
+
+class TestFusedEpochBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.integers(1, 40),
+        n=st.integers(1, 12),
+        m=st.integers(1, 5),
+        penalty_scale=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+        ),
+        l2=st.sampled_from([0.0, 3e-4, 0.05]),
+        warm=st.booleans(),
+        tolerance=st.sampled_from([1e-7, 1e-3, 3e-2]),
+        epochs=st.integers(0, 60),
+    )
+    @example(
+        seed=0, s=1200, n=196, m=10, penalty_scale=0.3, l2=3e-4,
+        warm=False, tolerance=1e-7, epochs=120,
+    )
+    def test_matches_two_call_loop(
+        self, seed, s, n, m, penalty_scale, l2, warm, tolerance, epochs
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.random((s, n))
+        y = one_vs_all_targets(rng.integers(0, m, s), m)
+        w_init = 0.1 * rng.standard_normal((n, m)) if warm else None
+        cfg = GDTConfig(epochs=epochs, l2=l2, tolerance=tolerance)
+        result = train_gdt(x, y, penalty_scale, cfg, w_init)
+        w, history, converged = two_call_gdt(x, y, penalty_scale, cfg, w_init)
+        assert np.array_equal(result.weights, w)
+        assert result.loss_history == history
+        assert result.converged == converged
+
+    def test_large_tolerance_stops_both_early(self, rng):
+        x, labels = separable_problem(rng)
+        y = one_vs_all_targets(labels, 3)
+        cfg = GDTConfig(epochs=500, tolerance=1e-3)
+        result = train_gdt(x, y, 0.2, cfg)
+        _, history, converged = two_call_gdt(x, y, 0.2, cfg, None)
+        assert result.converged and converged
+        assert result.loss_history == history
+        assert len(history) < cfg.epochs
