@@ -492,26 +492,49 @@ def _run_program(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_service(args: argparse.Namespace):
-    from repro.runtime.cache import ArtifactCache
-    from repro.serve import CrossbarService, DriftPolicy, ProgrammedArray
+def _service_options(
+    args: argparse.Namespace, max_queue: int = 128
+) -> dict:
+    """Service keywords from the serving flags ``args`` carries.
 
-    cache = ArtifactCache(args.cache_dir)
-    artifact = ProgrammedArray.load(cache, args.artifact)
-    deadline = (
-        None if args.deadline_ms is None else args.deadline_ms / 1e3
-    )
-    return CrossbarService(
-        artifact,
-        ir_mode=args.ir_mode,
-        policy=DriftPolicy(
+    Subcommands without them (``fleet status``, ``pipeline eval``) get
+    the service's own drift policy, a 32-query batch, ``max_queue``
+    and no deadline.
+    """
+    from repro.serve import DriftPolicy
+
+    policy = None
+    if hasattr(args, "drift_threshold"):
+        policy = DriftPolicy(
             threshold=args.drift_threshold,
             check_every=args.check_every,
-        ),
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        default_deadline_s=deadline,
+        )
+    deadline = getattr(args, "deadline_ms", None)
+    return dict(
+        ir_mode=getattr(args, "ir_mode", None),
+        policy=policy,
+        max_batch=getattr(args, "max_batch", 32),
+        max_queue=getattr(args, "max_queue", max_queue),
+        default_deadline_s=None if deadline is None else deadline / 1e3,
     )
+
+
+def _serve(service, args: argparse.Namespace) -> int:
+    """Answer queries on stdin or HTTP, then close the service."""
+    with service:
+        if args.stdin:
+            return _serve_stdin(service)
+        return _serve_http(service, args.port)
+
+
+def _build_service(args: argparse.Namespace):
+    from repro.runtime.cache import ArtifactCache
+    from repro.serve import CrossbarService, ProgrammedArray
+
+    artifact = ProgrammedArray.load(
+        ArtifactCache(args.cache_dir), args.artifact
+    )
+    return CrossbarService(artifact, **_service_options(args))
 
 
 def _serve_stdin(service) -> int:
@@ -524,10 +547,10 @@ def _serve_stdin(service) -> int:
         line = line.strip()
         if not line:
             continue
-        x = np.array(
-            [float(v) for v in line.replace(",", " ").split()]
-        )
         try:
+            x = np.array(
+                [float(v) for v in line.replace(",", " ").split()]
+            )
             scores = service.predict(x)
         except ServeOverloadedError as exc:
             print(json.dumps(
@@ -537,6 +560,10 @@ def _serve_stdin(service) -> int:
             continue
         except DeadlineExceededError:
             print(json.dumps({"error": "deadline_exceeded"}))
+            continue
+        except ValueError:
+            # Unparseable, or not one query of the service's width.
+            print(json.dumps({"error": "bad request"}))
             continue
         print(json.dumps({
             "prediction": int(np.argmax(scores)),
@@ -548,7 +575,7 @@ def _serve_stdin(service) -> int:
     return 0
 
 
-def _serve_http(service, port: int) -> int:
+def _http_server(service, port: int):
     """Minimal stdlib HTTP front end (POST /predict, GET /stats)."""
     import json
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -577,11 +604,13 @@ def _serve_http(service, port: int) -> int:
             if self.path != "/predict":
                 self._send(404, {"error": "not found"})
                 return
-            length = int(self.headers.get("Content-Length", "0"))
             try:
+                length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError(f"Content-Length {length}")
                 doc = json.loads(self.rfile.read(length))
                 inputs = np.asarray(doc["inputs"], dtype=float)
-            except (json.JSONDecodeError, KeyError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 self._send(400, {"error": "bad request"})
                 return
             try:
@@ -596,6 +625,10 @@ def _serve_http(service, port: int) -> int:
             except DeadlineExceededError:
                 self._send(504, {"error": "deadline_exceeded"})
                 return
+            except ValueError:
+                # A query of the wrong width.
+                self._send(400, {"error": "bad request"})
+                return
             self._send(200, {
                 "predictions": [int(np.argmax(s)) for s in scores],
             })
@@ -603,7 +636,11 @@ def _serve_http(service, port: int) -> int:
         def log_message(self, fmt: str, *log_args) -> None:
             print(f"serve: {fmt % log_args}", file=sys.stderr)
 
-    server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+    return ThreadingHTTPServer(("127.0.0.1", port), Handler)
+
+
+def _serve_http(service, port: int) -> int:
+    server = _http_server(service, port)
     print(
         f"serving on http://127.0.0.1:{server.server_address[1]} "
         "(POST /predict, GET /stats; Ctrl-C to stop)",
@@ -619,13 +656,7 @@ def _serve_http(service, port: int) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    service = _build_service(args)
-    try:
-        if args.stdin:
-            return _serve_stdin(service)
-        return _serve_http(service, args.port)
-    finally:
-        service.close()
+    return _serve(_build_service(args), args)
 
 
 def _run_fleet_program(args: argparse.Namespace) -> int:
@@ -679,28 +710,13 @@ def _run_fleet_program(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_fleet_service(args: argparse.Namespace, replicas: int):
+def _build_fleet_service(args: argparse.Namespace):
     from repro.fleet import FleetService, ProgrammedFleet
     from repro.runtime.cache import ArtifactCache
-    from repro.serve import DriftPolicy
 
-    cache = ArtifactCache(args.cache_dir)
-    fleet = ProgrammedFleet.load(cache, args.fleet)
-    policy = None
-    if hasattr(args, "drift_threshold"):
-        policy = DriftPolicy(
-            threshold=args.drift_threshold,
-            check_every=args.check_every,
-        )
-    deadline = getattr(args, "deadline_ms", None)
+    fleet = ProgrammedFleet.load(ArtifactCache(args.cache_dir), args.fleet)
     return FleetService(
-        fleet,
-        replicas=replicas,
-        ir_mode=getattr(args, "ir_mode", None),
-        policy=policy,
-        max_batch=getattr(args, "max_batch", 32),
-        max_queue=getattr(args, "max_queue", 128),
-        default_deadline_s=None if deadline is None else deadline / 1e3,
+        fleet, replicas=args.replicas, **_service_options(args)
     )
 
 
@@ -709,16 +725,12 @@ def _run_fleet(args: argparse.Namespace) -> int:
 
     if args.fleet_command == "program":
         return _run_fleet_program(args)
-    service = _build_fleet_service(args, args.replicas)
-    try:
-        if args.fleet_command == "status":
-            print(json.dumps(service.status(), indent=2, sort_keys=True))
-            return 0
-        if args.stdin:
-            return _serve_stdin(service)
-        return _serve_http(service, args.port)
-    finally:
-        service.close()
+    service = _build_fleet_service(args)
+    if args.fleet_command == "serve":
+        return _serve(service, args)
+    with service:
+        print(json.dumps(service.status(), indent=2, sort_keys=True))
+    return 0
 
 
 def _run_pipeline_program(args: argparse.Namespace) -> int:
@@ -767,28 +779,17 @@ def _run_pipeline_program(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_pipeline_service(args: argparse.Namespace, replicas: int):
+def _build_pipeline_service(args: argparse.Namespace):
     from repro.pipeline import PipelineArtifact, PipelineService
     from repro.runtime.cache import ArtifactCache
-    from repro.serve import DriftPolicy
 
-    cache = ArtifactCache(args.cache_dir)
-    artifact = PipelineArtifact.load(cache, args.pipeline)
-    policy = None
-    if hasattr(args, "drift_threshold"):
-        policy = DriftPolicy(
-            threshold=args.drift_threshold,
-            check_every=args.check_every,
-        )
-    deadline = getattr(args, "deadline_ms", None)
+    artifact = PipelineArtifact.load(
+        ArtifactCache(args.cache_dir), args.pipeline
+    )
     return PipelineService(
         artifact,
-        replicas=replicas,
-        ir_mode=getattr(args, "ir_mode", None),
-        policy=policy,
-        max_batch=getattr(args, "max_batch", 32),
-        max_queue=getattr(args, "max_queue", 256),
-        default_deadline_s=None if deadline is None else deadline / 1e3,
+        replicas=args.replicas,
+        **_service_options(args, max_queue=256),
     )
 
 
@@ -799,10 +800,9 @@ def _run_pipeline_eval(args: argparse.Namespace) -> int:
     from repro.nn.bsb import noisy_probe
     from repro.pipeline import offline_engine
 
-    service = _build_pipeline_service(args, args.replicas)
-    artifact = service.artifact
-    config = artifact.config
-    try:
+    with _build_pipeline_service(args) as service:
+        artifact = service.artifact
+        config = artifact.config
         reference = offline_engine(artifact, ir_mode=args.ir_mode)
         dataset = config.dataset()
         if config.kind == "mlp":
@@ -864,25 +864,15 @@ def _run_pipeline_eval(args: argparse.Namespace) -> int:
         )
         result["deadline_misses"] = service.status()["deadline_misses"]
         print(json.dumps(result, indent=2, sort_keys=True))
-    finally:
-        service.close()
     return 0
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
-    import json
-
     if args.pipeline_command == "program":
         return _run_pipeline_program(args)
     if args.pipeline_command == "eval":
         return _run_pipeline_eval(args)
-    service = _build_pipeline_service(args, args.replicas)
-    try:
-        if args.stdin:
-            return _serve_stdin(service)
-        return _serve_http(service, args.port)
-    finally:
-        service.close()
+    return _serve(_build_pipeline_service(args), args)
 
 
 def _run_cache(args: argparse.Namespace) -> int:

@@ -260,11 +260,11 @@ def tune_gamma(
         all-samples retraining at the selected gamma.
     """
     cfg = config if config is not None else SelfTuningConfig()
+    if len(cfg.gammas) == 0:
+        raise ValueError("need at least one candidate gamma")
     rng = ensure_rng(rng, "repro.core.self_tuning.tune_gamma")
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    if len(cfg.gammas) == 0:
-        raise ValueError("need at least one candidate gamma")
 
     split = stratified_split(labels, cfg.val_fraction, rng)
     x_tr, y_tr, x_val, y_val = split.apply(x, labels)

@@ -19,7 +19,13 @@ from repro.data.datasets import N_CLASSES, Dataset, make_dataset
 from repro.nn.gdt import GDTConfig
 from repro.runtime.cache import get_cache
 
-__all__ = ["ExperimentScale", "get_dataset", "train_vat_once", "DEFAULT_SEED"]
+__all__ = [
+    "ExperimentScale",
+    "get_dataset",
+    "memoised_vat",
+    "train_vat_once",
+    "DEFAULT_SEED",
+]
 
 DEFAULT_SEED = 7
 
@@ -133,6 +139,15 @@ def get_dataset(scale: ExperimentScale, image_size: int = 28) -> Dataset:
     return _cached_dataset(
         scale.n_train, scale.n_test, scale.seed, image_size
     )[0]
+
+
+def memoised_vat(
+    scale: ExperimentScale, image_size: int, config: vat.VATConfig
+) -> TrainingOutcome | None:
+    """The outcome :func:`train_vat_once` holds for ``config``, if any."""
+    return _cached_dataset(
+        scale.n_train, scale.n_test, scale.seed, image_size
+    )[1].get(config)
 
 
 def train_vat_once(

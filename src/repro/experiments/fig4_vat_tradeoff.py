@@ -21,6 +21,7 @@ from repro.data.datasets import N_CLASSES
 from repro.experiments.common import (
     ExperimentScale,
     get_dataset,
+    memoised_vat,
     train_vat_once,
 )
 from repro.nn.metrics import rate_from_scores
@@ -30,7 +31,7 @@ __all__ = ["VATTradeoffResult", "run_fig4"]
 
 
 def _gamma_point(
-    cfg: VATConfig,
+    problem: tuple[VATConfig, TrainingOutcome | None],
     x_train: np.ndarray,
     y_train: np.ndarray,
     x_test: np.ndarray,
@@ -42,10 +43,14 @@ def _gamma_point(
 
     Pure given its inputs (the injection draws are pre-drawn and
     shared), so the engine can run the gamma grid on worker processes
-    with results bit-identical to the serial sweep.  The training
-    outcome comes back too, for the parent's training memo.
+    with results bit-identical to the serial sweep.  ``problem`` is the
+    config and its memoised outcome, if the parent already holds one;
+    only a config without one is trained.  The training outcome comes
+    back too, for the parent's training memo.
     """
-    outcome = train_vat(x_train, y_train, N_CLASSES, cfg)
+    cfg, outcome = problem
+    if outcome is None:
+        outcome = train_vat(x_train, y_train, N_CLASSES, cfg)
     clean = rate_from_scores(x_test @ outcome.weights, y_test)
     injected = injected_rate(
         outcome.weights, x_test, y_test, cfg.sigma, n_injections,
@@ -116,6 +121,10 @@ def run_fig4(
         VATConfig(gamma=float(g), sigma=sigma, gdt=scale.gdt())
         for g in scale.gammas
     ]
+    # A config Fig. 7 or Fig. 8 already trained is not trained again.
+    problems = [
+        (cfg, memoised_vat(scale, image_size, cfg)) for cfg in configs
+    ]
     points = parallel_map(
         functools.partial(
             _gamma_point,
@@ -123,7 +132,7 @@ def run_fig4(
             x_test=ds.x_test, y_test=ds.y_test,
             n_injections=scale.n_injections, thetas=thetas,
         ),
-        configs,
+        problems,
         label="fig4",
     )
     # Fig. 7 and Fig. 8 train some of these problems again; hand them

@@ -112,6 +112,11 @@ class BatchScheduler:
                 f"min_retry_after_s must be > 0, got {min_retry_after_s}"
             )
         self.engine = engine
+        # Every query of a batch is stacked into one read, so a query
+        # of the wrong width is refused at the door rather than failing
+        # the batch it would join.  The width is fixed for the
+        # engine's life (``replace_mapping`` refuses to change it).
+        self._shape = (engine.n_features,)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.default_deadline_s = default_deadline_s
@@ -150,14 +155,20 @@ class BatchScheduler:
         """Enqueue one query; the future resolves to its score vector.
 
         Raises:
+            ValueError: ``x`` is not one query of the engine's width.
             ServeOverloadedError: The queue is at capacity.
             RuntimeError: The scheduler has been shut down.
         """
+        x = np.asarray(x, dtype=float)
+        if x.shape != self._shape:
+            raise ValueError(
+                f"query shape {x.shape} != engine input {self._shape}"
+            )
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         now = time.monotonic()
         request = _Request(
-            x=np.asarray(x, dtype=float),
+            x=x,
             deadline=None if deadline_s is None else now + deadline_s,
             submitted=now,
             future=concurrent.futures.Future(),

@@ -72,6 +72,21 @@ class TestTrainingMemo:
         _report()
         assert len(trainings) == 2 * DISTINCT_TRAININGS
 
+    def test_fig4_after_fig7_trains_nothing_twice(self, trainings):
+        # Fig. 4 reuses the grid Fig. 7 trained, as Fig. 7 reuses Fig. 4's.
+        _report(experiments=("fig4", "fig7"))
+        forward = len(trainings)
+        trainings.clear()
+        _report(experiments=("fig7", "fig4"))
+        assert len(trainings) == forward == len(SCALE.gammas)
+
+    def test_fig4_after_fig7_identical_across_jobs(self):
+        reverse = ("fig7", "fig4")
+        serial = _sections(_report(jobs=1, experiments=reverse)[0])
+        parallel = _sections(_report(jobs=2, experiments=reverse)[0])
+        forward = _sections(_report(experiments=reverse[::-1])[0])
+        assert serial == parallel == forward[::-1]
+
     def test_memo_hits_are_the_cold_trainings(self):
         text, _ = _report()
         cold = [

@@ -18,10 +18,10 @@ N_ROWS = 24
 COLS = 4
 
 
-def make_service(replicas=2, **kwargs):
+def make_service(replicas=2, ir_mode="ideal", r_wire=0.0, **kwargs):
     config = FleetConfig(
         n_rows=N_ROWS, cols=COLS, tile_rows=8, sigma=0.2, seed=5,
-        n_probes=4,
+        n_probes=4, ir_mode=ir_mode, r_wire=r_wire,
     )
     w = np.random.default_rng(2).uniform(-1, 1, (N_ROWS, COLS))
     fleet = program_fleet(config, w)
@@ -40,9 +40,16 @@ def drift_replica(replica) -> None:
 
 class TestRollingReprogram:
     def test_drifted_replica_recovers_while_sibling_serves(self):
-        fleet, service = make_service()
+        self._recover_drifted_replica("ideal", r_wire=0.0)
+
+    def test_drifted_replica_recovers_under_nodal_ir(self):
+        self._recover_drifted_replica("nodal", r_wire=2.5)
+
+    @staticmethod
+    def _recover_drifted_replica(ir_mode: str, r_wire: float) -> None:
+        fleet, service = make_service(ir_mode=ir_mode, r_wire=r_wire)
         x = np.random.default_rng(6).random((8, N_ROWS))
-        reference = fleet.build_tiled().matvec(x)
+        reference = fleet.build_tiled().matvec(x, ir_mode)
         try:
             victim = service.groups[1].replicas[0]
             drift_replica(victim)

@@ -104,9 +104,18 @@ class TestRouting:
 
 class TestFailureRetry:
     def test_killing_one_replica_drops_zero_queries(self):
-        fleet, service = make_service(10, replicas=2)
+        self._kill_one_replica("ideal", r_wire=0.0)
+
+    def test_killing_one_replica_drops_zero_queries_under_nodal_ir(self):
+        self._kill_one_replica("nodal", r_wire=2.0)
+
+    @staticmethod
+    def _kill_one_replica(ir_mode: str, r_wire: float) -> None:
+        fleet, service = make_service(
+            10, replicas=2, ir_mode=ir_mode, r_wire=r_wire
+        )
         x = np.random.default_rng(5).random((16, N_ROWS))
-        reference = fleet.build_tiled().matvec(x)
+        reference = fleet.build_tiled().matvec(x, ir_mode)
         try:
             futures = [service.submit(row) for row in x]
             service.kill_replica(0, 0)

@@ -152,6 +152,8 @@ class TestServeStackUnderSanitizer:
         from repro.serve.scheduler import BatchScheduler
 
         class Engine:
+            n_features = 3
+
             def forward(self, x):
                 x = np.atleast_2d(np.asarray(x, dtype=float))
                 return x.sum(axis=1, keepdims=True)

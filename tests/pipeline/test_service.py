@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from repro.devices.retention import RetentionConfig, age_pair
-from repro.pipeline import PipelineService, offline_engine
+from repro.nn.bsb import noisy_probe
+from repro.nn.mlp import MLPOnCrossbars
+from repro.pipeline import (
+    PipelineConfig,
+    PipelineService,
+    offline_engine,
+    program_pipeline,
+)
 from repro.runtime.telemetry import RunLog
 from repro.serve.health import DriftPolicy
+from repro.xbar.crossbar import IR_MODES
 
 
 class TestServedMLP:
@@ -86,6 +94,53 @@ class TestServedBSB:
             status = service.status()
             assert status["recall"]["recalls"] == 2
             assert status["recall"]["converged"] == 2
+
+
+@pytest.fixture(scope="module")
+def wired_mlp_artifact():
+    """An MLP pipeline on wires with resistance, so nodal reads differ."""
+    return program_pipeline(PipelineConfig(
+        kind="mlp", image_size=7, n_train=120, hidden=12, epochs=40,
+        sigma=0.3, r_wire=2.5, tile_rows=20, seed=3, n_probes=8,
+    ))
+
+
+class TestServedUnderWireResistance:
+    @pytest.mark.parametrize("ir_mode", IR_MODES)
+    def test_served_mlp_equals_both_offline_paths(
+        self, wired_mlp_artifact, ir_mode
+    ):
+        artifact = wired_mlp_artifact
+        x = artifact.config.dataset().x_test[:12]
+        offline = offline_engine(artifact, ir_mode=ir_mode).forward(x)
+        reference = MLPOnCrossbars(
+            artifact.mlp_weights(),
+            artifact.layers[0].build_tiled(),
+            artifact.layers[1].build_tiled(),
+            hidden_gain=artifact.hidden_gain,
+        )
+        assert np.array_equal(offline, reference.scores(x, ir_mode))
+        with PipelineService(artifact, ir_mode=ir_mode) as service:
+            assert np.array_equal(
+                service.forward(x, timeout=60.0), offline
+            )
+            assert service.status()["deadline_misses"] == 0
+
+    def test_concurrent_recalls_equal_offline(self, bsb_artifact):
+        # Every probe in flight at once: lanes interleave the recall
+        # loops, and each still replays its offline loop exactly.
+        rng = np.random.default_rng(2)
+        probes = [
+            noisy_probe(p, 0.15, rng)
+            for p in bsb_artifact.prototypes for _ in range(3)
+        ]
+        offline = offline_engine(bsb_artifact)
+        with PipelineService(bsb_artifact) as service:
+            futures = [service.submit(p) for p in probes]
+            served = [f.result(timeout=60.0) for f in futures]
+            assert service.status()["deadline_misses"] == 0
+        for probe, state in zip(probes, served):
+            assert np.array_equal(state, offline.recall(probe).state)
 
 
 class TestTelemetry:

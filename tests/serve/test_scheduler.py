@@ -66,6 +66,27 @@ class TestScheduling:
         # 11 piled up and were served in (at most) a couple of batches.
         assert max(engine.batch_sizes) > 1
 
+    @pytest.mark.parametrize(
+        "shape", [(5,), (3,), (1, 4), ()],
+        ids=["wide", "narrow", "row-batch", "scalar"],
+    )
+    def test_wrong_width_query_rejected_alone(self, shape):
+        # Every query of a batch is stacked into one read, so a query
+        # of the wrong shape must be refused at submit, not fail the
+        # valid queries it would have been batched with.
+        gate = threading.Event()
+        engine = FakeEngine(gate=gate)
+        with BatchScheduler(engine, max_batch=8) as sched:
+            held = sched.submit(np.ones(4))
+            assert engine.entered.wait(timeout=5.0)
+            valid = [sched.submit(np.full(4, float(i))) for i in range(3)]
+            with pytest.raises(ValueError, match="shape"):
+                sched.submit(np.ones(shape))
+            gate.set()
+            results = [f.result(timeout=5.0) for f in [held, *valid]]
+        assert [float(r[0]) for r in results] == [4.0, 0.0, 4.0, 8.0]
+        assert engine.batch_sizes == [1, 3]
+
     def test_full_queue_rejects_with_retry_after(self):
         gate = threading.Event()
         engine = FakeEngine(gate=gate)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -514,3 +512,167 @@ class TestProgramAndServe:
         stats = json.loads(captured.err.strip().splitlines()[-1])
         assert stats["answered"] == 3
         assert stats["dropped"] == 0
+
+
+SERVE_WIDTH = 49  # 7x7 images
+
+PROGRAM_ARGV = {
+    "serve": [
+        "program", "--scheme", "old", "--image-size", "7",
+        "--n-train", "120", "--seed", "4",
+    ],
+    "fleet": [
+        "fleet", "program", "--image-size", "7", "--n-train", "120",
+        "--tile-rows", "16", "--seed", "4",
+    ],
+    "pipeline": [
+        "pipeline", "program", "--image-size", "7", "--n-train", "120",
+        "--hidden", "10", "--epochs", "30", "--tile-rows", "20",
+        "--seed", "4", "--n-probes", "8",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def served_snapshots(tmp_path_factory):
+    """Serve argv (minus the I/O flag) for one snapshot of each kind."""
+    import contextlib
+    import io
+    import json
+
+    cache_dir = str(tmp_path_factory.mktemp("serving") / "cache")
+    argvs = {}
+    for kind, argv in PROGRAM_ARGV.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--cache-dir", cache_dir]) == 0
+        key = json.loads(out.getvalue())["key"]
+        flag = {"serve": "--artifact", "fleet": "--fleet",
+                "pipeline": "--pipeline"}[kind]
+        prefix = ["serve"] if kind == "serve" else [kind, "serve"]
+        argvs[kind] = prefix + ["--cache-dir", cache_dir, flag, key]
+    return argvs
+
+
+class TestMalformedQueries:
+    """A bad query gets an error answer; the front end keeps serving."""
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
+    def test_stdin_answers_bad_lines_and_goes_on(
+        self, kind, served_snapshots, capsys, monkeypatch
+    ):
+        import io
+        import json
+
+        valid = ",".join(["0.2"] * SERVE_WIDTH)
+        lines = [valid, "0.2,abc", ",".join(["0.2"] * 5), valid]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert main(served_snapshots[kind] + ["--stdin"]) == 0
+        answers = [
+            json.loads(text)
+            for text in capsys.readouterr().out.splitlines() if text
+        ]
+        assert len(answers) == 4
+        assert answers[1] == answers[2] == {"error": "bad request"}
+        assert answers[0] == answers[3]
+        assert len(answers[0]["scores"]) == 10
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
+    def test_http_answers_400_and_goes_on(self, kind, served_snapshots):
+        import http.client
+        import json
+        import threading
+
+        from repro import cli
+
+        build = {
+            "serve": cli._build_service,
+            "fleet": cli._build_fleet_service,
+            "pipeline": cli._build_pipeline_service,
+        }[kind]
+        args = build_parser().parse_args(
+            served_snapshots[kind] + ["--port", "0"]
+        )
+        service = build(args)
+        server = cli._http_server(service, 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+
+        def post(length: str, body: bytes) -> int:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=30.0
+            )
+            try:
+                conn.putrequest("POST", "/predict")
+                conn.putheader("Content-Length", length)
+                conn.endheaders(body)
+                response = conn.getresponse()
+                response.read()
+                return response.status
+            finally:
+                conn.close()
+
+        def inputs(width: int, rows: int = 1) -> bytes:
+            return json.dumps({"inputs": [[0.2] * width] * rows}).encode()
+
+        try:
+            ok = inputs(SERVE_WIDTH, rows=2)
+            assert post(str(len(ok)), ok) == 200
+            bad = inputs(5)
+            assert post(str(len(bad)), bad) == 400
+            assert post("abc", ok) == 400
+            assert post("-1", ok) == 400
+            assert post("3", b"[1]") == 400
+            assert post(str(len(ok)), ok) == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10.0)
+            service.close()
+
+
+class TestModuleEntryPoint:
+    def test_program_vortex_then_serve_as_subprocesses(self, tmp_path):
+        """``python -m repro``: program a Vortex array, reuse it, serve it."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+
+        def run(*argv: str, stdin: str = "") -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], input=stdin,
+                capture_output=True, text=True, env=env, timeout=600,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        cache_dir = str(tmp_path / "cache")
+        program = (
+            "program", "--cache-dir", cache_dir, "--scheme", "vortex",
+            "--image-size", "7", "--n-train", "150", "--sigma", "0.3",
+            "--seed", "0",
+        )
+        summary = json.loads(run(*program))
+        assert summary["status"] == "programmed"
+        assert summary["scheme"] == "vortex"
+        assert summary["logical_rows"] == SERVE_WIDTH
+        again = json.loads(run(*program))
+        assert (again["status"], again["key"]) == ("cached", summary["key"])
+
+        answers = run(
+            "serve", "--cache-dir", cache_dir,
+            "--artifact", summary["key"], "--stdin",
+            stdin=",".join(["0.2"] * SERVE_WIDTH) + "\n",
+        ).splitlines()
+        assert len(answers) == 1
+        assert 0 <= json.loads(answers[0])["prediction"] <= 9
