@@ -4,7 +4,7 @@ Table 1 shows the paper's dilemma: bigger crossbars carry more image
 features but longer bit lines.  The architectural resolution is
 tiling -- split the 784-row layer across shorter tiles and sum
 digitally.  This bench measures classifier accuracy through the full
-read-path IR physics (fixed-point wire solve) as the tile height
+read-path IR physics (the nodal wire solve) as the tile height
 shrinks, at fixed total feature count.
 """
 
@@ -47,7 +47,7 @@ def _run(scale, image_size, r_wire):
             )
             tiled.program_weights(weights)
             tiled.calibrate_sense(ds.x_test[:128])
-            scores = tiled.matvec(ds.x_test, "fixed_point")
+            scores = tiled.matvec(ds.x_test, "nodal")
             rate += rate_from_scores(scores, ds.y_test)
         rows.append((fraction, tile_rows, rate / trials))
     return rows

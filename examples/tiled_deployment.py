@@ -6,7 +6,7 @@ IR-drop), while the 49-row crossbar has short wires but quarter-scale
 images.  The architectural answer is *tiling*: keep all 784 features
 and split them across shorter tiles whose outputs are summed digitally.
 This example measures classifier accuracy through the full read-path
-wire physics (fixed-point solve) as the tile height shrinks.
+wire physics (the nodal solve) as the tile height shrinks.
 
 Run:  python examples/tiled_deployment.py
 """
@@ -62,7 +62,7 @@ def main() -> None:
             )
             tiled.program_weights(weights)
             tiled.calibrate_sense(dataset.x_test[:128])
-            scores = tiled.matvec(dataset.x_test, "fixed_point")
+            scores = tiled.matvec(dataset.x_test, "nodal")
             rates.append(rate_from_scores(scores, dataset.y_test))
         n_tiles = int(np.ceil(n / tile_rows))
         print(f"{n_tiles:6d} {tile_rows:10d} {np.mean(rates):11.3f}")

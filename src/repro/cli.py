@@ -38,6 +38,7 @@ from repro.experiments.common import ExperimentScale
 from repro.experiments.report import EXPERIMENT_RUNNERS, generate_report
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
+from repro.xbar.crossbar import IR_MODES, validate_ir_mode
 
 __all__ = ["main", "build_parser"]
 
@@ -49,7 +50,12 @@ def _write_text(path: str | Path, text: str) -> None:
     target.write_text(text, encoding="utf-8")
 
 
-_IR_MODE_CHOICES = ("ideal", "reference", "fixed_point", "nodal")
+def _ir_mode(value: str) -> str:
+    """``--ir-mode`` type: the shared read-mode check as a usage error."""
+    try:
+        return validate_ir_mode(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_programming_options(
@@ -76,7 +82,7 @@ def _add_programming_options(
     parser.add_argument("--r-wire", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--ir-mode", choices=_IR_MODE_CHOICES, default="ideal",
+        "--ir-mode", type=_ir_mode, choices=IR_MODES, default="ideal",
     )
 
 
@@ -92,7 +98,7 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         help="serve HTTP on this port (POST /predict, GET /stats)",
     )
     parser.add_argument(
-        "--ir-mode", choices=_IR_MODE_CHOICES, default=None,
+        "--ir-mode", type=_ir_mode, choices=IR_MODES, default=None,
         help="override the snapshot's read model",
     )
     parser.add_argument("--max-batch", type=int, default=32)
@@ -349,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     peval.add_argument("--replicas", type=int, default=1)
     peval.add_argument(
-        "--ir-mode", choices=_IR_MODE_CHOICES, default=None,
+        "--ir-mode", type=_ir_mode, choices=IR_MODES, default=None,
         help="override the snapshot's read model",
     )
     peval.add_argument(
@@ -859,9 +865,7 @@ def _run_pipeline_eval(args: argparse.Namespace) -> int:
                     len(probes) / elapsed if elapsed > 0 else 0.0
                 ),
             }
-        result["ir_mode"] = (
-            args.ir_mode if args.ir_mode is not None else config.ir_mode
-        )
+        result["ir_mode"] = service.ir_mode
         result["deadline_misses"] = service.status()["deadline_misses"]
         print(json.dumps(result, indent=2, sort_keys=True))
     return 0

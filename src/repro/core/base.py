@@ -24,7 +24,7 @@ from repro.config import (
     VariationConfig,
 )
 from repro.nn.metrics import rate_from_scores
-from repro.xbar.crossbar import trial_stacked_matmul
+from repro.xbar.crossbar import trial_stacked_matmul, validate_ir_mode
 from repro.xbar.mapping import WeightScaler
 from repro.xbar.pair import DifferentialCrossbar
 
@@ -73,6 +73,9 @@ class HardwareSpec:
     ir_mode: str = "ideal"
     quantize_read: bool = True
     score_headroom: float = 0.02
+
+    def __post_init__(self) -> None:
+        validate_ir_mode(self.ir_mode)
 
     def with_rows(self, rows: int) -> "HardwareSpec":
         """Copy of the spec with a different crossbar row count."""

@@ -16,7 +16,7 @@ Fidelity note: the paper models IR-drop as a *programming-path* effect
 (Section 3.2 analyses the degradation of the programming voltage; the
 inference read is taken at face value).  The drivers follow that
 convention -- CLD's updates are skewed by the Eq. 2 factors while
-reads are ideal.  The library's nodal/fixed-point read models cover
+reads are ideal.  The library's nodal and reference read models cover
 the read-path physics the paper leaves out; see the IR-model ablation
 bench.
 """

@@ -32,7 +32,7 @@ from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
 from repro.runtime.cache import ArtifactCache, stable_key
 from repro.seeding import ensure_rng
 from repro.serve.artifact import ProgrammedArray
-from repro.xbar.crossbar import IR_MODES
+from repro.xbar.crossbar import validate_ir_mode
 from repro.xbar.mapping import WeightScaler
 from repro.xbar.tiling import TiledPair, split_rows
 
@@ -85,10 +85,7 @@ class FleetConfig:
             raise ValueError(
                 f"n_probes must be >= 1, got {self.n_probes}"
             )
-        if self.ir_mode not in IR_MODES:
-            raise ValueError(
-                f"ir_mode must be one of {IR_MODES}, got {self.ir_mode!r}"
-            )
+        validate_ir_mode(self.ir_mode)
 
     @property
     def ranges(self) -> list[tuple[int, int]]:

@@ -179,9 +179,13 @@ class FleetRouter:
         done: concurrent.futures.Future = concurrent.futures.Future()
         state = _GatherState(len(self.groups), done)
         for i, (start, stop) in enumerate(self.ranges):
-            self._dispatch(
-                state, i, x[start:stop], deadline_s, frozenset()
-            )
+            try:
+                self._dispatch(
+                    state, i, x[start:stop], deadline_s, frozenset()
+                )
+            except Exception as exc:
+                state.fail(exc)  # drop partials queued on earlier shards
+                raise
         return done
 
     def _dispatch(
@@ -192,13 +196,9 @@ class FleetRouter:
         deadline_s: float | None,
         exclude: frozenset[str],
     ) -> None:
-        try:
-            replica, future = self.groups[shard_index].submit(
-                x_slice, deadline_s, exclude=exclude
-            )
-        except Exception as exc:
-            state.fail(exc)
-            return
+        replica, future = self.groups[shard_index].submit(
+            x_slice, deadline_s, exclude=exclude
+        )
         future.add_done_callback(
             lambda f: self._on_part(
                 state, shard_index, x_slice, deadline_s,
@@ -221,9 +221,12 @@ class FleetRouter:
         elif isinstance(exc, ReplicaDeadError):
             # The replica died with this partial queued or in flight:
             # replay it on a sibling that has not been tried yet.
-            self._dispatch(
-                state, shard_index, x_slice, deadline_s, tried
-            )
+            try:
+                self._dispatch(
+                    state, shard_index, x_slice, deadline_s, tried
+                )
+            except Exception as replay_exc:
+                state.fail(replay_exc)
         else:
             state.fail(exc)
 

@@ -29,6 +29,7 @@ through the single weight layer each iteration, exactly as the offline
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import time
 
 import numpy as np
@@ -149,6 +150,9 @@ class PipelineEngine:
         :meth:`submit_recall` for the full :class:`BSBResult`).  The
         deadline budget spans the *whole* chain: each stage is
         submitted with whatever time remains.
+
+        A refusal by the first lane (wrong width, full queue, no live
+        replica) raises here; later stages' refusals fail the future.
         """
         if self.kind == "bsb":
             inner = self.submit_recall(x, deadline_s)
@@ -162,7 +166,10 @@ class PipelineEngine:
             None if deadline_s is None
             else time.monotonic() + deadline_s
         )
-        self._stage(0, np.asarray(x, dtype=float), deadline, done)
+        self._read(
+            self.lanes[0], np.asarray(x, dtype=float), deadline, done,
+            functools.partial(self._on_stage, 0, deadline, done),
+        )
         return done
 
     @staticmethod
@@ -171,48 +178,46 @@ class PipelineEngine:
             None if deadline is None else deadline - time.monotonic()
         )
 
-    def _stage(
+    def _read(
         self,
-        index: int,
+        lane,
         x: np.ndarray,
         deadline: float | None,
         done: concurrent.futures.Future,
+        then,
     ) -> None:
+        """Submit ``x`` to ``lane``; ``then`` gets the answer.
+
+        A refusal of this submit raises to the caller.  A failed read,
+        or anything ``then`` raises (a later read's refusal among it),
+        fails ``done`` instead.
+        """
+        future = lane.submit(x, self._remaining(deadline))
+        future.add_done_callback(lambda f: self._on_read(done, then, f))
+
+    @staticmethod
+    def _on_read(done, then, future) -> None:  # repro-lint: thread=worker
         try:
-            future = self.lanes[index].submit(
-                x, self._remaining(deadline)
-            )
+            then(np.asarray(future.result(), dtype=float))
         except Exception as exc:
             done.set_exception(exc)
-            return
-        future.add_done_callback(
-            lambda f: self._on_stage(index, deadline, done, f)
-        )
 
     def _on_stage(  # repro-lint: thread=worker
         self,
         index: int,
         deadline: float | None,
         done: concurrent.futures.Future,
-        future: concurrent.futures.Future,
+        out: np.ndarray,
     ) -> None:
-        exc = future.exception()
-        if exc is not None:
-            done.set_exception(exc)
-            return
-        out = (
-            np.asarray(future.result(), dtype=float)
-            * self.scales[index]
-        )
+        out = out * self.scales[index]
         if index + 1 == len(self.lanes):
             done.set_result(out)
-            return
-        self._stage(
-            index + 1,
-            stage_activation(out, self.hidden_gain),
-            deadline,
-            done,
-        )
+        else:
+            self._read(
+                self.lanes[index + 1],
+                stage_activation(out, self.hidden_gain), deadline, done,
+                functools.partial(self._on_stage, index + 1, deadline, done),
+            )
 
     # -- BSB recall loop -----------------------------------------------
     def submit_recall(
@@ -225,7 +230,8 @@ class PipelineEngine:
         [0, 1] drives), recombines them digitally, applies the
         saturating update, and either stops at a corner or resubmits —
         the same float sequence as the offline bipolar
-        :func:`~repro.nn.bsb.bsb_recall` loop.
+        :func:`~repro.nn.bsb.bsb_recall` loop.  A refusal of the first
+        read raises at the call (see :meth:`submit`).
         """
         if self.kind != "bsb":
             raise ValueError("recall is only defined for BSB pipelines")
@@ -256,17 +262,11 @@ class PipelineEngine:
         deadline: float | None,
         done: concurrent.futures.Future,
     ) -> None:
-        try:
-            future = self.lanes[0].submit(
-                np.clip(state, 0.0, 1.0), self._remaining(deadline)
-            )
-        except Exception as exc:
-            done.set_exception(exc)
-            return
-        future.add_done_callback(
-            lambda f: self._recall_pos(
-                state, iteration, deadline, done, f
-            )
+        self._read(
+            self.lanes[0], np.clip(state, 0.0, 1.0), deadline, done,
+            functools.partial(
+                self._recall_pos, state, iteration, deadline, done
+            ),
         )
 
     def _recall_pos(  # repro-lint: thread=worker
@@ -275,24 +275,13 @@ class PipelineEngine:
         iteration: int,
         deadline: float | None,
         done: concurrent.futures.Future,
-        future: concurrent.futures.Future,
+        pos: np.ndarray,
     ) -> None:
-        exc = future.exception()
-        if exc is not None:
-            done.set_exception(exc)
-            return
-        pos = np.asarray(future.result(), dtype=float)
-        try:
-            neg_future = self.lanes[0].submit(
-                np.clip(-state, 0.0, 1.0), self._remaining(deadline)
-            )
-        except Exception as submit_exc:
-            done.set_exception(submit_exc)
-            return
-        neg_future.add_done_callback(
-            lambda f: self._recall_neg(
-                state, pos, iteration, deadline, done, f
-            )
+        self._read(
+            self.lanes[0], np.clip(-state, 0.0, 1.0), deadline, done,
+            functools.partial(
+                self._recall_neg, state, pos, iteration, deadline, done
+            ),
         )
 
     def _recall_neg(  # repro-lint: thread=worker
@@ -302,13 +291,8 @@ class PipelineEngine:
         iteration: int,
         deadline: float | None,
         done: concurrent.futures.Future,
-        future: concurrent.futures.Future,
+        neg: np.ndarray,
     ) -> None:
-        exc = future.exception()
-        if exc is not None:
-            done.set_exception(exc)
-            return
-        neg = np.asarray(future.result(), dtype=float)
         cfg = self.dynamics
         # Same expression order as the offline hardware loop:
         # mv = (pos - neg) * scale, then the saturating update.

@@ -38,7 +38,7 @@ from repro.fleet.plan import FleetConfig, ProgrammedFleet, program_fleet
 from repro.nn.bsb import BSBConfig, train_bsb_weights
 from repro.nn.mlp import MLPConfig, MLPWeights, train_mlp
 from repro.runtime.cache import ArtifactCache, stable_key
-from repro.xbar.crossbar import IR_MODES
+from repro.xbar.crossbar import validate_ir_mode
 
 __all__ = [
     "PIPELINE_KINDS",
@@ -114,10 +114,7 @@ class PipelineConfig:
                 f"n_prototypes must be <= 10 digit classes, got "
                 f"{self.n_prototypes}"
             )
-        if self.ir_mode not in IR_MODES:
-            raise ValueError(
-                f"ir_mode must be one of {IR_MODES}, got {self.ir_mode!r}"
-            )
+        validate_ir_mode(self.ir_mode)
 
     @property
     def n_features(self) -> int:

@@ -31,6 +31,7 @@ from repro.core.vortex import run_vortex
 from repro.data import make_dataset
 from repro.runtime.cache import ArtifactCache, stable_key
 from repro.seeding import ensure_rng
+from repro.xbar.crossbar import validate_ir_mode
 from repro.xbar.mapping import WeightScaler
 from repro.xbar.pair import DifferentialCrossbar
 
@@ -74,6 +75,9 @@ class ProgramConfig:
     seed: int = 0
     ir_mode: str = "ideal"
     n_probes: int = 32
+
+    def __post_init__(self) -> None:
+        validate_ir_mode(self.ir_mode)
 
 
 def artifact_key(config: ProgramConfig) -> str:

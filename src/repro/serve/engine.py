@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.amp import RowMapping
 from repro.serve.artifact import ProgrammedArray
+from repro.xbar.crossbar import validate_ir_mode
 
 __all__ = ["InferenceEngine"]
 
@@ -32,7 +33,8 @@ class InferenceEngine:
     Args:
         target: Programmed hardware exposing ``matvec(x, ir_mode)``.
         mapping: AMP input routing; identity when ``None``.
-        ir_mode: Read-fidelity model for every forward pass.
+        ir_mode: Read-fidelity model for every forward pass (checked
+            here, not at the first read).
         microbatch: Maximum rows per hardware read; larger input
             batches are chunked to bound the size of each read.
     """
@@ -48,7 +50,7 @@ class InferenceEngine:
             raise ValueError(f"microbatch must be >= 1, got {microbatch}")
         self.target = target
         self.mapping = mapping
-        self.ir_mode = ir_mode
+        self.ir_mode = validate_ir_mode(ir_mode)
         self.microbatch = int(microbatch)
 
     @classmethod

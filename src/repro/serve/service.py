@@ -86,14 +86,11 @@ class CrossbarService(ServiceLifecycle):
         self.log = log if log is not None else (
             ambient if ambient is not None else RunLog()
         )
-        self.pair = artifact.build_pair()
         self.policy = policy if policy is not None else DriftPolicy()
-        self.engine = InferenceEngine(
-            self.pair,
-            mapping=artifact.mapping,
-            ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
-            microbatch=microbatch,
+        self.engine = InferenceEngine.from_artifact(
+            artifact, ir_mode=ir_mode, microbatch=microbatch
         )
+        self.pair = self.engine.target
         self.monitor = DriftMonitor(
             self.engine,
             probes=artifact.probes,

@@ -14,10 +14,7 @@ import numpy as np
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
 from repro.devices.memristor import MemristorArray
-from repro.xbar.ir_drop import (
-    read_column_gains,
-    read_output_currents,
-)
+from repro.xbar.ir_drop import read_column_gains
 from repro.xbar.matmul import batch_invariant_matmul, trial_stacked_matmul
 from repro.xbar.nodal import CrossbarNetwork
 
@@ -26,9 +23,27 @@ __all__ = [
     "IR_MODES",
     "batch_invariant_matmul",
     "trial_stacked_matmul",
+    "validate_ir_mode",
 ]
 
-IR_MODES = ("ideal", "reference", "fixed_point", "nodal")
+IR_MODES = ("ideal", "reference", "nodal")
+
+
+def validate_ir_mode(ir_mode: str) -> str:
+    """Return ``ir_mode`` if it is one of :data:`IR_MODES`, else raise.
+
+    The one check behind every ``ir_mode`` a caller can set.  The
+    retired wire-iteration mode's error names its replacement (see
+    ``docs/ir_drop.md``).
+    """
+    if ir_mode in IR_MODES:
+        return ir_mode
+    if ir_mode == "fixed_point":
+        raise ValueError(
+            f"ir_mode {ir_mode!r} was removed: the nodal read is exact "
+            "and cheaper; use ir_mode='nodal' (--ir-mode nodal)"
+        )
+    raise ValueError(f"ir_mode must be one of {IR_MODES}, got {ir_mode!r}")
 
 
 class Crossbar:
@@ -47,7 +62,6 @@ class Crossbar:
     * ``'ideal'`` -- zero wire resistance, ``I = v_read * (x @ G)``.
     * ``'reference'`` -- effective conductances attenuated at a cached
       reference input (cheap, used inside large sweeps).
-    * ``'fixed_point'`` -- per-sample fixed-point wire solve.
     * ``'nodal'`` -- full sparse nodal analysis (ground truth).
     """
 
@@ -168,8 +182,7 @@ class Crossbar:
         Returns:
             Currents in Ampere, shape ``(cols,)`` or ``(s, cols)``.
         """
-        if ir_mode not in IR_MODES:
-            raise ValueError(f"ir_mode must be one of {IR_MODES}, got {ir_mode!r}")
+        validate_ir_mode(ir_mode)
         x = np.asarray(x, dtype=float)
         g = self.conductance
         v_read = self.config.v_read
@@ -181,8 +194,6 @@ class Crossbar:
                 * batch_invariant_matmul(x, g)
                 * self._get_reference_factors()
             )
-        elif ir_mode == "fixed_point":
-            currents = read_output_currents(g, x, self.config.r_wire, v_read)
         else:  # nodal
             currents = self._get_network().read_batch(x, v_read)
         if self.sense is not None:

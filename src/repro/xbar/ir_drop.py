@@ -12,10 +12,11 @@ training (Eq. 2).  This module computes both components exactly for the
   that can be solved with a tridiagonal system in O(n);
 * each word line (row) is the same structure transposed.
 
-It also provides the read-time attenuation model used during inference:
-a fixed-point refinement of the first-order wire-drop estimate, which
-agrees with the full nodal solver (:mod:`repro.xbar.nodal`) to a small
-relative error at a tiny fraction of its cost.
+It also provides a read-time approximation, a fixed-point refinement
+of the first-order wire-drop estimate, which the ``'reference'`` read
+gains and the open-loop IR compensation build on.  It is no read mode:
+at realistic loading it oscillates around the nodal solve
+(:mod:`repro.xbar.nodal`; see ``docs/ir_drop.md``).
 """
 
 from __future__ import annotations
@@ -343,12 +344,14 @@ def read_output_currents(
     iterations: int = 3,
     chunk: int = 256,
 ) -> np.ndarray:
-    """Bit-line output currents under IR-drop for a batch of inputs.
+    """Approximate bit-line output currents under IR-drop.
 
     Fixed-point refinement: start from the ideal device currents, then
     alternately recompute the word-line voltage profile (prefix sums of
     segment currents) and the bit-line potential rise, updating the
-    device currents, for ``iterations`` rounds.
+    device currents, for ``iterations`` rounds.  Close to the nodal
+    read at light loading; at heavy loading successive rounds swing
+    above and below it instead of converging.
 
     Args:
         conductance: Crossbar conductances ``(n, m)``.
@@ -356,7 +359,7 @@ def read_output_currents(
             normalised features in [0, 1].
         r_wire: Wire segment resistance; 0 yields the ideal product.
         v_read: Read voltage scale.
-        iterations: Fixed-point rounds (3 is plenty for r_wire ~ Ohms).
+        iterations: Fixed-point rounds.
         chunk: Batch rows processed per block to bound memory.
 
     Returns:
@@ -377,20 +380,19 @@ def read_output_currents(
     out = np.empty((s, g.shape[1]))
     for start in range(0, s, chunk):
         xb = x[start : start + chunk]
-        out[start : start + xb.shape[0]] = _read_chunk(
-            g, xb, r_wire, v_read, iterations
-        )
+        dv = _device_voltages(g, xb, r_wire, v_read, iterations)
+        out[start : start + xb.shape[0]] = (dv * g[None, :, :]).sum(axis=1)
     return out[0] if single else out
 
 
-def _read_chunk(
+def _device_voltages(
     g: np.ndarray, xb: np.ndarray, r_wire: float, v_read: float, iterations: int
 ) -> np.ndarray:
-    b, n = xb.shape
-    m = g.shape[1]
+    """Fixed-point device voltages ``(b, n, m)`` for an input block."""
     v_in = (xb * v_read)[:, :, None]  # (b, n, 1)
-    i_dev = v_in * g[None, :, :]  # (b, n, m)
+    dv = np.broadcast_to(v_in, xb.shape + g.shape[1:])
     for _ in range(iterations):
+        i_dev = dv * g[None, :, :]
         # Word-line voltage profile.
         suffix = np.cumsum(i_dev[:, :, ::-1], axis=2)[:, :, ::-1]
         v_row = v_in - r_wire * np.cumsum(suffix, axis=2)
@@ -399,8 +401,7 @@ def _read_chunk(
         tail = np.cumsum(prefix[:, ::-1, :], axis=1)[:, ::-1, :]
         u_col = r_wire * tail
         dv = np.clip(v_row - u_col, 0.0, None)
-        i_dev = dv * g[None, :, :]
-    return i_dev.sum(axis=1)
+    return dv
 
 
 def read_column_gains(
@@ -461,16 +462,7 @@ def read_attenuation_reference(
     if r_wire == 0:
         return np.ones_like(g)
     v_in = (x_ref * v_read)[:, None]
-    i_dev = v_in * g
-    dv = np.broadcast_to(v_in, g.shape).copy()
-    for _ in range(iterations):
-        suffix = np.cumsum(i_dev[:, ::-1], axis=1)[:, ::-1]
-        v_row = v_in - r_wire * np.cumsum(suffix, axis=1)
-        prefix = np.cumsum(i_dev, axis=0)
-        tail = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]
-        u_col = r_wire * tail
-        dv = np.clip(v_row - u_col, 0.0, None)
-        i_dev = dv * g
+    dv = _device_voltages(g, x_ref[None, :], r_wire, v_read, iterations)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = np.where(v_in > 0, dv / np.where(v_in == 0, 1.0, v_in), 1.0)
     return np.clip(factors, 1e-9, 1.0)

@@ -98,7 +98,7 @@ class TestProgramming:
                 OLDConfig(compensate_ir_drop=compensate),
                 x_reference=x_mean,
             )
-            scores = pair.matvec(ds.x_test, "fixed_point")
+            scores = pair.matvec(ds.x_test, "nodal")
             return float(np.mean(np.argmax(scores, axis=1) == sw))
 
         assert fidelity(True) >= fidelity(False)

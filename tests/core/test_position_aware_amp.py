@@ -123,7 +123,7 @@ class TestPositionAwareMapping:
                     x_reference=amp.mapping.inputs_to_physical(x_mean),
                 )
                 rates[name] = hardware_test_rate(
-                    pair, ds.x_test, ds.y_test, "fixed_point",
+                    pair, ds.x_test, ds.y_test, "nodal",
                     input_map=amp.mapping.inputs_to_physical,
                 )
             gains.append(rates["aware"] - rates["plain"])

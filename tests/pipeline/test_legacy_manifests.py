@@ -9,6 +9,10 @@ are gone; a cache written in that older form must load, and its served
 answers must equal the offline engine on the loaded artifact bit for
 bit.  ``CrossbarService`` keeps its ``nodal_solver`` keyword for older
 callers, but only ``None`` and ``"lu"`` pass it.
+
+Snapshots and manifests pinned to the retired ``"fixed_point"`` read
+mode fail loudly instead: a snapshot refuses to serve without an
+``ir_mode`` override, and a fleet or pipeline manifest refuses to load.
 """
 
 from __future__ import annotations
@@ -60,6 +64,19 @@ def _write_older_form(root, nodal_solver=None) -> int:
             crossbar["nodal_solver"] = nodal_solver
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
     return rewritten
+
+
+def _pin_ir_mode(root, ir_mode: str) -> int:
+    """Pin ``ir_mode`` in every cached snapshot and manifest config."""
+    pinned = 0
+    for path in sorted(root.rglob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for block in (doc, doc.get("config")):
+            if isinstance(block, dict) and "ir_mode" in block:
+                block["ir_mode"] = ir_mode
+                pinned += 1
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return pinned
 
 
 def test_programmed_array_with_backend_metadata_serves(tmp_path):
@@ -143,3 +160,42 @@ def test_crossbar_service_rejects_retired_nodal_solvers():
             service.predict(x, timeout=30.0),
             InferenceEngine.from_artifact(artifact).forward(x),
         )
+
+
+def test_programmed_array_pinned_to_fixed_point_needs_an_override(tmp_path):
+    config = ProgramConfig(scheme="old", image_size=7, n_train=100, seed=2)
+    cache = ArtifactCache(tmp_path)
+    key = program_array(config).save(cache, artifact_key(config))
+    assert _pin_ir_mode(tmp_path, "fixed_point") == 1
+
+    loaded = ProgrammedArray.load(cache, key)
+    assert loaded.ir_mode == "fixed_point"
+    with pytest.raises(ValueError, match="removed.*--ir-mode nodal"):
+        CrossbarService(loaded)
+    x = np.random.default_rng(0).random((6, loaded.n_logical))
+    with CrossbarService(loaded, ir_mode="nodal") as service:
+        served = np.stack(
+            [service.submit(row).result(timeout=30.0) for row in x]
+        )
+        assert np.array_equal(served, service.engine.forward(x))
+
+
+def test_fleet_manifest_pinned_to_fixed_point_fails_at_load(tmp_path):
+    config = FleetConfig(n_rows=20, cols=4, tile_rows=8, seed=7, n_probes=4)
+    w = np.random.default_rng(1).uniform(-1, 1, (20, 4))
+    cache = ArtifactCache(tmp_path)
+    key = program_fleet(config, w).save(cache, fleet_key(config, w))
+    # The manifest config plus one snapshot per shard.
+    assert _pin_ir_mode(tmp_path, "fixed_point") == 4
+    with pytest.raises(ValueError, match="removed.*--ir-mode nodal"):
+        ProgrammedFleet.load(cache, key)
+
+
+def test_pipeline_manifest_pinned_to_fixed_point_fails_at_load(
+    tmp_path, mlp_config, mlp_artifact
+):
+    cache = ArtifactCache(tmp_path)
+    key = mlp_artifact.save(cache, pipeline_key(mlp_config))
+    assert _pin_ir_mode(tmp_path, "fixed_point") > mlp_artifact.n_layers
+    with pytest.raises(ValueError, match="removed.*--ir-mode nodal"):
+        PipelineArtifact.load(cache, key)

@@ -34,10 +34,10 @@ class TestServedMLP:
     ):
         x = mlp_config.dataset().x_test[:8]
         expected = offline_engine(
-            mlp_artifact, ir_mode="fixed_point"
+            mlp_artifact, ir_mode="reference"
         ).forward(x)
         with PipelineService(
-            mlp_artifact, ir_mode="fixed_point"
+            mlp_artifact, ir_mode="reference"
         ) as service:
             assert np.array_equal(service.forward(x, timeout=30.0),
                                   expected)

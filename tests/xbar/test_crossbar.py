@@ -27,6 +27,12 @@ class TestReadModes:
         with pytest.raises(ValueError, match="ir_mode"):
             xbar.read(np.ones(16), "magic")
 
+    def test_retired_fixed_point_mode_points_to_nodal(self):
+        assert IR_MODES == ("ideal", "reference", "nodal")
+        xbar = make_crossbar()
+        with pytest.raises(ValueError, match="removed.*--ir-mode nodal"):
+            xbar.read(np.ones(16), "fixed_point")
+
     def test_all_modes_agree_without_wire_resistance(self, rng):
         xbar = make_crossbar(r_wire=0.0)
         xbar.program(np.full((16, 4), 2e-5))
@@ -39,11 +45,13 @@ class TestReadModes:
         xbar = make_crossbar(rows=48, r_wire=2.5)
         xbar.program(np.full((48, 4), 8e-5))
         x = rng.random(48)
+        xbar.set_reference_input(x)
         ideal = xbar.read(x, "ideal")
+        reference = xbar.read(x, "reference")
         nodal = xbar.read(x, "nodal")
-        fp = xbar.read(x, "fixed_point")
         assert np.all(nodal < ideal)
-        assert np.allclose(fp, nodal, rtol=0.02)
+        assert np.all(reference < ideal)
+        assert np.allclose(reference, nodal, rtol=0.02)
 
     def test_reference_mode_tracks_nodal(self, rng):
         xbar = make_crossbar(rows=48, r_wire=2.5)

@@ -99,8 +99,8 @@ class TestIRDropPath:
         pair_ideal.program_weights(w, with_cycle_noise=False)
         pair_ir.program_weights(w, with_cycle_noise=False)
         x = np.ones(48)
-        i_ideal = pair_ideal.positive.read(x, "fixed_point")
-        i_ir = pair_ir.positive.read(x, "fixed_point")
+        i_ideal = pair_ideal.positive.read(x, "nodal")
+        i_ir = pair_ir.positive.read(x, "nodal")
         assert np.all(i_ir < i_ideal)
 
     def test_set_reference_input_propagates(self, rng):

@@ -121,7 +121,7 @@ class TestTiledPair:
                 n_rows=96, tile_rows=tile_rows, r_wire=5.0, seed=4
             )
             tiled.program_weights(w, with_cycle_noise=False)
-            out = tiled.matvec(x, "fixed_point")
+            out = tiled.matvec(x, "nodal")
             return float(np.mean(np.abs(out - ideal)))
 
         assert error(24) < error(96)
