@@ -38,7 +38,7 @@ from repro.core.self_tuning import (
 )
 from repro.core.sensitivity import cell_sensitivity, mapping_order, row_sensitivity
 from repro.core.swv import position_cost, swv_pair, swv_single
-from repro.core.vat import VATConfig, train_vat
+from repro.core.vat import VATConfig, train_vat, train_vat_stacked
 from repro.core.vortex import VortexConfig, VortexResult, run_vortex
 from repro.core.write_verify import (
     WriteVerifyConfig,
@@ -88,5 +88,6 @@ __all__ = [
     "train_cld",
     "train_old",
     "train_vat",
+    "train_vat_stacked",
     "tune_gamma",
 ]

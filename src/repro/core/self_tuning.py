@@ -13,17 +13,16 @@ deployment distribution.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.vat import VATConfig, train_vat
+from repro.core.base import TrainingOutcome
+from repro.core.vat import VATConfig, train_vat, train_vat_stacked
 from repro.devices.variation import sample_standard_thetas
 from repro.nn.gdt import GDTConfig
 from repro.nn.metrics import rate_from_scores
 from repro.nn.split import stratified_split
-from repro.runtime.executor import parallel_map
 from repro.seeding import ensure_rng
 
 __all__ = ["SelfTuningConfig", "GammaScanPoint", "TuneResult", "tune_gamma",
@@ -49,7 +48,8 @@ class SelfTuningConfig:
             deployment ('lognormal' is the paper's).
         gdt: Subgradient-trainer settings shared by all candidates.
         warm_start: Reuse the previous candidate's weights as the next
-            initial point (large speed-up on fine gamma grids).
+            initial point (large speed-up on fine gamma grids); when
+            off, the candidates train as one stacked descent.
     """
 
     gammas: Sequence[float] = DEFAULT_GAMMAS
@@ -194,44 +194,29 @@ def _validated_thetas(
     return thetas
 
 
-def _scan_candidate(
-    gamma: float,
-    x_tr: np.ndarray,
-    y_tr: np.ndarray,
+def _scan_point(
+    outcome: TrainingOutcome,
     x_val: np.ndarray,
     y_val: np.ndarray,
-    n_classes: int,
     sigma: float,
     cfg: SelfTuningConfig,
     thetas: np.ndarray,
-    w_init: np.ndarray | None = None,
-) -> tuple[GammaScanPoint, np.ndarray]:
-    """Train and validate one candidate gamma (pure given its inputs).
+) -> GammaScanPoint:
+    """Validate one trained candidate, clean and under injection.
 
-    Module-level (rather than a loop body) so the gamma grid -- the
-    hottest inner loop of the Fig. 5 self-tuning flow -- can fan out
-    over the :mod:`repro.runtime` process pool when candidates are
-    independent.  The shared ``thetas`` make the validation a paired
-    comparison and keep the evaluation deterministic, so running
-    candidates in parallel is bit-identical to the serial scan.
+    The shared ``thetas`` make the validation a paired comparison.
     """
-    vat_cfg = VATConfig(
-        gamma=float(gamma), sigma=sigma, confidence=cfg.confidence,
-        bound=cfg.bound, gdt=cfg.gdt,
-    )
-    outcome = train_vat(x_tr, y_tr, n_classes, vat_cfg, w_init=w_init)
     clean = rate_from_scores(x_val @ outcome.weights, y_val)
     injected = injected_rate(
         outcome.weights, x_val, y_val, sigma, cfg.n_injections,
         rng=None, thetas=thetas,
     )
-    point = GammaScanPoint(
-        gamma=float(gamma),
+    return GammaScanPoint(
+        gamma=outcome.diagnostics["gamma"],
         training_rate=outcome.training_rate,
         validation_rate_clean=clean,
         validation_rate_injected=injected,
     )
-    return point, outcome.weights
 
 
 def tune_gamma(
@@ -276,27 +261,32 @@ def tune_gamma(
         rng, cfg.distribution, (cfg.n_injections,) + n_weights_shape
     )
 
-    evaluate = functools.partial(
-        _scan_candidate,
-        x_tr=x_tr, y_tr=y_tr, x_val=x_val, y_val=y_val,
-        n_classes=n_classes, sigma=sigma, cfg=cfg, thetas=thetas,
-    )
+    configs = [
+        VATConfig(
+            gamma=float(gamma), sigma=sigma, confidence=cfg.confidence,
+            bound=cfg.bound, gdt=cfg.gdt,
+        )
+        for gamma in cfg.gammas
+    ]
     w_prev: np.ndarray | None = None
     if cfg.warm_start:
         # Each candidate starts from the previous solution: an
-        # inherently sequential chain, kept in-process.
+        # inherently sequential chain.
         outcomes = []
-        for gamma in cfg.gammas:
-            point, weights = evaluate(gamma, w_init=w_prev)
-            outcomes.append((point, weights))
-            w_prev = weights
+        for vat_cfg in configs:
+            outcomes.append(
+                train_vat(x_tr, y_tr, n_classes, vat_cfg, w_init=w_prev)
+            )
+            w_prev = outcomes[-1].weights
     else:
-        # Independent cold-start candidates: the engine fans the grid
-        # out over workers; shared thetas keep results bit-identical
-        # to the serial scan at any worker count.
-        outcomes = parallel_map(evaluate, cfg.gammas, label="tune_gamma")
+        # Independent cold-start candidates: one stacked descent, each
+        # slice bit-identical to its own cold-start training.
+        outcomes = train_vat_stacked(x_tr, y_tr, n_classes, configs)
+    scan = [
+        _scan_point(outcome, x_val, y_val, sigma, cfg, thetas)
+        for outcome in outcomes
+    ]
 
-    scan = [point for point, _ in outcomes]
     best_gamma = float(cfg.gammas[0])
     best_injected = -np.inf
     for point in scan:
@@ -304,9 +294,6 @@ def tune_gamma(
             best_injected = point.validation_rate_injected
             best_gamma = point.gamma
 
-    final_cfg = VATConfig(
-        gamma=best_gamma, sigma=sigma, confidence=cfg.confidence,
-        bound=cfg.bound, gdt=cfg.gdt,
-    )
+    final_cfg = dataclasses.replace(configs[0], gamma=best_gamma)
     final = train_vat(x, labels, n_classes, final_cfg, w_init=w_prev)
     return TuneResult(best_gamma=best_gamma, scan=scan, weights=final.weights)

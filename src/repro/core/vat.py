@@ -14,23 +14,26 @@ variation the crossbar will inject:
    variation tolerance (Eq. 10, Fig. 4).
 
 The resulting robust hinge problem is solved in software by the
-subgradient trainer of :mod:`repro.nn.gdt`.
+subgradient trainer of :mod:`repro.nn.gdt`.  :func:`train_vat_stacked`
+trains several problems on one dataset -- a gamma or sigma scan -- as
+one stacked descent, each bit-identical to its :func:`train_vat`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm
 
 from repro.analysis.chi2 import rho_bound
 from repro.core.base import TrainingOutcome
-from repro.nn.gdt import GDTConfig, train_gdt
+from repro.nn.gdt import GDTConfig, train_gdt_stacked
 from repro.nn.linear import one_vs_all_targets
 from repro.nn.metrics import rate_from_scores
 
-__all__ = ["VATConfig", "train_vat"]
+__all__ = ["VATConfig", "train_vat", "train_vat_stacked"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,21 +113,53 @@ def train_vat(
         A :class:`~repro.core.base.TrainingOutcome`; diagnostics hold
         the penalty scale and loss history.
     """
+    cfg = config if config is not None else VATConfig()
+    return train_vat_stacked(x, labels, n_classes, (cfg,), (w_init,))[0]
+
+
+def train_vat_stacked(
+    x: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    configs: Sequence[VATConfig],
+    w_inits: Sequence[np.ndarray | None] | None = None,
+) -> list[TrainingOutcome]:
+    """Train one classifier per config as one stacked descent.
+
+    Outcome ``g`` is bit-identical to ``train_vat(x, labels, n_classes,
+    configs[g], w_inits[g])``.  The configs may differ in everything
+    that sets the penalty (gamma, sigma, confidence, bound, alpha1) but
+    must share one trainer setting ``gdt``.
+
+    Args:
+        x: Training inputs ``(s, n)`` in [0, 1].
+        labels: Integer training labels ``(s,)``.
+        n_classes: Number of output columns.
+        configs: One VAT problem per slice.
+        w_inits: Optional warm start per slice.
+
+    Returns:
+        One :class:`~repro.core.base.TrainingOutcome` per config.
+    """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    cfg = config if config is not None else VATConfig()
+    if len({cfg.gdt for cfg in configs}) > 1:
+        raise ValueError("stacked VAT configs must share one gdt config")
     y = one_vs_all_targets(labels, n_classes)
-    scale = cfg.penalty_scale(x.shape[1])
-    result = train_gdt(x, y, penalty_scale=scale, config=cfg.gdt,
-                       w_init=w_init)
-    training_rate = rate_from_scores(x @ result.weights, labels)
-    return TrainingOutcome(
-        weights=result.weights,
-        training_rate=training_rate,
-        diagnostics={
-            "gamma": cfg.gamma,
-            "penalty_scale": scale,
-            "loss_history": result.loss_history,
-            "converged": result.converged,
-        },
+    scales = [cfg.penalty_scale(x.shape[1]) for cfg in configs]
+    results = train_gdt_stacked(
+        x, y, scales, configs[0].gdt if configs else None, w_inits
     )
+    return [
+        TrainingOutcome(
+            weights=result.weights,
+            training_rate=rate_from_scores(x @ result.weights, labels),
+            diagnostics={
+                "gamma": cfg.gamma,
+                "penalty_scale": scale,
+                "loss_history": result.loss_history,
+                "converged": result.converged,
+            },
+        )
+        for cfg, scale, result in zip(configs, scales, results)
+    ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Sequence
 
 import repro.core.vat as vat
 from repro.core.base import TrainingOutcome
@@ -22,7 +23,6 @@ from repro.runtime.cache import get_cache
 __all__ = [
     "ExperimentScale",
     "get_dataset",
-    "memoised_vat",
     "train_vat_once",
     "DEFAULT_SEED",
 ]
@@ -141,47 +141,41 @@ def get_dataset(scale: ExperimentScale, image_size: int = 28) -> Dataset:
     )[0]
 
 
-def memoised_vat(
-    scale: ExperimentScale, image_size: int, config: vat.VATConfig
-) -> TrainingOutcome | None:
-    """The outcome :func:`train_vat_once` holds for ``config``, if any."""
-    return _cached_dataset(
-        scale.n_train, scale.n_test, scale.seed, image_size
-    )[1].get(config)
-
-
 def train_vat_once(
     scale: ExperimentScale,
     image_size: int,
-    config: vat.VATConfig,
-    outcome: TrainingOutcome | None = None,
-) -> TrainingOutcome:
-    """Cold-start VAT training on the benchmark training split, once.
+    configs: Sequence[vat.VATConfig],
+) -> list[TrainingOutcome]:
+    """Cold-start VAT trainings on the benchmark training split, once.
 
     Fig. 4, Fig. 7 and Fig. 8 train overlapping sets of the same
     problems (one dataset, one :class:`~repro.core.vat.VATConfig`).
-    The first request for a config trains it with
-    :func:`repro.core.vat.train_vat`; later requests get the same
-    outcome back, with its weights made read-only.  The memo lives and
-    dies with the in-process dataset memo of :func:`get_dataset`.
+    The configs not yet in the memo train together as one stack
+    (:func:`repro.core.vat.train_vat_stacked`, each slice bit-identical
+    to its solo :func:`~repro.core.vat.train_vat`); every later request
+    gets the same outcome back, with its weights made read-only.  The
+    memo lives and dies with the in-process dataset memo of
+    :func:`get_dataset`.
 
     Args:
         scale: Sample counts and seed of the dataset.
         image_size: Benchmark resolution.
-        config: The training problem (``w_init`` is always zeros).
-        outcome: The same training already run elsewhere -- on a
-            worker process of the Fig. 4 sweep -- to store on a miss
-            instead of training again.
+        configs: The training problems (``w_init`` is always zeros);
+            they must share one trainer setting ``gdt``.
 
     Returns:
-        The memoised :class:`~repro.core.base.TrainingOutcome`.
+        The memoised :class:`~repro.core.base.TrainingOutcome` of each
+        config, in order.
     """
     ds, memo = _cached_dataset(
         scale.n_train, scale.n_test, scale.seed, image_size
     )
-    if config not in memo:
-        if outcome is None:
-            outcome = vat.train_vat(ds.x_train, ds.y_train, N_CLASSES, config)
-        outcome.weights.setflags(write=False)
-        memo[config] = outcome
-    return memo[config]
+    misses = list(dict.fromkeys(cfg for cfg in configs if cfg not in memo))
+    if misses:
+        outcomes = vat.train_vat_stacked(
+            ds.x_train, ds.y_train, N_CLASSES, misses
+        )
+        for cfg, outcome in zip(misses, outcomes):
+            outcome.weights.setflags(write=False)
+            memo[cfg] = outcome
+    return [memo[cfg] for cfg in configs]

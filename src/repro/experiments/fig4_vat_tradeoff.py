@@ -16,12 +16,11 @@ import numpy as np
 
 from repro.core.base import TrainingOutcome
 from repro.core.self_tuning import injected_rate
-from repro.core.vat import VATConfig, train_vat
+from repro.core.vat import VATConfig
 from repro.data.datasets import N_CLASSES
 from repro.experiments.common import (
     ExperimentScale,
     get_dataset,
-    memoised_vat,
     train_vat_once,
 )
 from repro.nn.metrics import rate_from_scores
@@ -31,32 +30,25 @@ __all__ = ["VATTradeoffResult", "run_fig4"]
 
 
 def _gamma_point(
-    problem: tuple[VATConfig, TrainingOutcome | None],
-    x_train: np.ndarray,
-    y_train: np.ndarray,
+    outcome: TrainingOutcome,
     x_test: np.ndarray,
     y_test: np.ndarray,
+    sigma: float,
     n_injections: int,
     thetas: np.ndarray,
-) -> tuple[np.ndarray, TrainingOutcome]:
+) -> np.ndarray:
     """One sweep point: (training, clean test, injected test) rates.
 
     Pure given its inputs (the injection draws are pre-drawn and
-    shared), so the engine can run the gamma grid on worker processes
-    with results bit-identical to the serial sweep.  ``problem`` is the
-    config and its memoised outcome, if the parent already holds one;
-    only a config without one is trained.  The training outcome comes
-    back too, for the parent's training memo.
+    shared), so the engine can evaluate the gamma grid on worker
+    processes with results bit-identical to the serial sweep.
     """
-    cfg, outcome = problem
-    if outcome is None:
-        outcome = train_vat(x_train, y_train, N_CLASSES, cfg)
     clean = rate_from_scores(x_test @ outcome.weights, y_test)
     injected = injected_rate(
-        outcome.weights, x_test, y_test, cfg.sigma, n_injections,
+        outcome.weights, x_test, y_test, sigma, n_injections,
         thetas=thetas,
     )
-    return np.array([outcome.training_rate, clean, injected]), outcome
+    return np.array([outcome.training_rate, clean, injected])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,25 +113,19 @@ def run_fig4(
         VATConfig(gamma=float(g), sigma=sigma, gdt=scale.gdt())
         for g in scale.gammas
     ]
-    # A config Fig. 7 or Fig. 8 already trained is not trained again.
-    problems = [
-        (cfg, memoised_vat(scale, image_size, cfg)) for cfg in configs
-    ]
+    # One stacked training of every gamma Fig. 7 or Fig. 8 has not
+    # already trained; the evaluation fans out over the engine.
+    outcomes = train_vat_once(scale, image_size, configs)
     points = parallel_map(
         functools.partial(
             _gamma_point,
-            x_train=ds.x_train, y_train=ds.y_train,
-            x_test=ds.x_test, y_test=ds.y_test,
+            x_test=ds.x_test, y_test=ds.y_test, sigma=sigma,
             n_injections=scale.n_injections, thetas=thetas,
         ),
-        problems,
+        outcomes,
         label="fig4",
     )
-    # Fig. 7 and Fig. 8 train some of these problems again; hand them
-    # the outcomes, wherever they were trained.
-    for cfg, (_, outcome) in zip(configs, points):
-        train_vat_once(scale, image_size, cfg, outcome)
-    rates = np.asarray([point for point, _ in points])
+    rates = np.asarray(points)
     gammas = np.asarray(scale.gammas, dtype=float)
     injected_arr = rates[:, 2]
     return VATTradeoffResult(

@@ -227,13 +227,11 @@ def run_fig7(
 
     # Train once per gamma (shared across fabrication trials, and with
     # the Fig. 4 sweep of the same grid).
-    outcomes = [
-        train_vat_once(
-            scale, image_size,
-            VATConfig(gamma=float(gamma), sigma=sigma, gdt=scale.gdt()),
-        )
-        for gamma in scale.gammas
-    ]
+    outcomes = train_vat_once(
+        scale, image_size,
+        [VATConfig(gamma=float(gamma), sigma=sigma, gdt=scale.gdt())
+         for gamma in scale.gammas],
+    )
 
     summary = run_monte_carlo(
         functools.partial(

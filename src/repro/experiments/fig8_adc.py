@@ -143,10 +143,13 @@ def run_fig8(
     scaler = WeightScaler(1.0)
     x_mean = ds.x_train.mean(axis=0)
 
+    outcomes = train_vat_once(
+        scale, image_size,
+        [VATConfig(gamma=gamma, sigma=sigma, gdt=scale.gdt())
+         for sigma in sigmas],
+    )
     rates = np.zeros((len(sigmas), len(bits)))
-    for si, sigma in enumerate(sigmas):
-        cfg = VATConfig(gamma=gamma, sigma=sigma, gdt=scale.gdt())
-        outcome = train_vat_once(scale, image_size, cfg)
+    for si, (sigma, outcome) in enumerate(zip(sigmas, outcomes)):
         summary = run_monte_carlo(
             functools.partial(
                 _fig8_trial,

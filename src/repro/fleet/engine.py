@@ -94,10 +94,9 @@ class ShardReplica:
         self.engine = InferenceEngine.from_artifact(
             artifact, ir_mode=ir_mode, microbatch=microbatch,
         )
-        self.monitor = DriftMonitor(
+        self.monitor = DriftMonitor.for_artifact(
             self.engine,
-            probes=artifact.probes,
-            baseline=artifact.baseline,
+            artifact,
             policy=policy,
             repair=None,
             log=self.log,

@@ -75,6 +75,7 @@ class FleetService(ServiceLifecycle):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.fleet = fleet
+        self.ir_mode = ir_mode if ir_mode is not None else fleet.config.ir_mode
         self.replicas = int(replicas)
         self.label_prefix = str(label_prefix)
         self.policy = policy if policy is not None else DriftPolicy()
@@ -176,7 +177,7 @@ class FleetService(ServiceLifecycle):
         return {
             "n_shards": self.fleet.n_shards,
             "replicas_per_shard": self.replicas,
-            "ir_mode": self.fleet.config.ir_mode,
+            "ir_mode": self.ir_mode,
             "shards": shards,
         }
 

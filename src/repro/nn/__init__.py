@@ -8,7 +8,7 @@ from repro.nn.bsb import (
     recall_success_rate,
     train_bsb_weights,
 )
-from repro.nn.gdt import GDTConfig, GDTResult, train_gdt
+from repro.nn.gdt import GDTConfig, GDTResult, train_gdt, train_gdt_stacked
 from repro.nn.mlp import MLPConfig, MLPOnCrossbars, MLPWeights, train_mlp
 from repro.nn.linear import (
     LinearClassifier,
@@ -56,6 +56,7 @@ __all__ = [
     "stratified_split",
     "train_bsb_weights",
     "train_gdt",
+    "train_gdt_stacked",
     "train_mlp",
     "variation_penalty",
 ]

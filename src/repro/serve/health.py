@@ -19,12 +19,15 @@ was first programmed, not merely when it stops getting worse.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.runtime.telemetry import DriftEvent, RunLog, current_run_log
 from repro.serve.engine import InferenceEngine
+
+if TYPE_CHECKING:
+    from repro.serve.artifact import ProgrammedArray
 
 __all__ = ["DriftMonitor", "DriftPolicy"]
 
@@ -102,6 +105,36 @@ class DriftMonitor:
             ambient if ambient is not None else RunLog()
         )
         self._batches_seen = 0
+
+    @classmethod
+    def for_artifact(
+        cls,
+        engine: InferenceEngine,
+        artifact: ProgrammedArray,
+        policy: DriftPolicy | None = None,
+        repair: Callable[[], dict] | None = None,
+        log: RunLog | None = None,
+    ) -> DriftMonitor:
+        """Monitor ``engine`` serving the hardware of ``artifact``.
+
+        The baseline is the artifact's programming-time probe outputs,
+        read under the artifact's own read model.  An engine serving a
+        different read model replays the probes under that model at
+        construction instead, while the hardware is still as
+        programmed, so the gap between the two read models never
+        reads as drift.
+        """
+        baseline = artifact.baseline
+        if engine.ir_mode != artifact.ir_mode:
+            baseline = engine.forward(artifact.probes)
+        return cls(
+            engine,
+            probes=artifact.probes,
+            baseline=baseline,
+            policy=policy,
+            repair=repair,
+            log=log,
+        )
 
     def discrepancy(self) -> float:
         """Current probe discrepancy vs the programming-time baseline.

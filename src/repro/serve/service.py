@@ -91,10 +91,9 @@ class CrossbarService(ServiceLifecycle):
             artifact, ir_mode=ir_mode, microbatch=microbatch
         )
         self.pair = self.engine.target
-        self.monitor = DriftMonitor(
+        self.monitor = DriftMonitor.for_artifact(
             self.engine,
-            probes=artifact.probes,
-            baseline=artifact.baseline,
+            artifact,
             policy=self.policy,
             repair=self.remap,
             log=self.log,

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.self_tuning import (
+    GammaScanPoint,
     SelfTuningConfig,
     injected_rate,
     tune_gamma,
 )
+from repro.core.vat import VATConfig, train_vat
+from repro.devices.variation import sample_standard_thetas
 from repro.nn.gdt import GDTConfig
+from repro.nn.metrics import rate_from_scores
+from repro.nn.split import stratified_split
 
 
 class TestInjectedRate:
@@ -96,3 +101,57 @@ class TestTuneGamma:
                 ds.x_train, ds.y_train, 10, sigma=0.5,
                 config=SelfTuningConfig(gammas=()),
             )
+
+
+class TestColdStartScan:
+    """``warm_start=False`` trains the grid as one stacked descent; it
+    must give what training each candidate alone gives."""
+
+    def test_matches_per_candidate_loop(self, tiny_dataset):
+        ds = tiny_dataset
+        sigma = 0.8
+        # A loose tolerance, so the candidates stop at different epochs.
+        cfg = SelfTuningConfig(
+            gammas=(0.0, 0.2, 0.5, 0.9), n_injections=3,
+            gdt=GDTConfig(epochs=80, tolerance=2e-3), warm_start=False,
+        )
+        tuned = tune_gamma(
+            ds.x_train, ds.y_train, 10, sigma=sigma, config=cfg,
+            rng=np.random.default_rng(5),
+        )
+
+        rng = np.random.default_rng(5)
+        split = stratified_split(ds.y_train, cfg.val_fraction, rng)
+        x_tr, y_tr, x_val, y_val = split.apply(ds.x_train, ds.y_train)
+        thetas = sample_standard_thetas(
+            rng, cfg.distribution,
+            (cfg.n_injections, ds.n_features, 10),
+        )
+        scan, epochs = [], []
+        for gamma in cfg.gammas:
+            outcome = train_vat(
+                x_tr, y_tr, 10,
+                VATConfig(gamma=gamma, sigma=sigma, gdt=cfg.gdt),
+            )
+            epochs.append(len(outcome.diagnostics["loss_history"]))
+            scan.append(GammaScanPoint(
+                gamma=gamma,
+                training_rate=outcome.training_rate,
+                validation_rate_clean=rate_from_scores(
+                    x_val @ outcome.weights, y_val
+                ),
+                validation_rate_injected=injected_rate(
+                    outcome.weights, x_val, y_val, sigma,
+                    cfg.n_injections, thetas=thetas,
+                ),
+            ))
+        best = max(scan, key=lambda p: p.validation_rate_injected).gamma
+        final = train_vat(
+            ds.x_train, ds.y_train, 10,
+            VATConfig(gamma=best, sigma=sigma, gdt=cfg.gdt),
+        )
+
+        assert len(set(epochs)) > 1
+        assert tuned.scan == scan
+        assert tuned.best_gamma == best
+        assert np.array_equal(tuned.weights, final.weights)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.core.vat as vat
-import repro.experiments.fig4_vat_tradeoff as fig4
 from repro.experiments import ExperimentScale, common
 from repro.experiments.report import generate_report
 from repro.runtime.config import RuntimeConfig, use_runtime
@@ -46,18 +45,27 @@ def _sections(text: str) -> list[str]:
     return text.split("\n=== ")[1:-1]
 
 
+class Stacks(list):
+    """Configs of every stack slice trained in the parent process, in
+    order; ``stacks`` keeps them grouped per stacked training."""
+
+    def __init__(self):
+        super().__init__()
+        self.stacks = []
+
+
 @pytest.fixture
 def trainings(monkeypatch):
-    """Configs of every ``train_vat`` call, in the parent process."""
-    calls = []
-    raw = vat.train_vat
+    """Every VAT training in the parent process, one entry per slice."""
+    calls = Stacks()
+    raw = vat.train_vat_stacked
 
-    def counted(x, labels, n_classes, config=None, w_init=None):
-        calls.append(config)
-        return raw(x, labels, n_classes, config, w_init)
+    def counted(x, labels, n_classes, configs, w_inits=None):
+        calls.extend(configs)
+        calls.stacks.append(list(configs))
+        return raw(x, labels, n_classes, configs, w_inits)
 
-    monkeypatch.setattr(vat, "train_vat", counted)
-    monkeypatch.setattr(fig4, "train_vat", counted)
+    monkeypatch.setattr(vat, "train_vat_stacked", counted)
     return calls
 
 
@@ -103,10 +111,25 @@ class TestTrainingMemo:
         assert serial_log.total_trials == TOTAL_TRIALS
         assert parallel_log.total_trials == TOTAL_TRIALS
 
+    def test_stack_with_memo_hits_trains_only_the_misses(self, trainings):
+        common._cached_dataset.cache_clear()
+        cfgs = [
+            vat.VATConfig(gamma=g, sigma=0.6, gdt=SCALE.gdt())
+            for g in (0.0, 0.3, 0.5, 0.8)
+        ]
+        first = common.train_vat_once(SCALE, 7, cfgs[1:3])
+        both = common.train_vat_once(SCALE, 7, cfgs + cfgs[:1])
+        assert trainings.stacks == [cfgs[1:3], [cfgs[0], cfgs[3]]]
+        assert both[1] is first[0] and both[2] is first[1]
+        assert both[4] is both[0]
+        ds = common.get_dataset(SCALE, 7)
+        solo = vat.train_vat(ds.x_train, ds.y_train, 10, cfgs[3])
+        assert np.array_equal(both[3].weights, solo.weights)
+
     def test_memoised_weights_are_read_only(self):
         common._cached_dataset.cache_clear()
         cfg = vat.VATConfig(gamma=0.3, sigma=0.6, gdt=SCALE.gdt())
-        first = common.train_vat_once(SCALE, 7, cfg)
-        assert common.train_vat_once(SCALE, 7, cfg) is first
+        (first,) = common.train_vat_once(SCALE, 7, [cfg])
+        assert common.train_vat_once(SCALE, 7, [cfg])[0] is first
         with pytest.raises(ValueError):
             first.weights[0, 0] = np.inf

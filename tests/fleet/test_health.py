@@ -18,13 +18,17 @@ N_ROWS = 24
 COLS = 4
 
 
-def make_service(replicas=2, ir_mode="ideal", r_wire=0.0, **kwargs):
+def make_fleet(ir_mode="ideal", r_wire=0.0):
     config = FleetConfig(
         n_rows=N_ROWS, cols=COLS, tile_rows=8, sigma=0.2, seed=5,
         n_probes=4, ir_mode=ir_mode, r_wire=r_wire,
     )
     w = np.random.default_rng(2).uniform(-1, 1, (N_ROWS, COLS))
-    fleet = program_fleet(config, w)
+    return program_fleet(config, w)
+
+
+def make_service(replicas=2, ir_mode="ideal", r_wire=0.0, **kwargs):
+    fleet = make_fleet(ir_mode, r_wire)
     kwargs.setdefault("policy", DriftPolicy(threshold=0.05))
     return fleet, FleetService(fleet, replicas=replicas, **kwargs)
 
@@ -166,3 +170,24 @@ class TestFleetTelemetry:
         events = doc["fleet_events"]
         assert len(events) == 1
         assert events[0]["action"] == "reprogram"
+
+
+class TestReadModeOverride:
+    # The fleet is deployed under the ideal read and served under the
+    # exact nodal read.
+    def test_status_reports_the_served_mode(self):
+        fleet = make_fleet(r_wire=2.5)
+        with FleetService(fleet, ir_mode="nodal") as service:
+            assert service.status()["ir_mode"] == "nodal"
+        with FleetService(fleet) as service:
+            assert service.status()["ir_mode"] == "ideal"
+
+    def test_override_baseline_reads_no_drift(self):
+        with FleetService(make_fleet(r_wire=2.5), ir_mode="nodal") as service:
+            replicas = [
+                replica
+                for shard in service.status()["shards"]
+                for replica in shard["replicas"]
+            ]
+        assert replicas
+        assert all(r["discrepancy"] == 0.0 for r in replicas)

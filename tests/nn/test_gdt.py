@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.nn.gdt import GDTConfig, train_gdt
+from repro.nn.gdt import GDTConfig, train_gdt, train_gdt_stacked
 from repro.nn.linear import one_vs_all_targets
 from repro.nn.objectives import robust_hinge_gradient, robust_hinge_loss
 
@@ -169,3 +169,88 @@ class TestFusedEpochBitIdentity:
         assert result.converged and converged
         assert result.loss_history == history
         assert len(history) < cfg.epochs
+
+
+SCALES = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+    ),
+    min_size=1,
+    max_size=8,
+)
+SWEEP_SCALES = [0.0, 0.09, 0.19, 0.29, 0.49, 0.79, 0.2, 0.39]
+
+
+class TestStackedBitIdentity:
+    """Every slice of a stacked descent is its solo training, bit for bit.
+
+    The stack computes its products as wide BLAS calls where the
+    library is shown to compute each column as it would alone, and
+    slice by slice elsewhere; this property is what holds the two
+    paths to the single-problem trainer.
+    """
+
+    @staticmethod
+    def _check(seed, s, n, m, scales, l2, warm, tolerance, epochs):
+        rng = np.random.default_rng(seed)
+        x = rng.random((s, n))
+        y = one_vs_all_targets(rng.integers(0, m, s), m)
+        w_inits = [
+            0.1 * rng.standard_normal((n, m)) if warm[g % len(warm)] else None
+            for g in range(len(scales))
+        ]
+        cfg = GDTConfig(epochs=epochs, l2=l2, tolerance=tolerance)
+        stacked = train_gdt_stacked(x, y, scales, cfg, w_inits)
+        assert len(stacked) == len(scales)
+        for result, scale, w_init in zip(stacked, scales, w_inits):
+            w, history, converged = two_call_gdt(x, y, scale, cfg, w_init)
+            assert np.array_equal(result.weights, w)
+            assert result.loss_history == history
+            assert result.converged == converged
+        return stacked
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.integers(1, 320),
+        n=st.integers(1, 64),
+        m=st.integers(1, 10),
+        scales=SCALES,
+        l2=st.sampled_from([0.0, 3e-4, 0.05]),
+        warm=st.lists(st.booleans(), min_size=1, max_size=8),
+        tolerance=st.sampled_from([1e-7, 1e-4, 1e-3, 3e-2]),
+        epochs=st.integers(0, 40),
+    )
+    @example(
+        seed=0, s=1200, n=196, m=10, scales=SWEEP_SCALES, l2=3e-4,
+        warm=[False], tolerance=1e-7, epochs=120,
+    )
+    @example(
+        seed=1, s=1200, n=784, m=10, scales=SWEEP_SCALES, l2=3e-4,
+        warm=[False, True], tolerance=1e-4, epochs=30,
+    )
+    def test_slices_match_solo_training(
+        self, seed, s, n, m, scales, l2, warm, tolerance, epochs
+    ):
+        self._check(seed, s, n, m, scales, l2, warm, tolerance, epochs)
+
+    def test_slices_stop_at_different_epochs(self):
+        # Per-slice early stopping freezes a converged slice while the
+        # rest of the stack keeps descending.
+        stacked = self._check(
+            seed=3, s=300, n=50, m=4, scales=[0.0, 0.05, 0.3, 0.8],
+            l2=3e-4, warm=[False, True], tolerance=1e-3, epochs=200,
+        )
+        lengths = [len(r.loss_history) for r in stacked]
+        assert len(set(lengths)) > 1
+        assert any(r.converged for r in stacked)
+
+    def test_rejects_mismatched_starting_points(self):
+        x, y = np.ones((4, 2)), np.ones((4, 1))
+        with pytest.raises(ValueError):
+            train_gdt_stacked(x, y, [0.0, 0.1], w_inits=[None])
+        with pytest.raises(ValueError):
+            train_gdt_stacked(x, y, [])
+        with pytest.raises(ValueError):
+            train_gdt_stacked(x, y, [0.1, -0.1])

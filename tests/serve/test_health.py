@@ -57,6 +57,27 @@ class TestDriftMonitor:
         assert monitor.check() is None
         assert monitor.log.drift_events == []
 
+    def test_read_mode_override_records_its_own_baseline(self):
+        # A snapshot deployed under the ideal read and served under the
+        # exact nodal read: the gap between the two read models is not
+        # drift, so an undrifted array reads 0.
+        snapshot = program_array(
+            ProgramConfig(
+                scheme="old", image_size=7, n_train=100, r_wire=2.5,
+                seed=2,
+            )
+        )
+        assert snapshot.ir_mode == "ideal"
+        with CrossbarService(
+            snapshot, ir_mode="nodal", log=RunLog()
+        ) as service:
+            assert service.monitor.discrepancy() == 0.0
+            assert service.status()["ir_mode"] == "nodal"
+        with CrossbarService(snapshot, log=RunLog()) as service:
+            assert np.array_equal(
+                service.monitor.baseline, snapshot.baseline
+            )
+
     def test_alert_without_repair_path(self, artifact):
         engine = InferenceEngine.from_artifact(artifact)
         drift_the_pair(engine.target)
