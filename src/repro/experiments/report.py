@@ -27,7 +27,7 @@ from repro.experiments.fig8_adc import run_fig8
 from repro.experiments.fig9_redundancy import run_fig9
 from repro.experiments.table1_sizes import run_table1
 from repro.runtime.cache import get_cache
-from repro.runtime.telemetry import RunLog, current_run_log, use_run_log
+from repro.runtime.telemetry import RunLog, resolve_run_log, use_run_log
 
 __all__ = ["generate_report", "EXPERIMENT_RUNNERS"]
 
@@ -204,9 +204,7 @@ def generate_report(
             f"unknown experiments {sorted(unknown)}; available: "
             f"{sorted(EXPERIMENT_RUNNERS)}"
         )
-    log = run_log if run_log is not None else current_run_log()
-    if log is None:
-        log = RunLog()
+    log = resolve_run_log(run_log)
     out = io.StringIO()
     out.write("Vortex reproduction - evaluation report\n")
     out.write(

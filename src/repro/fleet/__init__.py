@@ -2,16 +2,15 @@
 
 The horizontal scaling layer over :mod:`repro.serve`: a large layer is
 row-partitioned into per-tile artifacts (:mod:`repro.fleet.plan`),
-each tile is served by N independent scheduler-backed replicas
-(:mod:`repro.fleet.engine`), queries are scattered and their partial
-currents reduced bit-identically to a single tiled read
-(:mod:`repro.fleet.router`), and drifted replicas are reprogrammed in
-rolling fashion without dropping below quorum
+each tile is served by N independent replica lanes (each one a
+:class:`~repro.serve.service.CrossbarService`), queries are scattered
+and their partial currents reduced bit-identically to a single tiled
+read (:mod:`repro.fleet.router`), and drifted replicas are reprogrammed
+in rolling fashion without dropping below quorum
 (:mod:`repro.fleet.health`).  :class:`~repro.fleet.service.FleetService`
 wires the pieces together.
 """
 
-from repro.fleet.engine import ReplicaDeadError, ShardReplica
 from repro.fleet.health import RollingReprogrammer, restore_replica
 from repro.fleet.plan import (
     FleetConfig,
@@ -21,6 +20,7 @@ from repro.fleet.plan import (
 )
 from repro.fleet.router import FleetRouter, NoLiveReplicaError, ShardGroup
 from repro.fleet.service import FleetService
+from repro.serve.service import ReplicaDeadError
 
 __all__ = [
     "FleetConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "ReplicaDeadError",
     "RollingReprogrammer",
     "ShardGroup",
-    "ShardReplica",
     "fleet_key",
     "program_fleet",
     "restore_replica",

@@ -23,32 +23,22 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.fleet.engine import ShardReplica
 from repro.fleet.router import ShardGroup
-from repro.runtime.telemetry import (
-    FleetEvent,
-    RunLog,
-    current_run_log,
-)
+from repro.runtime.telemetry import FleetEvent, RunLog, resolve_run_log
 from repro.serve.health import DriftPolicy
+from repro.serve.service import CrossbarService
 
 __all__ = ["RollingReprogrammer", "restore_replica"]
 
 
-def restore_replica(replica: ShardReplica) -> None:
+def restore_replica(replica: CrossbarService) -> None:
     """Reprogram a replica's hardware back to its golden artifact.
 
     Conductances, variation maps and defect maps all return to the
     snapshot state, so the post-repair probe discrepancy is exactly
     zero — recovery in the strongest sense the monitor can verify.
     """
-    artifact = replica.artifact
-    replica.engine.target.restore_conductances(
-        artifact.g_pos, artifact.g_neg,
-        theta_pos=artifact.theta_pos, theta_neg=artifact.theta_neg,
-        defects_pos=artifact.defects_pos,
-        defects_neg=artifact.defects_neg,
-    )
+    replica.artifact.restore(replica.pair)
 
 
 class RollingReprogrammer:
@@ -71,7 +61,7 @@ class RollingReprogrammer:
         groups: list[ShardGroup],
         policy: DriftPolicy | None = None,
         min_live: int = 1,
-        reprogram_fn: Callable[[ShardReplica], None] | None = None,
+        reprogram_fn: Callable[[CrossbarService], None] | None = None,
         log: RunLog | None = None,
     ):
         if min_live < 1:
@@ -82,12 +72,9 @@ class RollingReprogrammer:
         self.reprogram_fn = (
             reprogram_fn if reprogram_fn is not None else restore_replica
         )
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
+        self.log = resolve_run_log(log)
 
-    def scan(self) -> list[tuple[ShardGroup, ShardReplica, float]]:
+    def scan(self) -> list[tuple[ShardGroup, CrossbarService, float]]:
         """Live replicas over the drift threshold, with their readings.
 
         Probe replays cost a hardware read per replica, so callers
@@ -105,14 +92,17 @@ class RollingReprogrammer:
     def recover(
         self,
         group: ShardGroup,
-        replica: ShardReplica,
+        replica: CrossbarService,
         discrepancy: float,
     ) -> FleetEvent:
         """Recover one drifted replica, quorum permitting.
 
         Returns the recorded :class:`FleetEvent` — ``'reprogram'`` on
         success, ``'defer'`` when draining the replica would leave the
-        shard below ``min_live`` live replicas.
+        shard below ``min_live`` live replicas.  A recovery that raises
+        kills the replica (recording its ``'kill'`` event) before the
+        error propagates, so a half-reprogrammed replica never stays in
+        rotation.
         """
         if len(group.live_replicas) - 1 < self.min_live:
             return self.log.record_fleet(
@@ -128,6 +118,9 @@ class RollingReprogrammer:
             self.reprogram_fn(replica)
             recovered = replica.monitor.discrepancy()
             replica.restart_scheduler()
+        except Exception:
+            replica.kill()
+            raise
         finally:
             replica.draining = False
         return self.log.record_fleet(

@@ -29,6 +29,7 @@ import dataclasses
 import numpy as np
 
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
+from repro.core.amp import RowMapping
 from repro.runtime.cache import ArtifactCache, stable_key
 from repro.seeding import ensure_rng
 from repro.serve.artifact import ProgrammedArray
@@ -205,12 +206,7 @@ class ProgrammedFleet:
             rng=np.random.default_rng(0),
         )
         for tile, shard in zip(tiled.tiles, self.shards):
-            tile.restore_conductances(
-                shard.g_pos, shard.g_neg,
-                theta_pos=shard.theta_pos, theta_neg=shard.theta_neg,
-                defects_pos=shard.defects_pos,
-                defects_neg=shard.defects_neg,
-            )
+            shard.restore(tile)
         if c.ir_mode == "reference":
             tiled.set_reference_input(
                 np.concatenate([s.x_mean for s in self.shards])
@@ -283,27 +279,17 @@ def program_fleet(
     ):
         rows = stop - start
         shards.append(
-            ProgrammedArray(
-                scheme="fleet",
-                w_max=scaler.w_max,
+            ProgrammedArray.snapshot(
+                tile,
                 ir_mode=config.ir_mode,
                 weights=w_norm[start:stop].copy(),
-                assignment=np.arange(rows),
-                n_physical=rows,
-                g_pos=tile.positive.array.conductance.copy(),
-                g_neg=tile.negative.array.conductance.copy(),
-                theta_pos=tile.positive.array.theta.copy(),
-                theta_neg=tile.negative.array.theta.copy(),
-                defects_pos=tile.positive.array.defects.copy(),
-                defects_neg=tile.negative.array.defects.copy(),
+                mapping=RowMapping(
+                    assignment=np.arange(rows), n_physical=rows
+                ),
                 x_mean=probes[:, start:stop].mean(axis=0),
                 probes=probes[:, start:stop].copy(),
-                baseline=np.asarray(partials[i], dtype=float),
-                digital_gains=None,
-                metadata={
-                    "crossbar": dataclasses.asdict(tile.config),
-                    "device": dataclasses.asdict(tile.positive.device),
-                    "adc": None,
+                baseline=partials[i],
+                provenance={
                     "scheme": "fleet",
                     "sigma": config.sigma,
                     "seed": config.seed,

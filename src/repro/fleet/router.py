@@ -14,7 +14,7 @@ therefore:
    :meth:`TiledPair.matvec` on the same hardware state.
 
 Failure handling is per-partial: a partial that fails with
-:class:`~repro.fleet.engine.ReplicaDeadError` is resubmitted to a
+:class:`~repro.serve.service.ReplicaDeadError` is resubmitted to a
 sibling replica of the same shard (excluding replicas already tried),
 so killing one replica of a replicated shard drops zero queries.
 Deadline expiries are *not* retried — a dropped deadline is the
@@ -27,9 +27,9 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.fleet.engine import ReplicaDeadError, ShardReplica
 from repro.lint.sanitize import make_lock
 from repro.serve.scheduler import ServeOverloadedError
+from repro.serve.service import CrossbarService, ReplicaDeadError
 from repro.xbar.tiling import TiledPair
 
 __all__ = ["FleetRouter", "NoLiveReplicaError", "ShardGroup"]
@@ -47,17 +47,17 @@ class ShardGroup:
         replicas: The shard's replicas, in replica-index order.
     """
 
-    def __init__(self, shard_index: int, replicas: list[ShardReplica]):
+    def __init__(self, shard_index: int, replicas: list[CrossbarService]):
         if not replicas:
             raise ValueError("a shard group needs at least one replica")
         self.shard_index = int(shard_index)
         self.replicas = list(replicas)
 
     @property
-    def live_replicas(self) -> list[ShardReplica]:
+    def live_replicas(self) -> list[CrossbarService]:
         return [r for r in self.replicas if r.live]
 
-    def pick(self, exclude: frozenset[str] = frozenset()) -> ShardReplica:
+    def pick(self, exclude: frozenset[str] = frozenset()) -> CrossbarService:
         """Least-loaded live replica, deterministic on depth ties."""
         candidates = [
             r for r in self.live_replicas if r.name not in exclude
@@ -75,7 +75,7 @@ class ShardGroup:
         x: np.ndarray,
         deadline_s: float | None = None,
         exclude: frozenset[str] = frozenset(),
-    ) -> tuple[ShardReplica, concurrent.futures.Future]:
+    ) -> tuple[CrossbarService, concurrent.futures.Future]:
         """Enqueue a partial on the best replica, walking past failures.
 
         A replica that dies between pick and enqueue is skipped; an
@@ -229,31 +229,3 @@ class FleetRouter:
                 state.fail(replay_exc)
         else:
             state.fail(exc)
-
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous single-query scores."""
-        return self.submit(x, deadline_s).result(timeout=timeout)
-
-    def forward(
-        self, x: np.ndarray, timeout: float | None = None
-    ) -> np.ndarray:
-        """Scatter a whole batch, one query per row, and gather all.
-
-        Submitting rows individually lets every replica's scheduler
-        pack its own batches; per-row results are still bit-identical
-        to the single-machine read because every read path in between
-        is batch-invariant.
-        """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        futures = [self.submit(row) for row in xb]
-        scores = np.stack(
-            [f.result(timeout=timeout) for f in futures], axis=0
-        )
-        return scores[0] if single else scores

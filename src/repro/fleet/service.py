@@ -3,7 +3,7 @@
 :class:`FleetService` is the horizontal counterpart of
 :class:`~repro.serve.service.CrossbarService`: it restores every shard
 of a :class:`~repro.fleet.plan.ProgrammedFleet` into ``replicas``
-independent :class:`~repro.fleet.engine.ShardReplica` lanes, fronts
+independent :class:`~repro.serve.service.CrossbarService` lanes, fronts
 them with a :class:`~repro.fleet.router.FleetRouter`, and keeps them
 healthy with a :class:`~repro.fleet.health.RollingReprogrammer`.  One
 shared :class:`~repro.runtime.telemetry.RunLog` collects every lane's
@@ -17,17 +17,13 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.fleet.engine import ShardReplica
 from repro.fleet.health import RollingReprogrammer
 from repro.fleet.plan import ProgrammedFleet
 from repro.fleet.router import FleetRouter, ShardGroup
-from repro.runtime.telemetry import (
-    FleetEvent,
-    RunLog,
-    current_run_log,
-)
+from repro.runtime.telemetry import FleetEvent, RunLog, resolve_run_log
 from repro.serve.health import DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
+from repro.serve.service import CrossbarService
 
 __all__ = ["FleetService", "Service"]
 
@@ -79,31 +75,30 @@ class FleetService(ServiceLifecycle):
         self.replicas = int(replicas)
         self.label_prefix = str(label_prefix)
         self.policy = policy if policy is not None else DriftPolicy()
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
-        self.groups = [
-            ShardGroup(
-                i,
-                [
-                    ShardReplica(
-                        shard,
-                        shard_index=i,
-                        replica_index=r,
-                        ir_mode=ir_mode,
-                        policy=self.policy,
-                        max_batch=max_batch,
-                        max_queue=max_queue,
-                        default_deadline_s=default_deadline_s,
-                        microbatch=microbatch,
-                        min_retry_after_s=min_retry_after_s,
-                        log=self.log,
-                        name_prefix=self.label_prefix,
-                    )
-                    for r in range(self.replicas)
-                ],
+        self.log = resolve_run_log(log)
+
+        def lane(shard, i: int, r: int) -> CrossbarService:
+            lane = CrossbarService(
+                shard,
+                ir_mode=ir_mode,
+                policy=self.policy,
+                max_batch=max_batch,
+                max_queue=max_queue,
+                default_deadline_s=default_deadline_s,
+                microbatch=microbatch,
+                log=self.log,
+                shard_index=i,
+                replica_index=r,
+                min_retry_after_s=min_retry_after_s,
+                name_prefix=self.label_prefix,
             )
+            # A fleet lane only alerts on drift: the rolling
+            # reprogrammer restores it, under quorum, instead.
+            lane.monitor.repair = None
+            return lane
+
+        self.groups = [
+            ShardGroup(i, [lane(shard, i, r) for r in range(self.replicas)])
             for i, shard in enumerate(fleet.shards)
         ]
         self.router = FleetRouter(self.groups, fleet.ranges)
@@ -120,21 +115,6 @@ class FleetService(ServiceLifecycle):
     ) -> concurrent.futures.Future:
         """Scatter one query (see :meth:`FleetRouter.submit`)."""
         return self.router.submit(x, deadline_s)
-
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous single-query scores."""
-        return self.router.predict(x, deadline_s, timeout)
-
-    def forward(
-        self, x: np.ndarray, timeout: float | None = None
-    ) -> np.ndarray:
-        """Scatter-gather a whole batch of queries."""
-        return self.router.forward(x, timeout)
 
     # -- health --------------------------------------------------------
     def kill_replica(self, shard: int, replica: int) -> None:
@@ -194,4 +174,4 @@ class FleetService(ServiceLifecycle):
         """Drain every replica of every shard."""
         for group in self.groups:
             for replica in group.replicas:
-                replica.shutdown(timeout)
+                replica.drain(timeout)

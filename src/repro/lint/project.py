@@ -67,8 +67,9 @@ _LIFECYCLE_ROOTS = frozenset(
 )
 
 # The Service protocol surface a ServiceLifecycle implementation must
-# provide itself (close and context management come from the mixin).
-_SERVICE_SURFACE = ("submit", "predict", "status", "stats", "drain")
+# provide itself (predict, close and context management come from the
+# mixin).
+_SERVICE_SURFACE = ("submit", "status", "stats", "drain")
 
 # Lock factories recognised as creating a lock attribute.
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "make_lock"})

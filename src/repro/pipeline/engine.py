@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.lint.sanitize import make_lock
 from repro.nn.bsb import BSBConfig, BSBResult
+from repro.serve.protocol import Submitter
 
 __all__ = [
     "DirectLane",
@@ -90,7 +91,7 @@ class DirectLane:
         return future
 
 
-class PipelineEngine:
+class PipelineEngine(Submitter):
     """Drives the staged forward pass over per-layer lanes.
 
     Args:
@@ -335,16 +336,7 @@ class PipelineEngine:
             ),
         }
 
-    # -- synchronous conveniences --------------------------------------
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Submit one query and wait for its result vector."""
-        return self.submit(x, deadline_s).result(timeout=timeout)
-
+    # -- synchronous recall (predict/forward come from Submitter) -----
     def recall(
         self,
         probe: np.ndarray,
@@ -355,25 +347,6 @@ class PipelineEngine:
         return self.submit_recall(probe, deadline_s).result(
             timeout=timeout
         )
-
-    def forward(
-        self, x: np.ndarray, timeout: float | None = None
-    ) -> np.ndarray:
-        """Run a whole batch, one chained query per row.
-
-        Per-row submission lets every layer's schedulers pack their
-        own batches; results are still bit-identical to single-query
-        runs because every read and digital stage in the chain is
-        batch-invariant.
-        """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        futures = [self.submit(row) for row in xb]
-        out = np.stack(
-            [f.result(timeout=timeout) for f in futures], axis=0
-        )
-        return out[0] if single else out
 
 
 def offline_engine(

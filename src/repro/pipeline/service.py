@@ -22,11 +22,7 @@ from repro.fleet.service import FleetService
 from repro.nn.bsb import BSBResult
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelineArtifact
-from repro.runtime.telemetry import (
-    FleetEvent,
-    RunLog,
-    current_run_log,
-)
+from repro.runtime.telemetry import FleetEvent, RunLog, resolve_run_log
 from repro.serve.health import DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
 
@@ -75,10 +71,7 @@ class PipelineService(ServiceLifecycle):
             ir_mode if ir_mode is not None else artifact.config.ir_mode
         )
         self.default_deadline_s = default_deadline_s
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
+        self.log = resolve_run_log(log)
         self.layer_services = [
             FleetService(
                 fleet,
@@ -121,28 +114,6 @@ class PipelineService(ServiceLifecycle):
             deadline_s = self.default_deadline_s
         return self.engine.submit(x, deadline_s)
 
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous single-query result vector."""
-        return self.submit(x, deadline_s).result(timeout=timeout)
-
-    def forward(
-        self, x: np.ndarray, timeout: float | None = None
-    ) -> np.ndarray:
-        """Run a whole batch through the chain, one query per row."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        futures = [self.submit(row) for row in xb]
-        out = np.stack(
-            [f.result(timeout=timeout) for f in futures], axis=0
-        )
-        return out[0] if single else out
-
     def recall(
         self,
         probe: np.ndarray,
@@ -152,9 +123,7 @@ class PipelineService(ServiceLifecycle):
         """Run one BSB recall to convergence through the served layer."""
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        return self.engine.submit_recall(probe, deadline_s).result(
-            timeout=timeout
-        )
+        return self.engine.recall(probe, deadline_s, timeout)
 
     # -- health --------------------------------------------------------
     def kill_replica(

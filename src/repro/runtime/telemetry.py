@@ -38,6 +38,7 @@ __all__ = [
     "FleetEvent",
     "RunLog",
     "current_run_log",
+    "resolve_run_log",
     "use_run_log",
 ]
 
@@ -116,15 +117,18 @@ class RequestRecord:
 
 @dataclasses.dataclass
 class FleetEvent:
-    """Telemetry for one fleet health-management action.
+    """Telemetry for one health-management action on a serving lane.
 
     Attributes:
-        shard: Index of the shard the action concerns.
+        shard: Index of the shard the action concerns (``None`` for a
+            standalone single-array service).
         replica: Index of the replica within the shard.
         action: What happened: ``'reprogram'`` (drain + reprogram +
             return to rotation), ``'defer'`` (drifted but recovering it
-            would drop the shard below quorum), or ``'kill'`` (replica
-            removed from rotation, e.g. a simulated crash).
+            would drop the shard below quorum), ``'kill'`` (replica
+            removed from rotation, e.g. a simulated crash), or
+            ``'fail'`` (the lane's per-batch health check or repair
+            raised, so the lane took itself out of service).
         seconds: Wall time of the action (drain through re-entry for
             reprograms; the rolling-recovery time the fleet benchmark
             reports).
@@ -134,7 +138,7 @@ class FleetEvent:
             reprogram (``None`` for other actions).
     """
 
-    shard: int
+    shard: int | None
     replica: int
     action: str
     seconds: float = 0.0
@@ -234,7 +238,7 @@ class RunLog:
 
     def record_fleet(
         self,
-        shard: int,
+        shard: int | None,
         replica: int,
         action: str,
         seconds: float = 0.0,
@@ -465,6 +469,14 @@ _CURRENT: contextvars.ContextVar[RunLog | None] = contextvars.ContextVar(
 def current_run_log() -> RunLog | None:
     """The ambient :class:`RunLog`, or ``None`` when not observing."""
     return _CURRENT.get()
+
+
+def resolve_run_log(log: RunLog | None) -> RunLog:
+    """``log`` itself, else the ambient run log, else a private one."""
+    if log is not None:
+        return log
+    ambient = _CURRENT.get()
+    return ambient if ambient is not None else RunLog()
 
 
 @contextlib.contextmanager

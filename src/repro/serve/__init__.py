@@ -24,7 +24,7 @@ accelerator:
   AMP re-pretest and remap.
 * :mod:`repro.serve.service` -- :class:`CrossbarService`, the facade
   wiring all four layers together (and the repair path the monitor
-  invokes).
+  invokes).  It is also the serving lane every fleet replica runs on.
 """
 
 from repro.serve.artifact import (
@@ -40,7 +40,7 @@ from repro.serve.scheduler import (
     DeadlineExceededError,
     ServeOverloadedError,
 )
-from repro.serve.service import CrossbarService
+from repro.serve.service import CrossbarService, ReplicaDeadError
 
 __all__ = [
     "BatchScheduler",
@@ -51,6 +51,7 @@ __all__ = [
     "InferenceEngine",
     "ProgramConfig",
     "ProgrammedArray",
+    "ReplicaDeadError",
     "ServeOverloadedError",
     "artifact_key",
     "program_array",

@@ -9,9 +9,12 @@ maps, the calibrated gains, and a probe set with its programming-time
 baseline outputs -- stored through the artifact cache under a stable
 key derived from the :class:`ProgramConfig` that produced it.
 
-Restoring is exact: :meth:`ProgrammedArray.build_pair` reconstructs
-the hardware and adopts the snapshot state noise-free, so a serving
-process sees bit-for-bit the array the programming run left behind.
+Every snapshot is taken one way (:meth:`ProgrammedArray.snapshot`,
+used for a single array and for every fleet shard) and restored one
+way (:meth:`ProgrammedArray.restore`).  Restoring is exact:
+:meth:`ProgrammedArray.build_pair` reconstructs the hardware and
+adopts the snapshot state noise-free, so a serving process sees
+bit-for-bit the array the programming run left behind.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ def artifact_key(config: ProgramConfig) -> str:
     return stable_key("programmed_array", {"config": config})
 
 
+# The array fields of a snapshot, in their ``.npz`` order.
+_ARRAY_FIELDS = (
+    "weights", "assignment", "g_pos", "g_neg", "theta_pos", "theta_neg",
+    "defects_pos", "defects_neg", "x_mean", "probes", "baseline",
+)
+
+
 @dataclasses.dataclass
 class ProgrammedArray:
     """Deployment snapshot of one programmed differential pair.
@@ -129,6 +139,61 @@ class ProgrammedArray:
     digital_gains: np.ndarray | None
     metadata: dict
 
+    @classmethod
+    def snapshot(
+        cls,
+        pair: DifferentialCrossbar,
+        *,
+        ir_mode: str,
+        weights: np.ndarray,
+        mapping: RowMapping,
+        x_mean: np.ndarray,
+        probes: np.ndarray,
+        baseline: np.ndarray,
+        provenance: dict,
+    ) -> "ProgrammedArray":
+        """Freeze a programmed pair into a deployment snapshot.
+
+        The device state (conductances, variation and defect maps,
+        digital gains) is copied off ``pair``; the metadata records its
+        hardware description (crossbar, device, ADC) followed by
+        ``provenance``, whose ``"scheme"`` names the snapshot's scheme.
+        """
+        adc = None
+        if pair.diff_sense is not None and pair.diff_sense.adc is not None:
+            a = pair.diff_sense.adc
+            adc = {
+                "bits": a.bits, "full_scale": a.full_scale,
+                "bipolar": a.bipolar,
+            }
+        return cls(
+            scheme=provenance["scheme"],
+            w_max=pair.scaler.w_max,
+            ir_mode=ir_mode,
+            weights=np.asarray(weights, dtype=float),
+            assignment=mapping.assignment.copy(),
+            n_physical=mapping.n_physical,
+            g_pos=pair.positive.array.conductance.copy(),
+            g_neg=pair.negative.array.conductance.copy(),
+            theta_pos=pair.positive.array.theta.copy(),
+            theta_neg=pair.negative.array.theta.copy(),
+            defects_pos=pair.positive.array.defects.copy(),
+            defects_neg=pair.negative.array.defects.copy(),
+            x_mean=x_mean,
+            probes=probes,
+            baseline=np.asarray(baseline, dtype=float),
+            digital_gains=(
+                None if pair.digital_gains is None
+                else pair.digital_gains.copy()
+            ),
+            metadata={
+                "crossbar": dataclasses.asdict(pair.config),
+                "device": dataclasses.asdict(pair.positive.device),
+                "adc": adc,
+                **provenance,
+            },
+        )
+
     @property
     def mapping(self) -> RowMapping:
         """The AMP row assignment as a routing object."""
@@ -143,19 +208,7 @@ class ProgrammedArray:
     # -- persistence ---------------------------------------------------
     def save(self, cache: ArtifactCache, key: str) -> str:
         """Persist the bundle under ``key`` (one ``.npz`` + one ``.json``)."""
-        arrays = {
-            "weights": self.weights,
-            "assignment": self.assignment,
-            "g_pos": self.g_pos,
-            "g_neg": self.g_neg,
-            "theta_pos": self.theta_pos,
-            "theta_neg": self.theta_neg,
-            "defects_pos": self.defects_pos,
-            "defects_neg": self.defects_neg,
-            "x_mean": self.x_mean,
-            "probes": self.probes,
-            "baseline": self.baseline,
-        }
+        arrays = {name: getattr(self, name) for name in _ARRAY_FIELDS}
         if self.digital_gains is not None:
             arrays["digital_gains"] = self.digital_gains
         cache.put_arrays(key, **arrays)
@@ -178,27 +231,31 @@ class ProgrammedArray:
         arrays = cache.get_arrays(key)
         if doc is None or arrays is None:
             raise KeyError(f"no programmed-array artifact under key {key!r}")
+        fields = {name: arrays[name] for name in _ARRAY_FIELDS}
+        fields["assignment"] = fields["assignment"].astype(int)
         return cls(
             scheme=doc["scheme"],
             w_max=float(doc["w_max"]),
             ir_mode=doc["ir_mode"],
-            weights=arrays["weights"],
-            assignment=arrays["assignment"].astype(int),
             n_physical=int(doc["n_physical"]),
-            g_pos=arrays["g_pos"],
-            g_neg=arrays["g_neg"],
-            theta_pos=arrays["theta_pos"],
-            theta_neg=arrays["theta_neg"],
-            defects_pos=arrays["defects_pos"],
-            defects_neg=arrays["defects_neg"],
-            x_mean=arrays["x_mean"],
-            probes=arrays["probes"],
-            baseline=arrays["baseline"],
             digital_gains=arrays.get("digital_gains"),
             metadata=doc["metadata"],
+            **fields,
         )
 
     # -- reconstruction ------------------------------------------------
+    def restore(self, pair: DifferentialCrossbar) -> None:
+        """Return ``pair``'s devices to the snapshot state, noise-free.
+
+        Conductances, variation maps and defect maps are adopted
+        exactly, without programming stochasticity.
+        """
+        pair.restore_conductances(
+            self.g_pos, self.g_neg,
+            theta_pos=self.theta_pos, theta_neg=self.theta_neg,
+            defects_pos=self.defects_pos, defects_neg=self.defects_neg,
+        )
+
     def build_pair(self) -> DifferentialCrossbar:
         """Reconstruct the programmed hardware, bit-for-bit.
 
@@ -206,7 +263,7 @@ class ProgrammedArray:
         description (the fabrication draw is irrelevant -- it is
         immediately overwritten), then every array adopts the snapshot
         conductances, variation maps and defect maps noise-free via
-        :meth:`~repro.xbar.pair.DifferentialCrossbar.restore_conductances`.
+        :meth:`restore`.
         """
         m = self.metadata
         device = DeviceConfig(**m["device"])
@@ -233,11 +290,7 @@ class ProgrammedArray:
             rng=np.random.default_rng(0),
             diff_sense=diff_sense,
         )
-        pair.restore_conductances(
-            self.g_pos, self.g_neg,
-            theta_pos=self.theta_pos, theta_neg=self.theta_neg,
-            defects_pos=self.defects_pos, defects_neg=self.defects_neg,
-        )
+        self.restore(pair)
         if self.digital_gains is not None:
             pair.digital_gains = np.asarray(self.digital_gains, dtype=float)
         if self.ir_mode == "reference":
@@ -245,30 +298,6 @@ class ProgrammedArray:
                 self.mapping.inputs_to_physical(self.x_mean)
             )
         return pair
-
-
-def _snapshot_metadata(
-    pair: DifferentialCrossbar, config: ProgramConfig, extra: dict
-) -> dict:
-    """Hardware description + provenance for a snapshot bundle."""
-    adc = None
-    if pair.diff_sense is not None and pair.diff_sense.adc is not None:
-        a = pair.diff_sense.adc
-        adc = {
-            "bits": a.bits, "full_scale": a.full_scale,
-            "bipolar": a.bipolar,
-        }
-    meta = {
-        "crossbar": dataclasses.asdict(pair.config),
-        "device": dataclasses.asdict(pair.positive.device),
-        "adc": adc,
-        "scheme": config.scheme,
-        "sigma": config.sigma,
-        "image_size": config.image_size,
-        "seed": config.seed,
-    }
-    meta.update(extra)
-    return meta
 
 
 def program_array(
@@ -365,25 +394,19 @@ def program_array(
         mapping.inputs_to_physical(probes), config.ir_mode
     )
 
-    return ProgrammedArray(
-        scheme=config.scheme,
-        w_max=scaler.w_max,
+    return ProgrammedArray.snapshot(
+        pair,
         ir_mode=config.ir_mode,
-        weights=np.asarray(weights, dtype=float),
-        assignment=mapping.assignment.copy(),
-        n_physical=mapping.n_physical,
-        g_pos=pair.positive.array.conductance.copy(),
-        g_neg=pair.negative.array.conductance.copy(),
-        theta_pos=pair.positive.array.theta.copy(),
-        theta_neg=pair.negative.array.theta.copy(),
-        defects_pos=pair.positive.array.defects.copy(),
-        defects_neg=pair.negative.array.defects.copy(),
+        weights=weights,
+        mapping=mapping,
         x_mean=x_mean,
         probes=probes,
-        baseline=np.asarray(baseline, dtype=float),
-        digital_gains=(
-            None if pair.digital_gains is None
-            else pair.digital_gains.copy()
-        ),
-        metadata=_snapshot_metadata(pair, config, extra),
+        baseline=baseline,
+        provenance={
+            "scheme": config.scheme,
+            "sigma": config.sigma,
+            "image_size": config.image_size,
+            "seed": config.seed,
+            **extra,
+        },
     )

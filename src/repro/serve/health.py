@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.runtime.telemetry import DriftEvent, RunLog, current_run_log
+from repro.runtime.telemetry import DriftEvent, RunLog, resolve_run_log
 from repro.serve.engine import InferenceEngine
 
 if TYPE_CHECKING:
@@ -76,7 +76,8 @@ class DriftMonitor:
         policy: Thresholds and cadence.
         repair: Callback invoked on a threshold crossing; returns a
             defect-count dict for the telemetry record.  When ``None``
-            the monitor only records an alert.
+            the monitor only records an alert (a fleet lane, which the
+            rolling reprogrammer restores under quorum instead).
         log: Telemetry sink; ambient run log (or a private one) when
             omitted.
     """
@@ -100,10 +101,7 @@ class DriftMonitor:
             )
         self.policy = policy if policy is not None else DriftPolicy()
         self.repair = repair
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
+        self.log = resolve_run_log(log)
         self._batches_seen = 0
 
     @classmethod

@@ -14,9 +14,10 @@ The lifecycle verbs are:
 * ``close(timeout)`` -- full release of the service (drains first);
   also what ``with service:`` runs on exit.
 
-:class:`ServiceLifecycle` supplies ``close``/context
-management on top of a concrete ``drain``, so both services implement
-the lifecycle once.
+:class:`Submitter` supplies ``predict`` and the row-by-row
+``forward`` on top of a concrete ``submit``, and
+:class:`ServiceLifecycle` adds ``close``/context management on top of
+a concrete ``drain``, so every service writes them once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Service", "ServiceLifecycle"]
+__all__ = ["Service", "ServiceLifecycle", "Submitter"]
 
 
 @runtime_checkable
@@ -65,8 +66,47 @@ class Service(Protocol):
         ...
 
 
-class ServiceLifecycle:
-    """Mixin: ``close``/``with`` on top of ``drain``."""
+class Submitter:
+    """Mixin: synchronous ``predict`` and row-by-row ``forward`` on top
+    of ``submit`` (services, the pipeline engine, the scheduler)."""
+
+    def submit(
+        self, x: np.ndarray, deadline_s: float | None = None
+    ) -> concurrent.futures.Future:
+        raise NotImplementedError
+
+    def predict(
+        self,
+        x: np.ndarray,
+        deadline_s: float | None = None,
+        timeout: float | None = None,
+    ) -> np.ndarray:
+        """Synchronous single-query result vector."""
+        return self.submit(x, deadline_s).result(timeout=timeout)
+
+    def forward(
+        self, x: np.ndarray, timeout: float | None = None
+    ) -> np.ndarray:
+        """Serve a whole batch, one query per row, and gather all.
+
+        Submitting rows individually lets the serving lanes pack their
+        own batches; per-row results are still bit-identical to
+        single-query runs because every read path in between is
+        batch-invariant.
+        """
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        xb = x[None, :] if single else x
+        futures = [self.submit(row) for row in xb]
+        out = np.stack(
+            [f.result(timeout=timeout) for f in futures], axis=0
+        )
+        return out[0] if single else out
+
+
+class ServiceLifecycle(Submitter):
+    """Mixin: ``close``/``with`` on top of ``drain``, plus
+    :class:`Submitter`'s ``predict`` and ``forward``."""
 
     def drain(self, timeout: float | None = None) -> None:
         raise NotImplementedError

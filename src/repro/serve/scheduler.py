@@ -16,6 +16,10 @@ serving stack scaled down to in-process size:
 * **Graceful shutdown.**  ``shutdown()`` stops intake, lets the worker
   drain everything already queued, then joins the thread -- accepted
   requests are always answered or explicitly failed, never stranded.
+* **Loud hook failure.**  When the per-batch hook raises (a drift
+  check whose probe read or repair fails), the scheduler closes intake
+  and fails every queued request with that error before the worker
+  exits, so nothing waits on a worker that is gone.
 
 Every request is recorded in the ambient
 :class:`~repro.runtime.telemetry.RunLog` (latency, queue share, batch
@@ -35,8 +39,9 @@ from typing import Callable
 import numpy as np
 
 from repro.lint.sanitize import make_lock
-from repro.runtime.telemetry import RunLog, current_run_log
+from repro.runtime.telemetry import RunLog, resolve_run_log
 from repro.serve.engine import InferenceEngine
+from repro.serve.protocol import Submitter
 
 __all__ = [
     "BatchScheduler",
@@ -70,7 +75,7 @@ class _Request:
 _SHUTDOWN = object()
 
 
-class BatchScheduler:
+class BatchScheduler(Submitter):
     """Thread-based batching scheduler over an inference engine.
 
     Args:
@@ -81,7 +86,8 @@ class BatchScheduler:
         default_deadline_s: Deadline applied to requests that do not
             carry their own (``None`` = no deadline).
         on_batch: Optional hook invoked after every completed batch
-            (the drift monitor's entry point).
+            (the drift monitor's entry point).  If it raises, intake
+            closes and every queued request fails with its error.
         log: Telemetry sink; the ambient run log (or a private one)
             when omitted.
         min_retry_after_s: Floor for the overload retry-after hint.
@@ -123,10 +129,7 @@ class BatchScheduler:
         self.on_batch = on_batch
         self.min_retry_after_s = float(min_retry_after_s)
         self.label = label
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
+        self.log = resolve_run_log(log)
         self._queue: queue.Queue = queue.Queue(maxsize=self.max_queue)
         # One lock guards everything the submitter and the worker
         # thread both touch: the intake flag, the throughput EMA, the
@@ -206,15 +209,6 @@ class BatchScheduler:
         """Requests dropped because their deadline passed while queued."""
         with self._state:
             return self._deadline_misses
-
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous convenience: submit one query and wait."""
-        return self.submit(x, deadline_s).result(timeout=timeout)
 
     def shutdown(self, timeout: float | None = None) -> None:
         """Stop intake, drain the queue, join the worker thread."""
@@ -305,6 +299,21 @@ class BatchScheduler:
                 label=self.label,
             )
 
+    def _abort(self, exc: BaseException) -> None:
+        """Close intake and fail every queued request with ``exc``."""
+        with self._state:
+            self._closed = True
+        # Nothing is enqueued once the flag is set (submit checks it
+        # under the same lock), so this empties the queue for good.
+        # Futures fail outside the lock: they fire user callbacks.
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            if item is not _SHUTDOWN:
+                item.future.set_exception(exc)
+
     def _run(self) -> None:
         while True:
             batch = self._collect()
@@ -314,4 +323,8 @@ class BatchScheduler:
             with self._state:
                 self.batches_served += 1
             if self.on_batch is not None:
-                self.on_batch()
+                try:
+                    self.on_batch()
+                except Exception as exc:
+                    self._abort(exc)
+                    return

@@ -1,4 +1,4 @@
-"""The serving facade: artifact in, scheduled drift-aware service out.
+"""The serving lane: artifact in, scheduled drift-aware service out.
 
 :class:`CrossbarService` wires the four layers together: it rebuilds
 the hardware from a :class:`~repro.serve.artifact.ProgrammedArray`,
@@ -13,24 +13,56 @@ devices show up in the measured thetas, rerun AMP so sensitive weight
 rows move off the bad devices, and reprogram open-loop.  The stored
 *logical* weights never change -- only their placement and the device
 states do.
+
+The same class is the fleet's serving lane:
+:class:`~repro.fleet.service.FleetService` serves every replica of
+every shard as one ``CrossbarService`` named ``shard<i>/r<j>``.  A
+fleet lane's monitor has no repair hook, so it only raises an alert;
+the rolling reprogrammer (:mod:`repro.fleet.health`) restores it under
+quorum.  Two liveness flags separate the failure modes a lane has:
+
+* ``alive`` -- cleared by :meth:`CrossbarService.kill` (a crash) or
+  when the per-batch health check or its repair raises (a read or
+  programming fault).  Queued and in-flight work fails loudly -- a
+  fleet lane's with :class:`ReplicaDeadError`, so the router retries
+  the partial on a sibling -- and a dead lane never comes back.
+* ``draining`` -- set by the rolling reprogrammer while the lane is
+  being drained and reprogrammed.  A draining lane finishes what it
+  accepted, takes no new work, and returns to rotation afterwards.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
 
 import numpy as np
 
 from repro.core.amp import run_amp
 from repro.core.old import program_pair_open_loop
 from repro.core.pretest import pretest_pair
-from repro.runtime.telemetry import RunLog, current_run_log
+from repro.runtime.telemetry import RunLog, resolve_run_log
 from repro.seeding import ensure_rng
 from repro.serve.artifact import ProgrammedArray
 from repro.serve.engine import InferenceEngine
 from repro.serve.health import DriftMonitor, DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
-from repro.serve.scheduler import BatchScheduler
+from repro.serve.scheduler import BatchScheduler, ServeOverloadedError
 
-__all__ = ["CrossbarService", "Service"]
+__all__ = ["CrossbarService", "ReplicaDeadError", "Service"]
+
+
+class ReplicaDeadError(RuntimeError):
+    """The lane was killed or failed; retry the query on a sibling."""
+
+
+class _DeadTarget:
+    """Hardware stand-in after a kill: every read fails fast."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def matvec(self, x: np.ndarray, ir_mode: str = "ideal") -> np.ndarray:
+        raise ReplicaDeadError(f"replica {self.name} is dead")
 
 
 class CrossbarService(ServiceLifecycle):
@@ -57,6 +89,15 @@ class CrossbarService(ServiceLifecycle):
             solver was selectable, among them the
             ``serve-nodal-repair`` workload of ``perfbench``, pass
             ``nodal_solver="lu"``.
+        shard_index: The shard this lane serves in a fleet; ``None``
+            (the default) for a standalone service.
+        replica_index: Position within the shard's replica set.
+        min_retry_after_s: Floor for the overload retry-after hint
+            (see :class:`~repro.serve.scheduler.BatchScheduler`).
+        name_prefix: Prepended to a fleet lane's name (and thus its
+            telemetry lane label).  A multi-fleet composition such as
+            ``repro.pipeline`` uses ``"layer<k>/"`` so one shared run
+            log keeps the per-layer lanes apart.
     """
 
     def __init__(
@@ -71,21 +112,30 @@ class CrossbarService(ServiceLifecycle):
         rng: np.random.Generator | None = None,
         log: RunLog | None = None,
         nodal_solver: str | None = None,
+        *,
+        shard_index: int | None = None,
+        replica_index: int = 0,
+        min_retry_after_s: float = 0.05,
+        name_prefix: str = "",
     ):
         if nodal_solver not in (None, "lu"):
             raise ValueError(
                 f"nodal_solver must be None or 'lu', got {nodal_solver!r}"
             )
         self.artifact = artifact
+        self.shard_index = None if shard_index is None else int(shard_index)
+        self.replica_index = int(replica_index)
+        # A standalone service stamps no lane label on its requests.
+        self.name = (
+            "" if shard_index is None
+            else f"{name_prefix}shard{shard_index}/r{replica_index}"
+        )
         if rng is None:
             rng = np.random.default_rng(
                 int(artifact.metadata.get("seed", 0))
             )
         self._rng = ensure_rng(rng, "repro.serve.service.CrossbarService")
-        ambient = current_run_log()
-        self.log = log if log is not None else (
-            ambient if ambient is not None else RunLog()
-        )
+        self.log = resolve_run_log(log)
         self.policy = policy if policy is not None else DriftPolicy()
         self.engine = InferenceEngine.from_artifact(
             artifact, ir_mode=ir_mode, microbatch=microbatch
@@ -98,28 +148,85 @@ class CrossbarService(ServiceLifecycle):
             repair=self.remap,
             log=self.log,
         )
-        self.scheduler = BatchScheduler(
-            self.engine,
+        # Single-writer liveness flags, read racily on purpose: 'alive'
+        # flips True->False exactly once (kill on the caller thread, or
+        # a failed health hook on the worker thread) and is read
+        # advisorily by router callbacks -- a stale read is harmless
+        # because every downstream path fails fast with
+        # ReplicaDeadError and is retried.  'draining' is bracketed by
+        # the reprogrammer on the caller thread only.  Python bool
+        # loads/stores are atomic.
+        self.alive = True  # repro-lint: atomic
+        self.draining = False  # repro-lint: atomic
+        self._scheduler_kwargs = dict(
             max_batch=max_batch,
             max_queue=max_queue,
             default_deadline_s=default_deadline_s,
-            on_batch=self.monitor,
-            log=self.log,
+            min_retry_after_s=min_retry_after_s,
         )
+        self.restart_scheduler()
+
+    # -- liveness ------------------------------------------------------
+    @property
+    def live(self) -> bool:
+        """In rotation: accepting new queries."""
+        return self.alive and not self.draining
+
+    @property
+    def depth(self) -> int:
+        """Queue depth (the router's least-loaded signal)."""
+        return self.scheduler.depth
+
+    def _on_batch(self) -> None:  # repro-lint: thread=worker
+        # The monitor replays probes through the engine; after a kill
+        # that read would raise inside the worker thread, so skip it.
+        if not self.alive:
+            return
+        try:
+            self.monitor()
+        except Exception as exc:
+            # A probe read or repair fault: leave rotation and fail
+            # loudly.  The scheduler closes intake and fails every
+            # queued request with what this raises -- for a fleet lane
+            # a ReplicaDeadError, which the router replays on a sibling.
+            self.alive = False
+            self.log.record_fleet(
+                shard=self.shard_index,
+                replica=self.replica_index,
+                action="fail",
+            )
+            if self.shard_index is None:
+                raise
+            raise ReplicaDeadError(
+                f"replica {self.name} failed its health check: {exc!r}"
+            ) from exc
 
     # -- request path --------------------------------------------------
-    def submit(self, x: np.ndarray, deadline_s: float | None = None):
-        """Enqueue one query (see :meth:`BatchScheduler.submit`)."""
-        return self.scheduler.submit(x, deadline_s)
+    def submit(
+        self, x: np.ndarray, deadline_s: float | None = None
+    ) -> concurrent.futures.Future:
+        """Enqueue one query (see :meth:`BatchScheduler.submit`).
 
-    def predict(
-        self,
-        x: np.ndarray,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Synchronous single-query scores."""
-        return self.scheduler.predict(x, deadline_s, timeout)
+        Raises:
+            ValueError: ``x`` is not one query of the served width.
+            ServeOverloadedError: The queue is full.
+            ReplicaDeadError: The lane was killed or failed, or is
+                draining or drained; a fleet retries on a sibling.
+        """
+        if not self.live:
+            raise ReplicaDeadError(
+                f"{self.name or 'the service'} is not accepting work"
+            )
+        try:
+            return self.scheduler.submit(x, deadline_s)
+        except ServeOverloadedError:
+            raise
+        except RuntimeError as exc:
+            # The scheduler shut down between the liveness check and
+            # the enqueue (drain/kill race): same remedy as a death.
+            raise ReplicaDeadError(
+                f"{self.name or 'the service'} stopped accepting work"
+            ) from exc
 
     def stats(self) -> dict:
         """Serving telemetry summary (latency, drops, drift events)."""
@@ -143,6 +250,37 @@ class CrossbarService(ServiceLifecycle):
     def drain(self, timeout: float | None = None) -> None:
         """Stop intake, answer everything already queued."""
         self.scheduler.shutdown(timeout)
+
+    def restart_scheduler(self) -> None:
+        """Fresh batching worker (at start, and after a reprogram)."""
+        self.scheduler = BatchScheduler(
+            self.engine,
+            on_batch=self._on_batch,
+            log=self.log,
+            label=self.name,
+            **self._scheduler_kwargs,
+        )
+
+    def kill(self, timeout: float | None = None) -> None:
+        """Simulate a lane crash.
+
+        The hardware target is swapped for one whose reads raise
+        :class:`ReplicaDeadError`, so every queued and in-flight query
+        fails fast (a fleet router retries them on siblings) instead
+        of being served or silently stranded; then the worker is
+        joined.  A killed lane records a ``'kill'`` fleet event and
+        never returns to rotation.
+        """
+        if not self.alive:
+            return
+        self.alive = False
+        self.engine.target = _DeadTarget(self.name)
+        self.scheduler.shutdown(timeout)
+        self.log.record_fleet(
+            shard=self.shard_index,
+            replica=self.replica_index,
+            action="kill",
+        )
 
     # -- repair path ---------------------------------------------------
     def remap(self) -> dict:

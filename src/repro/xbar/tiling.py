@@ -199,57 +199,6 @@ class TiledPair:
             [tile.effective_weights() for tile in self.tiles], axis=0
         )
 
-    def conductance_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positive, negative) conductances stacked across tiles.
-
-        Rows concatenate in tile order, so the stacked ``(n_rows, cols)``
-        matrices round-trip through :meth:`restore_conductances`.
-        """
-        return (
-            np.concatenate(
-                [t.positive.conductance for t in self.tiles], axis=0
-            ),
-            np.concatenate(
-                [t.negative.conductance for t in self.tiles], axis=0
-            ),
-        )
-
-    def theta_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Persistent variation maps stacked across tiles."""
-        maps = [t.theta_maps() for t in self.tiles]
-        return (
-            np.concatenate([m[0] for m in maps], axis=0),
-            np.concatenate([m[1] for m in maps], axis=0),
-        )
-
-    def restore_conductances(
-        self,
-        g_pos: np.ndarray,
-        g_neg: np.ndarray,
-        theta_pos: np.ndarray | None = None,
-        theta_neg: np.ndarray | None = None,
-    ) -> None:
-        """Noise-free restore of every tile from stacked snapshots.
-
-        Accepts the row-stacked matrices produced by
-        :meth:`conductance_maps` / :meth:`theta_maps` and routes each
-        tile its row slice (see :mod:`repro.serve.artifact`).
-        """
-        parts_pos = self._split(np.asarray(g_pos, dtype=float), axis=0)
-        parts_neg = self._split(np.asarray(g_neg, dtype=float), axis=0)
-        t_pos = (
-            self._split(np.asarray(theta_pos, dtype=float), axis=0)
-            if theta_pos is not None else [None] * self.n_tiles
-        )
-        t_neg = (
-            self._split(np.asarray(theta_neg, dtype=float), axis=0)
-            if theta_neg is not None else [None] * self.n_tiles
-        )
-        for tile, gp, gn, tp, tn in zip(
-            self.tiles, parts_pos, parts_neg, t_pos, t_neg
-        ):
-            tile.restore_conductances(gp, gn, tp, tn)
-
     def calibrate_sense(self, x_calibration: np.ndarray) -> None:
         """Auto-range every tile's differential ADC on its input slice."""
         x_cal = np.atleast_2d(np.asarray(x_calibration, dtype=float))

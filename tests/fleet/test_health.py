@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,68 @@ class TestReadModeOverride:
             ]
         assert replicas
         assert all(r["discrepancy"] == 0.0 for r in replicas)
+
+
+class TestLaneFaults:
+    def test_failing_health_check_hands_partials_to_a_sibling(self):
+        fleet, service = make_service(
+            policy=DriftPolicy(threshold=1e-12, check_every=1)
+        )
+        x = np.random.default_rng(6).random((8, N_ROWS))
+        reference = fleet.build_tiled().matvec(x, "ideal")
+        victim, sibling = service.groups[1].replicas
+        entered, release = threading.Event(), threading.Event()
+
+        def broken_check():
+            entered.set()
+            release.wait(10.0)
+            raise OSError("probe read fault")
+
+        victim.monitor.check = broken_check
+        try:
+            futures = [service.submit(x[0])]
+            assert entered.wait(10.0)  # the victim's worker is stuck
+            futures += [service.submit(row) for row in x[1:]]
+            assert victim.depth >= 1  # partials queued behind the fault
+            release.set()
+            # The queued partials fail with ReplicaDeadError and are
+            # replayed on the sibling: nothing is lost or changed.
+            got = np.stack([f.result(timeout=5.0) for f in futures])
+            assert np.array_equal(got, reference)
+            assert not victim.alive and sibling.live
+            assert [
+                (e.shard, e.replica, e.action)
+                for e in service.log.fleet_events
+            ] == [(1, 0, "fail")]
+            assert service.status()["shards"][1]["live"] == 1
+        finally:
+            release.set()
+            service.close()
+
+    def test_failing_reprogram_kills_the_replica(self):
+        fleet, service = make_service()
+
+        def broken_reprogram(replica):
+            raise OSError("programming fault")
+
+        service.reprogrammer.reprogram_fn = broken_reprogram
+        x = np.random.default_rng(6).random((8, N_ROWS))
+        reference = fleet.build_tiled().matvec(x, "ideal")
+        try:
+            victim, sibling = service.groups[1].replicas
+            drift_replica(victim)
+            with pytest.raises(OSError, match="programming fault"):
+                service.run_recovery_cycle()
+            # Drained and half-reprogrammed: out of rotation for good.
+            assert not victim.alive and not victim.live
+            assert [
+                (e.shard, e.replica, e.action)
+                for e in service.log.fleet_events
+            ] == [(1, 0, "kill")]
+            status = service.status()["shards"][1]
+            assert status["live"] == 1
+            assert [r["alive"] for r in status["replicas"]] == [False, True]
+            assert service.groups[1].pick() is sibling
+            assert np.array_equal(service.forward(x), reference)
+        finally:
+            service.close()

@@ -64,7 +64,7 @@ class TestRep008:
         result = lint_fixture("rep008_bad.py")
         surface = [v for v in result.violations if "ServiceLifecycle" in v.message]
         assert len(surface) == 1
-        for missing in ("predict", "status", "stats"):
+        for missing in ("status", "stats"):
             assert missing in surface[0].message
 
     def test_clean_on_joined_threads_and_full_surface(self):

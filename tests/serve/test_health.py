@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.runtime.telemetry import RunLog
 from repro.serve.artifact import ProgramConfig, program_array
 from repro.serve.engine import InferenceEngine
 from repro.serve.health import DriftMonitor, DriftPolicy
-from repro.serve.service import CrossbarService
+from repro.serve.service import CrossbarService, ReplicaDeadError
 
 
 @pytest.fixture(scope="module")
@@ -161,4 +163,46 @@ class TestRemapRoundTrip:
             service.remap()
             assert dead_row not in service.engine.mapping.assignment
         finally:
+            service.close()
+
+
+class TestFailingHealthHook:
+    # A repair that raises (a programming fault on real hardware) must
+    # take the service down loudly, not kill its worker and leave the
+    # requests queued behind it waiting forever.
+    def test_failing_repair_fails_queued_requests(self, artifact):
+        log = RunLog()
+        service = CrossbarService(
+            artifact,
+            policy=DriftPolicy(threshold=1e-12, check_every=1),
+            log=log,
+        )
+        entered, release = threading.Event(), threading.Event()
+
+        def broken_repair():
+            entered.set()
+            release.wait(10.0)
+            raise OSError("write driver fault")
+
+        service.monitor.repair = broken_repair
+        x = artifact.probes
+        try:
+            drift_the_pair(service.pair)
+            first = service.submit(x[0])
+            assert entered.wait(10.0)  # the worker is inside the repair
+            queued = [service.submit(row) for row in x[1:4]]
+            release.set()
+            # Answered before the hook ran.
+            assert first.result(timeout=10.0).shape == (10,)
+            for future in queued:
+                with pytest.raises(OSError, match="write driver fault"):
+                    future.result(timeout=3.0)
+            assert not service.alive and not service.live
+            with pytest.raises(ReplicaDeadError):
+                service.submit(x[0])
+            assert [(e.shard, e.action) for e in log.fleet_events] == [
+                (None, "fail")
+            ]
+        finally:
+            release.set()
             service.close()
