@@ -9,10 +9,11 @@ Usage::
     python -m repro quickstart             # end-to-end Vortex demo
     python -m repro lint src               # determinism contract check
     python -m repro program --cache-dir C  # program + snapshot an array
-    python -m repro serve --cache-dir C --artifact KEY --stdin
     python -m repro fleet program --cache-dir C --image-size 14
-    python -m repro fleet serve --cache-dir C --fleet KEY --stdin
-    python -m repro fleet status --cache-dir C --fleet KEY
+    python -m repro pipeline program --cache-dir C --kind bsb
+    python -m repro serve --cache-dir C --artifact KEY --stdin
+    python -m repro status --cache-dir C --artifact KEY
+    python -m repro pipeline eval --cache-dir C --artifact KEY
     python -m repro cache stats --cache-dir C
     python -m repro cache prune --cache-dir C --max-size-mb 100
 
@@ -23,11 +24,17 @@ changing a single number (the report text is byte-identical at any
 worker count); ``--cache-dir`` persists experiment artifacts so
 unchanged experiments are skipped on re-runs; a timing summary goes to
 stderr and ``--run-log`` saves the full structured log as JSON.
+
+The three ``program`` commands store a snapshot and print its key.
+``serve`` and ``status`` open any snapshot by its stored manifest: a
+single array, a sharded fleet (``--replicas`` per shard) or a
+multi-layer pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +45,7 @@ from repro.experiments.common import ExperimentScale
 from repro.experiments.report import EXPERIMENT_RUNNERS, generate_report
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
+from repro.runtime.cache import ArtifactCache
 from repro.xbar.crossbar import IR_MODES, validate_ir_mode
 
 __all__ = ["main", "build_parser"]
@@ -63,11 +71,11 @@ def _add_programming_options(
     image_size_default: int = 7,
     sigma_default: float = 0.3,
 ) -> None:
-    """Options shared by ``repro program`` and ``repro fleet program``.
+    """Options shared by the three ``program`` commands.
 
-    Both subcommands build the same (dataset, training, fabric) recipe;
-    only their geometry extras (redundancy vs. tile rows) differ, so
-    the shared surface lives here and cannot drift apart.
+    All three build the same (dataset, training, fabric) recipe; only
+    their extras (scheme and redundancy, tile rows, pipeline workload)
+    differ, so the shared surface lives here and cannot drift apart.
     """
     parser.add_argument(
         "--cache-dir", type=str, required=True,
@@ -86,29 +94,23 @@ def _add_programming_options(
     )
 
 
-def _add_serving_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by ``repro serve`` and ``repro fleet serve``."""
-    io_mode = parser.add_mutually_exclusive_group(required=True)
-    io_mode.add_argument(
-        "--stdin", action="store_true",
-        help="read one CSV feature vector per line, answer JSON lines",
-    )
-    io_mode.add_argument(
-        "--port", type=int, default=None,
-        help="serve HTTP on this port (POST /predict, GET /stats)",
+def _add_snapshot_options(parser: argparse.ArgumentParser) -> None:
+    """The snapshot a serving command opens, and its replica count."""
+    parser.add_argument(
+        "--cache-dir", type=str, required=True,
+        help="artifact cache directory holding the snapshot",
     )
     parser.add_argument(
-        "--ir-mode", type=_ir_mode, choices=IR_MODES, default=None,
-        help="override the snapshot's read model",
+        "--artifact", type=str, required=True,
+        help="snapshot key printed by a `program` command",
     )
-    parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--max-queue", type=int, default=128)
     parser.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline in milliseconds",
+        "--replicas", type=int, default=None,
+        help=(
+            "serving copies per shard of a fleet or pipeline snapshot "
+            "(default: the service's own)"
+        ),
     )
-    parser.add_argument("--drift-threshold", type=float, default=0.1)
-    parser.add_argument("--check-every", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,59 +135,44 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate the paper's tables and figures"
     )
     report.add_argument(
-        "--experiments",
-        nargs="+",
-        choices=sorted(EXPERIMENT_RUNNERS),
-        default=None,
-        help="subset of experiments (default: all)",
+        "--experiments", nargs="+", choices=sorted(EXPERIMENT_RUNNERS),
+        default=None, help="subset of experiments (default: all)",
     )
     report.add_argument(
-        "--paper-scale",
-        action="store_true",
+        "--paper-scale", action="store_true",
         help="use the paper's sample counts (much slower)",
     )
     report.add_argument(
-        "--image-size",
-        type=int,
-        choices=(7, 14, 28),
-        default=14,
+        "--image-size", type=int, choices=(7, 14, 28), default=14,
         help="benchmark resolution (28 = the paper's 784-row crossbar)",
     )
     report.add_argument(
-        "--output",
-        type=str,
-        default=None,
+        "--output", type=str, default=None,
         help="write the report to a file instead of stdout",
     )
     report.add_argument(
         "--seed", type=int, default=None, help="override the master seed"
     )
     report.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
+        "--jobs", type=int, default=1,
         help=(
             "worker processes for Monte-Carlo fan-out (0 = one per "
             "CPU); results are bit-identical at any value"
         ),
     )
     report.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
+        "--cache-dir", type=str, default=None,
         help="persist experiment artifacts here and reuse them on re-runs",
     )
     report.add_argument(
-        "--no-cache",
-        action="store_true",
+        "--no-cache", action="store_true",
         help="ignore the artifact cache even when --cache-dir is set",
     )
     report.add_argument(
-        "--run-log",
-        type=str,
-        default=None,
+        "--run-log", type=str, default=None,
         help="write the structured telemetry run log to this JSON file",
     )
+    report.set_defaults(run=_run_report)
 
     quick = sub.add_parser(
         "quickstart", help="run the end-to-end Vortex pipeline demo"
@@ -194,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     quick.add_argument("--image-size", type=int, choices=(7, 14, 28),
                        default=14)
     quick.add_argument("--seed", type=int, default=42)
+    quick.set_defaults(run=_run_quickstart)
 
     lint = sub.add_parser(
         "lint",
@@ -203,13 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     add_lint_arguments(lint)
+    lint.set_defaults(run=run_lint)
 
     program = sub.add_parser(
-        "program",
-        help=(
-            "train, program and snapshot a crossbar into the artifact "
-            "cache (prints the artifact key)"
-        ),
+        "program", help="train, program and snapshot a crossbar (prints its key)"
     )
     _add_programming_options(program, image_size_default=7,
                              sigma_default=0.3)
@@ -217,36 +202,47 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme", choices=("vortex", "old", "cld"), default="vortex"
     )
     program.add_argument("--redundancy", type=int, default=8)
+    program.set_defaults(run=_run_program)
 
     serve = sub.add_parser(
-        "serve",
-        help="serve inference requests from a programmed-array artifact",
+        "serve", help="serve queries from any snapshot: array, fleet or pipeline"
+    )
+    _add_snapshot_options(serve)
+    io_mode = serve.add_mutually_exclusive_group(required=True)
+    io_mode.add_argument(
+        "--stdin", action="store_true",
+        help="read one CSV feature vector per line, answer JSON lines",
+    )
+    io_mode.add_argument(
+        "--port", type=int, default=None,
+        help="serve HTTP on this port (POST /predict, GET /stats)",
     )
     serve.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="artifact cache directory holding the snapshot",
+        "--ir-mode", type=_ir_mode, choices=IR_MODES, default=None,
+        help="override the snapshot's read model",
     )
+    serve.add_argument("--max-batch", type=int, default=32)
+    serve.add_argument("--max-queue", type=int, default=128)
     serve.add_argument(
-        "--artifact", type=str, required=True,
-        help="artifact key printed by `repro program`",
+        "--deadline-ms", type=float, default=None,
+        help="default per-request deadline in milliseconds",
     )
-    _add_serving_options(serve)
+    serve.add_argument("--drift-threshold", type=float, default=0.1)
+    serve.add_argument("--check-every", type=int, default=5)
+    serve.set_defaults(run=_run_serve)
+
+    status = sub.add_parser(
+        "status", help="print the hardware inventory of any snapshot"
+    )
+    _add_snapshot_options(status)
+    status.set_defaults(run=_run_status)
 
     fleet = sub.add_parser(
-        "fleet",
-        help=(
-            "shard a large layer across tiles and serve it with "
-            "replicated, drift-managed scatter-gather routing"
-        ),
+        "fleet", help="shard a large layer across tiles for replicated serving"
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
     fprogram = fleet_sub.add_parser(
-        "program",
-        help=(
-            "train, shard-program and snapshot a fleet into the "
-            "artifact cache (prints the fleet key)"
-        ),
+        "program", help="train, shard-program and snapshot a fleet (prints its key)"
     )
     _add_programming_options(fprogram, image_size_default=14,
                              sigma_default=0.15)
@@ -255,49 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per shard (the last shard may be smaller)",
     )
     fprogram.add_argument("--n-probes", type=int, default=16)
-
-    fserve = fleet_sub.add_parser(
-        "serve", help="serve inference requests from a fleet snapshot"
-    )
-    fserve.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="artifact cache directory holding the fleet",
-    )
-    fserve.add_argument(
-        "--fleet", type=str, required=True,
-        help="fleet key printed by `repro fleet program`",
-    )
-    fserve.add_argument(
-        "--replicas", type=int, default=2,
-        help="serving copies per shard",
-    )
-    _add_serving_options(fserve)
-
-    fstatus = fleet_sub.add_parser(
-        "status",
-        help="print the per-shard replica inventory of a fleet snapshot",
-    )
-    fstatus.add_argument("--cache-dir", type=str, required=True)
-    fstatus.add_argument("--fleet", type=str, required=True)
-    fstatus.add_argument("--replicas", type=int, default=2)
+    fprogram.set_defaults(run=_run_fleet_program)
 
     pipeline = sub.add_parser(
-        "pipeline",
-        help=(
-            "program and serve multi-layer inference pipelines "
-            "(MLP classification, BSB associative recall)"
-        ),
+        "pipeline", help="program and evaluate multi-layer pipelines (MLP, BSB)"
     )
-    pipeline_sub = pipeline.add_subparsers(
-        dest="pipeline_command", required=True
-    )
+    pipeline_sub = pipeline.add_subparsers(dest="pipeline_command", required=True)
 
     pprogram = pipeline_sub.add_parser(
-        "program",
-        help=(
-            "train, layer-program and snapshot a pipeline into the "
-            "artifact cache (prints the pipeline key)"
-        ),
+        "program", help="train, layer-program and snapshot a pipeline (prints its key)"
     )
     _add_programming_options(pprogram, image_size_default=7,
                              sigma_default=0.15)
@@ -322,23 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per shard in every layer's fleet",
     )
     pprogram.add_argument("--n-probes", type=int, default=16)
-
-    pserve = pipeline_sub.add_parser(
-        "serve", help="serve inference requests from a pipeline snapshot"
-    )
-    pserve.add_argument(
-        "--cache-dir", type=str, required=True,
-        help="artifact cache directory holding the pipeline",
-    )
-    pserve.add_argument(
-        "--pipeline", type=str, required=True,
-        help="pipeline key printed by `repro pipeline program`",
-    )
-    pserve.add_argument(
-        "--replicas", type=int, default=1,
-        help="serving copies per shard, in every layer",
-    )
-    _add_serving_options(pserve)
+    pprogram.set_defaults(run=_run_pipeline_program)
 
     peval = pipeline_sub.add_parser(
         "eval",
@@ -348,12 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             "against the offline reference"
         ),
     )
-    peval.add_argument("--cache-dir", type=str, required=True)
-    peval.add_argument(
-        "--pipeline", type=str, required=True,
-        help="pipeline key printed by `repro pipeline program`",
-    )
-    peval.add_argument("--replicas", type=int, default=1)
+    _add_snapshot_options(peval)
     peval.add_argument(
         "--ir-mode", type=_ir_mode, choices=IR_MODES, default=None,
         help="override the snapshot's read model",
@@ -370,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes-per-prototype", type=int, default=8,
         help="noisy probes recalled per stored BSB pattern",
     )
+    peval.set_defaults(run=_run_pipeline_eval)
 
     cache = sub.add_parser(
         "cache", help="inspect or prune the artifact cache"
@@ -379,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="print cache size and composition as JSON"
     )
     stats.add_argument("--cache-dir", type=str, required=True)
+    stats.set_defaults(run=_run_cache)
     prune = cache_sub.add_parser(
         "prune", help="evict oldest artifacts down to a size cap"
     )
@@ -387,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-size-mb", type=float, required=True,
         help="target cache size in megabytes",
     )
+    prune.set_defaults(run=_run_cache)
     return parser
 
 
@@ -456,10 +400,36 @@ def _run_quickstart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_program(args: argparse.Namespace) -> int:
-    import json
+class _UsageError(Exception):
+    """A command line that names something it cannot use (exit 2)."""
 
-    from repro.runtime.cache import ArtifactCache
+
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _recipe(args: argparse.Namespace) -> dict:
+    """The shared programming options, as config keywords."""
+    return dict(
+        image_size=args.image_size, n_train=args.n_train, sigma=args.sigma,
+        r_wire=args.r_wire, seed=args.seed, ir_mode=args.ir_mode,
+    )
+
+
+def _load_or_program(cache, key: str, snapshot_type, program):
+    """The snapshot stored under ``key``; programmed and stored if absent.
+
+    Returns the snapshot and ``"cached"`` or ``"programmed"``.
+    """
+    try:
+        return snapshot_type.load(cache, key), "cached"
+    except KeyError:
+        snapshot = program()
+        snapshot.save(cache, key)
+        return snapshot, "programmed"
+
+
+def _run_program(args: argparse.Namespace) -> int:
     from repro.serve import (
         ProgramConfig,
         ProgrammedArray,
@@ -468,87 +438,215 @@ def _run_program(args: argparse.Namespace) -> int:
     )
 
     config = ProgramConfig(
-        scheme=args.scheme,
-        image_size=args.image_size,
-        n_train=args.n_train,
-        sigma=args.sigma,
-        r_wire=args.r_wire,
-        redundancy=args.redundancy,
-        seed=args.seed,
-        ir_mode=args.ir_mode,
+        scheme=args.scheme, redundancy=args.redundancy, **_recipe(args)
     )
-    cache = ArtifactCache(args.cache_dir)
     key = artifact_key(config)
-    try:
-        artifact = ProgrammedArray.load(cache, key)
-        status = "cached"
-    except KeyError:
-        artifact = program_array(config)
-        artifact.save(cache, key)
-        status = "programmed"
-    summary = {
+    artifact, status = _load_or_program(
+        ArtifactCache(args.cache_dir), key, ProgrammedArray,
+        lambda: program_array(config),
+    )
+    _print_json({
         "key": key,
         "status": status,
         "scheme": artifact.scheme,
         "shape": list(artifact.g_pos.shape),
         "logical_rows": artifact.n_logical,
         "training_rate": artifact.metadata.get("training_rate"),
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    })
     return 0
 
 
-def _service_options(
-    args: argparse.Namespace, max_queue: int = 128
-) -> dict:
+def _run_fleet_program(args: argparse.Namespace) -> int:
+    from repro.core.old import train_old
+    from repro.data import make_dataset
+    from repro.fleet import (
+        FleetConfig,
+        ProgrammedFleet,
+        fleet_key,
+        program_fleet,
+    )
+
+    dataset = make_dataset(n_train=args.n_train, n_test=64, seed=args.seed)
+    if args.image_size != 28:
+        dataset = dataset.undersampled(args.image_size)
+    outcome = train_old(dataset.x_train, dataset.y_train, n_classes=10)
+    config = FleetConfig(
+        n_rows=dataset.n_features,
+        cols=10,
+        tile_rows=args.tile_rows,
+        sigma=args.sigma,
+        r_wire=args.r_wire,
+        seed=args.seed,
+        ir_mode=args.ir_mode,
+        n_probes=args.n_probes,
+    )
+    key = fleet_key(config, outcome.weights)
+    fleet, status = _load_or_program(
+        ArtifactCache(args.cache_dir), key, ProgrammedFleet,
+        lambda: program_fleet(
+            config, outcome.weights, probes=dataset.x_train[: args.n_probes]
+        ),
+    )
+    _print_json({
+        "key": key,
+        "status": status,
+        "n_shards": fleet.n_shards,
+        "shape": list(fleet.shape),
+        "tile_rows": config.tile_rows,
+        "training_rate": outcome.training_rate,
+    })
+    return 0
+
+
+def _run_pipeline_program(args: argparse.Namespace) -> int:
+    from repro.pipeline import (
+        PipelineArtifact,
+        PipelineConfig,
+        pipeline_key,
+        program_pipeline,
+    )
+
+    config = PipelineConfig(
+        kind=args.kind,
+        hidden=args.hidden,
+        epochs=args.epochs,
+        n_prototypes=args.n_prototypes,
+        tile_rows=args.tile_rows,
+        n_probes=args.n_probes,
+        **_recipe(args),
+    )
+    cache = ArtifactCache(args.cache_dir)
+    key = pipeline_key(config)
+    # program_pipeline memoises the trained software weights in the
+    # cache and stores the artifact itself; the second save rewrites it.
+    artifact, status = _load_or_program(
+        cache, key, PipelineArtifact,
+        lambda: program_pipeline(config, cache=cache),
+    )
+    _print_json({
+        "key": key,
+        "status": status,
+        "kind": config.kind,
+        "n_layers": artifact.n_layers,
+        "shapes": [list(shape) for shape in artifact.shapes],
+        "scales": artifact.scales,
+        "hidden_gain": artifact.hidden_gain,
+        "ir_mode": config.ir_mode,
+    })
+    return 0
+
+
+def _service_options(args: argparse.Namespace) -> dict:
     """Service keywords from the serving flags ``args`` carries.
 
-    Subcommands without them (``fleet status``, ``pipeline eval``) get
-    the service's own drift policy, a 32-query batch, ``max_queue``
-    and no deadline.
+    A flag the subcommand does not have (``status`` and ``pipeline
+    eval`` have few) or left unset leaves the service's own default.
     """
     from repro.serve import DriftPolicy
 
-    policy = None
+    options = {
+        name: getattr(args, name)
+        for name in ("replicas", "ir_mode", "max_batch", "max_queue")
+        if getattr(args, name, None) is not None
+    }
     if hasattr(args, "drift_threshold"):
-        policy = DriftPolicy(
+        options["policy"] = DriftPolicy(
             threshold=args.drift_threshold,
             check_every=args.check_every,
         )
-    deadline = getattr(args, "deadline_ms", None)
-    return dict(
-        ir_mode=getattr(args, "ir_mode", None),
-        policy=policy,
-        max_batch=getattr(args, "max_batch", 32),
-        max_queue=getattr(args, "max_queue", max_queue),
-        default_deadline_s=None if deadline is None else deadline / 1e3,
-    )
+    if getattr(args, "deadline_ms", None) is not None:
+        options["default_deadline_s"] = args.deadline_ms / 1e3
+    return options
 
 
-def _serve(service, args: argparse.Namespace) -> int:
+def _load_snapshot(snapshot_type, cache, key: str):
+    """``snapshot_type.load``, with a missing snapshot a usage error."""
+    try:
+        return snapshot_type.load(cache, key)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
+def _open_service(args: argparse.Namespace):
+    """The service for ``--artifact``, chosen by its stored manifest.
+
+    A ``"fleet_manifest"`` opens as a :class:`FleetService`, a
+    ``"pipeline_manifest"`` as a :class:`PipelineService`, and a
+    snapshot without a ``kind`` (one programmed array) as a
+    :class:`CrossbarService`.
+    """
+    from repro.fleet import FleetService, ProgrammedFleet
+    from repro.pipeline import PipelineArtifact, PipelineService
+    from repro.serve import CrossbarService, ProgrammedArray
+
+    cache = ArtifactCache(args.cache_dir)
+    doc = cache.get_json(args.artifact)
+    if not isinstance(doc, dict):
+        raise _UsageError(
+            f"no snapshot under key {args.artifact!r} in {args.cache_dir}"
+        )
+    snapshot_type, service_type = {
+        "fleet_manifest": (ProgrammedFleet, FleetService),
+        "pipeline_manifest": (PipelineArtifact, PipelineService),
+    }.get(doc.get("kind"), (ProgrammedArray, CrossbarService))
+    options = _service_options(args)
+    if service_type is CrossbarService and "replicas" in options:
+        raise _UsageError(
+            "--replicas needs a fleet or pipeline snapshot; "
+            f"{args.artifact!r} is a single programmed array"
+        )
+    snapshot = _load_snapshot(snapshot_type, cache, args.artifact)
+    return service_type(snapshot, **options)
+
+
+def _run_serve(args: argparse.Namespace) -> int:
     """Answer queries on stdin or HTTP, then close the service."""
-    with service:
+    with _open_service(args) as service:
         if args.stdin:
             return _serve_stdin(service)
         return _serve_http(service, args.port)
 
 
-def _build_service(args: argparse.Namespace):
-    from repro.runtime.cache import ArtifactCache
-    from repro.serve import CrossbarService, ProgrammedArray
+def _run_status(args: argparse.Namespace) -> int:
+    with _open_service(args) as service:
+        _print_json(service.status())
+    return 0
 
-    artifact = ProgrammedArray.load(
-        ArtifactCache(args.cache_dir), args.artifact
+
+def _refusal(exc: Exception) -> tuple[int, dict, dict] | None:
+    """The answer to a query the service refused, or ``None``.
+
+    Returns the HTTP status, the JSON body (all a stdin answer prints)
+    and the extra HTTP headers.  ``None`` means ``exc`` is not a
+    refusal and must propagate.  Every refusal is a ``ValueError`` (a
+    malformed query) or a ``RuntimeError`` subclass.
+    """
+    from repro.fleet import NoLiveReplicaError
+    from repro.serve import (
+        DeadlineExceededError,
+        ReplicaDeadError,
+        ServeOverloadedError,
     )
-    return CrossbarService(artifact, **_service_options(args))
+
+    if isinstance(exc, ServeOverloadedError):
+        retry = exc.retry_after_s
+        return (
+            503,
+            {"error": "overloaded", "retry_after_s": retry},
+            {"Retry-After": f"{retry:.3f}"},
+        )
+    if isinstance(exc, DeadlineExceededError):
+        return 504, {"error": "deadline_exceeded"}, {}
+    if isinstance(exc, (ReplicaDeadError, NoLiveReplicaError)):
+        return 503, {"error": "unavailable"}, {}
+    if isinstance(exc, ValueError):
+        # Unparseable, or not one query of the service's width.
+        return 400, {"error": "bad request"}, {}
+    return None
 
 
 def _serve_stdin(service) -> int:
     """One CSV feature vector per stdin line -> one JSON line out."""
-    import json
-
-    from repro.serve import DeadlineExceededError, ServeOverloadedError
-
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -558,18 +656,11 @@ def _serve_stdin(service) -> int:
                 [float(v) for v in line.replace(",", " ").split()]
             )
             scores = service.predict(x)
-        except ServeOverloadedError as exc:
-            print(json.dumps(
-                {"error": "overloaded",
-                 "retry_after_s": exc.retry_after_s}
-            ))
-            continue
-        except DeadlineExceededError:
-            print(json.dumps({"error": "deadline_exceeded"}))
-            continue
-        except ValueError:
-            # Unparseable, or not one query of the service's width.
-            print(json.dumps({"error": "bad request"}))
+        except (RuntimeError, ValueError) as exc:
+            refusal = _refusal(exc)
+            if refusal is None:
+                raise
+            print(json.dumps(refusal[1]))
             continue
         print(json.dumps({
             "prediction": int(np.argmax(scores)),
@@ -583,10 +674,7 @@ def _serve_stdin(service) -> int:
 
 def _http_server(service, port: int):
     """Minimal stdlib HTTP front end (POST /predict, GET /stats)."""
-    import json
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    from repro.serve import DeadlineExceededError, ServeOverloadedError
 
     class Handler(BaseHTTPRequestHandler):
         def _send(self, code: int, payload: dict,
@@ -622,18 +710,11 @@ def _http_server(service, port: int):
             try:
                 futures = [service.submit(x) for x in np.atleast_2d(inputs)]
                 scores = [f.result() for f in futures]
-            except ServeOverloadedError as exc:
-                self._send(
-                    503, {"error": "overloaded"},
-                    {"Retry-After": f"{exc.retry_after_s:.3f}"},
-                )
-                return
-            except DeadlineExceededError:
-                self._send(504, {"error": "deadline_exceeded"})
-                return
-            except ValueError:
-                # A query of the wrong width.
-                self._send(400, {"error": "bad request"})
+            except (RuntimeError, ValueError) as exc:
+                refusal = _refusal(exc)
+                if refusal is None:
+                    raise
+                self._send(*refusal)
                 return
             self._send(200, {
                 "predictions": [int(np.argmax(s)) for s in scores],
@@ -661,258 +742,82 @@ def _serve_http(service, port: int) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    return _serve(_build_service(args), args)
-
-
-def _run_fleet_program(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.old import train_old
-    from repro.data import make_dataset
-    from repro.fleet import (
-        FleetConfig,
-        ProgrammedFleet,
-        fleet_key,
-        program_fleet,
-    )
-    from repro.runtime.cache import ArtifactCache
-
-    dataset = make_dataset(
-        n_train=args.n_train, n_test=64, seed=args.seed
-    )
-    if args.image_size != 28:
-        dataset = dataset.undersampled(args.image_size)
-    outcome = train_old(dataset.x_train, dataset.y_train, n_classes=10)
-    config = FleetConfig(
-        n_rows=dataset.n_features,
-        cols=10,
-        tile_rows=args.tile_rows,
-        sigma=args.sigma,
-        r_wire=args.r_wire,
-        seed=args.seed,
-        ir_mode=args.ir_mode,
-        n_probes=args.n_probes,
-    )
-    cache = ArtifactCache(args.cache_dir)
-    key = fleet_key(config, outcome.weights)
-    try:
-        fleet = ProgrammedFleet.load(cache, key)
-        status = "cached"
-    except KeyError:
-        fleet = program_fleet(
-            config, outcome.weights, probes=dataset.x_train[: args.n_probes]
-        )
-        fleet.save(cache, key)
-        status = "programmed"
-    print(json.dumps({
-        "key": key,
-        "status": status,
-        "n_shards": fleet.n_shards,
-        "shape": list(fleet.shape),
-        "tile_rows": config.tile_rows,
-        "training_rate": outcome.training_rate,
-    }, indent=2, sort_keys=True))
-    return 0
-
-
-def _build_fleet_service(args: argparse.Namespace):
-    from repro.fleet import FleetService, ProgrammedFleet
-    from repro.runtime.cache import ArtifactCache
-
-    fleet = ProgrammedFleet.load(ArtifactCache(args.cache_dir), args.fleet)
-    return FleetService(
-        fleet, replicas=args.replicas, **_service_options(args)
-    )
-
-
-def _run_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    if args.fleet_command == "program":
-        return _run_fleet_program(args)
-    service = _build_fleet_service(args)
-    if args.fleet_command == "serve":
-        return _serve(service, args)
-    with service:
-        print(json.dumps(service.status(), indent=2, sort_keys=True))
-    return 0
-
-
-def _run_pipeline_program(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.pipeline import (
-        PipelineArtifact,
-        PipelineConfig,
-        pipeline_key,
-        program_pipeline,
-    )
-    from repro.runtime.cache import ArtifactCache
-
-    config = PipelineConfig(
-        kind=args.kind,
-        image_size=args.image_size,
-        n_train=args.n_train,
-        hidden=args.hidden,
-        epochs=args.epochs,
-        n_prototypes=args.n_prototypes,
-        sigma=args.sigma,
-        r_wire=args.r_wire,
-        tile_rows=args.tile_rows,
-        seed=args.seed,
-        ir_mode=args.ir_mode,
-        n_probes=args.n_probes,
-    )
-    cache = ArtifactCache(args.cache_dir)
-    key = pipeline_key(config)
-    try:
-        artifact = PipelineArtifact.load(cache, key)
-        status = "cached"
-    except KeyError:
-        artifact = program_pipeline(config, cache=cache)
-        status = "programmed"
-    print(json.dumps({
-        "key": key,
-        "status": status,
-        "kind": config.kind,
-        "n_layers": artifact.n_layers,
-        "shapes": [list(shape) for shape in artifact.shapes],
-        "scales": artifact.scales,
-        "hidden_gain": artifact.hidden_gain,
-        "ir_mode": config.ir_mode,
-    }, indent=2, sort_keys=True))
-    return 0
-
-
-def _build_pipeline_service(args: argparse.Namespace):
-    from repro.pipeline import PipelineArtifact, PipelineService
-    from repro.runtime.cache import ArtifactCache
-
-    artifact = PipelineArtifact.load(
-        ArtifactCache(args.cache_dir), args.pipeline
-    )
-    return PipelineService(
-        artifact,
-        replicas=args.replicas,
-        **_service_options(args, max_queue=256),
-    )
-
-
 def _run_pipeline_eval(args: argparse.Namespace) -> int:
-    import json
     import time
 
-    from repro.nn.bsb import noisy_probe
-    from repro.pipeline import offline_engine
+    from repro.nn.bsb import noisy_probes, recalled
+    from repro.pipeline import (
+        PipelineArtifact,
+        PipelineService,
+        offline_engine,
+    )
 
-    with _build_pipeline_service(args) as service:
-        artifact = service.artifact
-        config = artifact.config
-        reference = offline_engine(artifact, ir_mode=args.ir_mode)
+    artifact = _load_snapshot(
+        PipelineArtifact, ArtifactCache(args.cache_dir), args.artifact
+    )
+    config = artifact.config
+    if config.kind == "mlp":
         dataset = config.dataset()
+        x = dataset.x_test[: args.n_test]
+        y = dataset.y_test[: args.n_test]
+    else:
+        x, sources = noisy_probes(
+            artifact.prototypes, args.flip_fraction,
+            np.random.default_rng(config.seed + 1),
+            args.probes_per_prototype,
+        )
+    with PipelineService(artifact, **_service_options(args)) as service:
+        start = time.perf_counter()
+        served = service.forward(x, timeout=300.0)
+        elapsed = time.perf_counter() - start
+        rate = len(x) / elapsed if elapsed > 0 else 0.0
+        offline = offline_engine(artifact, ir_mode=args.ir_mode).forward(x)
+        result = {
+            "kind": config.kind,
+            "bit_identical": bool(np.array_equal(served, offline)),
+            "ir_mode": service.ir_mode,
+            "deadline_misses": service.status()["deadline_misses"],
+        }
         if config.kind == "mlp":
-            x = dataset.x_test[: args.n_test]
-            y = dataset.y_test[: args.n_test]
-            start = time.perf_counter()
-            served = service.forward(x, timeout=120.0)
-            elapsed = time.perf_counter() - start
-            offline = reference.forward(x)
-            weights = artifact.mlp_weights()
-            result = {
-                "kind": "mlp",
+            result.update({
                 "n_test": int(len(y)),
                 "accuracy": float(
                     np.mean(np.argmax(served, axis=1) == y)
                 ),
-                "software_accuracy": weights.accuracy(x, y),
-                "bit_identical": bool(np.array_equal(served, offline)),
-                "queries_per_second": (
-                    len(y) / elapsed if elapsed > 0 else 0.0
-                ),
-            }
+                "software_accuracy": artifact.mlp_weights().accuracy(x, y),
+                "queries_per_second": rate,
+            })
         else:
-            protos = artifact.prototypes
-            rng = np.random.default_rng(config.seed + 1)
-            probes = np.stack([
-                noisy_probe(p, args.flip_fraction, rng)
-                for p in protos
-                for _ in range(args.probes_per_prototype)
-            ])
-            sources = np.repeat(
-                np.arange(protos.shape[0]), args.probes_per_prototype
-            )
-            start = time.perf_counter()
-            served = service.forward(probes, timeout=300.0)
-            elapsed = time.perf_counter() - start
-            offline = reference.forward(probes)
-            signs = np.sign(served)
-            agreements = (
-                signs[:, None, :] == protos[None, :, :]
-            ).mean(axis=2)
-            own = agreements[np.arange(len(probes)), sources]
-            hits = (own >= 0.95) & (
-                own >= agreements.max(axis=1) - 1e-12
-            )
-            result = {
-                "kind": "bsb",
-                "n_probes": int(len(probes)),
+            result.update({
+                "n_probes": int(len(x)),
                 "flip_fraction": args.flip_fraction,
-                "recall_success_rate": float(np.mean(hits)),
-                "bit_identical": bool(np.array_equal(served, offline)),
+                "recall_success_rate": float(np.mean(
+                    recalled(served, artifact.prototypes, sources)
+                )),
                 "recall": service.engine.recall_stats(),
-                "probes_per_second": (
-                    len(probes) / elapsed if elapsed > 0 else 0.0
-                ),
-            }
-        result["ir_mode"] = service.ir_mode
-        result["deadline_misses"] = service.status()["deadline_misses"]
-        print(json.dumps(result, indent=2, sort_keys=True))
+                "probes_per_second": rate,
+            })
+    _print_json(result)
     return 0
 
 
-def _run_pipeline(args: argparse.Namespace) -> int:
-    if args.pipeline_command == "program":
-        return _run_pipeline_program(args)
-    if args.pipeline_command == "eval":
-        return _run_pipeline_eval(args)
-    return _serve(_build_pipeline_service(args), args)
-
-
 def _run_cache(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runtime.cache import ArtifactCache
-
     cache = ArtifactCache(args.cache_dir)
     if args.cache_command == "stats":
-        result = cache.stats()
+        _print_json(cache.stats())
     else:
-        result = cache.prune(args.max_size_mb)
-    print(json.dumps(result, indent=2, sort_keys=True))
+        _print_json(cache.prune(args.max_size_mb))
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "quickstart":
-        return _run_quickstart(args)
-    if args.command == "lint":
-        return run_lint(args)
-    if args.command == "program":
-        return _run_program(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "fleet":
-        return _run_fleet(args)
-    if args.command == "pipeline":
-        return _run_pipeline(args)
-    if args.command == "cache":
-        return _run_cache(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    try:
+        return args.run(args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

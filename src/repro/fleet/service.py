@@ -41,11 +41,8 @@ class FleetService(ServiceLifecycle):
             ``None``).
         policy: Drift policy shared by every replica monitor and the
             rolling reprogrammer.
-        max_batch / max_queue / default_deadline_s / min_retry_after_s:
-            Per-replica scheduler parameters.
-        microbatch: Per-replica engine microbatch size.
-        min_live: Quorum for rolling recovery (see
-            :class:`~repro.fleet.health.RollingReprogrammer`).
+        max_batch / max_queue / default_deadline_s: Per-replica
+            scheduler parameters.
         log: Telemetry sink; the ambient run log (or a private one)
             when omitted.
         label_prefix: Prepended to every replica's telemetry lane
@@ -62,9 +59,6 @@ class FleetService(ServiceLifecycle):
         max_batch: int = 32,
         max_queue: int = 128,
         default_deadline_s: float | None = None,
-        microbatch: int = 64,
-        min_retry_after_s: float = 0.05,
-        min_live: int = 1,
         log: RunLog | None = None,
         label_prefix: str = "",
     ):
@@ -85,11 +79,9 @@ class FleetService(ServiceLifecycle):
                 max_batch=max_batch,
                 max_queue=max_queue,
                 default_deadline_s=default_deadline_s,
-                microbatch=microbatch,
                 log=self.log,
                 shard_index=i,
                 replica_index=r,
-                min_retry_after_s=min_retry_after_s,
                 name_prefix=self.label_prefix,
             )
             # A fleet lane only alerts on drift: the rolling
@@ -103,10 +95,7 @@ class FleetService(ServiceLifecycle):
         ]
         self.router = FleetRouter(self.groups, fleet.ranges)
         self.reprogrammer = RollingReprogrammer(
-            self.groups,
-            policy=self.policy,
-            min_live=min_live,
-            log=self.log,
+            self.groups, policy=self.policy, log=self.log
         )
 
     # -- request path --------------------------------------------------

@@ -31,7 +31,9 @@ __all__ = [
     "bsb_recall",
     "bsb_recall_batch",
     "recall_success_rate",
+    "recalled",
     "noisy_probe",
+    "noisy_probes",
 ]
 
 
@@ -243,6 +245,43 @@ def noisy_probe(
     return p
 
 
+def noisy_probes(
+    prototypes: np.ndarray,
+    flip_fraction: float,
+    rng: np.random.Generator,
+    probes_per_prototype: int = 8,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy probes of every prototype and each probe's source index.
+
+    The probes are drawn prototype-major, ``probes_per_prototype`` of
+    each, so the ``rng`` stream is consumed in a fixed order.
+    """
+    protos = np.asarray(prototypes, dtype=float)
+    probes = np.stack([
+        noisy_probe(p, flip_fraction, rng)
+        for p in protos
+        for _ in range(probes_per_prototype)
+    ], axis=0)
+    sources = np.repeat(np.arange(protos.shape[0]), probes_per_prototype)
+    return probes, sources
+
+
+def recalled(
+    states: np.ndarray, prototypes: np.ndarray, sources: np.ndarray
+) -> np.ndarray:
+    """Which final states recall their source prototype.
+
+    A state counts as recalled when its signs match its source
+    prototype on more components than any other stored prototype and
+    on at least 95 % of all components.
+    """
+    protos = np.asarray(prototypes, dtype=float)
+    signs = np.sign(states)
+    agreements = (signs[:, None, :] == protos[None, :, :]).mean(axis=2)
+    own = agreements[np.arange(len(signs)), sources]
+    return (own >= 0.95) & (own >= agreements.max(axis=1) - 1e-12)
+
+
 def recall_success_rate(
     prototypes: np.ndarray,
     flip_fraction: float,
@@ -254,31 +293,20 @@ def recall_success_rate(
 ) -> float:
     """Fraction of noisy probes recalled to their own prototype.
 
-    A probe counts as recalled when the final state matches its source
-    prototype on more components than any other stored prototype and
-    on at least 95 % of all components.
-
-    The probes are drawn in a fixed order (prototype-major, exactly the
-    stream the historical per-probe loop consumed from ``rng``), then
-    recalled in one :func:`bsb_recall_batch` call — so the rate is
-    bit-identical to the looped computation while costing one batched
-    read per recall iteration.  ``matvec``, when given, must therefore
-    accept ``(b, n)`` batches; crossbar read paths already do.
+    The probes (:func:`noisy_probes`, exactly the stream the
+    historical per-probe loop consumed from ``rng``) are recalled in
+    one :func:`bsb_recall_batch` call and scored by :func:`recalled`,
+    so the rate is bit-identical to the looped computation while
+    costing one batched read per recall iteration.  ``matvec``, when
+    given, must therefore accept ``(b, n)`` batches; crossbar read
+    paths already do.
     """
-    protos = np.asarray(prototypes, dtype=float)
-    probes = np.stack([
-        noisy_probe(p, flip_fraction, rng)
-        for p in protos
-        for _ in range(probes_per_prototype)
-    ], axis=0)
-    sources = np.repeat(
-        np.arange(protos.shape[0]), probes_per_prototype
+    probes, sources = noisy_probes(
+        prototypes, flip_fraction, rng, probes_per_prototype
     )
     results = bsb_recall_batch(
         probes, config, matvec=matvec, weights=weights
     )
-    signs = np.stack([np.sign(r.state) for r in results], axis=0)
-    agreements = (signs[:, None, :] == protos[None, :, :]).mean(axis=2)
-    own = agreements[np.arange(len(results)), sources]
-    hits = (own >= 0.95) & (own >= agreements.max(axis=1) - 1e-12)
+    states = np.stack([r.state for r in results], axis=0)
+    hits = recalled(states, prototypes, sources)
     return float(np.sum(hits)) / len(results)

@@ -40,13 +40,10 @@ class PipelineService(ServiceLifecycle):
         ir_mode: Read-model override (the artifact's mode when
             ``None``).
         policy: Drift policy shared by every replica monitor.
-        max_batch / max_queue / min_retry_after_s: Per-replica
-            scheduler parameters.
+        max_batch / max_queue: Per-replica scheduler parameters.
         default_deadline_s: Deadline applied to pipeline queries that
             do not carry their own; the budget spans the whole staged
             chain (each stage consumes from what remains).
-        microbatch: Per-replica engine microbatch size.
-        min_live: Quorum for rolling recovery, per layer.
         log: Telemetry sink shared by every layer; the ambient run log
             (or a private one) when omitted.
     """
@@ -60,9 +57,6 @@ class PipelineService(ServiceLifecycle):
         max_batch: int = 32,
         max_queue: int = 256,
         default_deadline_s: float | None = None,
-        microbatch: int = 64,
-        min_retry_after_s: float = 0.05,
-        min_live: int = 1,
         log: RunLog | None = None,
     ):
         self.artifact = artifact
@@ -83,9 +77,6 @@ class PipelineService(ServiceLifecycle):
                 # Deadlines live at the pipeline level: the engine
                 # passes each stage the remaining chain budget.
                 default_deadline_s=None,
-                microbatch=microbatch,
-                min_retry_after_s=min_retry_after_s,
-                min_live=min_live,
                 log=self.log,
                 label_prefix=f"layer{i}/",
             )

@@ -3,42 +3,17 @@
 The reproducibility contract (``docs/determinism.md``, rule REP001)
 requires all randomness to flow from a seeded
 :class:`numpy.random.Generator` supplied by the caller.  Public APIs
-that historically defaulted to OS entropy now route through
-:func:`ensure_rng`: passing ``None`` still works, but draws from a
-*fixed* fallback seed (so results are at least reproducible) and emits
-a :class:`DeprecationWarning` telling the caller to thread a generator
-explicitly.
+that take randomness route it through :func:`ensure_rng`, which
+accepts every seeded form and refuses ``None`` with a
+:class:`TypeError` naming the API, so a missing generator fails loudly
+instead of drawing from a hidden default.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-__all__ = ["DEFAULT_FALLBACK_SEED", "ensure_rng", "fallback_rng"]
-
-#: Seed of the deprecated ``rng=None`` fallback path.  Fixed (not OS
-#: entropy) so even legacy call sites are bit-reproducible run to run.
-DEFAULT_FALLBACK_SEED = 0
-
-
-def fallback_rng(context: str) -> np.random.Generator:
-    """Deterministic stand-in generator for a legacy ``rng=None`` call.
-
-    Args:
-        context: Dotted name of the API that was called without an
-            ``rng`` (shown in the warning so the call site is findable).
-    """
-    warnings.warn(
-        f"{context}: no rng/seed was provided; falling back to the fixed "
-        f"seed {DEFAULT_FALLBACK_SEED}. Pass an explicit seeded "
-        "np.random.Generator - the implicit fallback is deprecated and "
-        "will become an error.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return np.random.default_rng(DEFAULT_FALLBACK_SEED)
+__all__ = ["ensure_rng"]
 
 
 def ensure_rng(
@@ -55,16 +30,21 @@ def ensure_rng(
 
     Accepts a ready generator (returned as-is), a
     :class:`~numpy.random.BitGenerator` (wrapped without reseeding, so
-    its stream position is preserved), an integer seed or a
-    :class:`~numpy.random.SeedSequence` (wrapped), or ``None`` — the
-    deprecated path, which warns and uses the fixed fallback seed.
+    its stream position is preserved), or an integer seed or a
+    :class:`~numpy.random.SeedSequence` (wrapped).
 
     Args:
         rng: The caller-supplied randomness, in any accepted form.
-        context: Dotted API name for the deprecation warning.
+        context: Dotted API name, shown when ``rng`` is missing.
+
+    Raises:
+        TypeError: ``rng`` is ``None``.
     """
     if rng is None:
-        return fallback_rng(context)
+        raise TypeError(
+            f"{context}: no rng/seed was provided; pass an explicit "
+            "seeded np.random.Generator (or an integer seed)"
+        )
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, np.random.BitGenerator):

@@ -58,14 +58,12 @@ class InferenceEngine:
         cls,
         artifact: ProgrammedArray,
         ir_mode: str | None = None,
-        microbatch: int = 64,
     ) -> "InferenceEngine":
         """Reconstruct the hardware from a snapshot and wrap it."""
         return cls(
             target=artifact.build_pair(),
             mapping=artifact.mapping,
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
-            microbatch=microbatch,
         )
 
     @property

@@ -42,13 +42,10 @@ class DriftPolicy:
         check_every: Request batches between probe replays; probes
             cost a hardware read, so checking every batch would tax
             throughput.
-        defect_theta_cutoff: |theta| above which a re-pretested device
-            is counted as a stuck-at defect in the repair report.
     """
 
     threshold: float = 0.1
     check_every: int = 5
-    defect_theta_cutoff: float = 1.5
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:

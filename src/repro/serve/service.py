@@ -41,7 +41,6 @@ from repro.core.amp import run_amp
 from repro.core.old import program_pair_open_loop
 from repro.core.pretest import pretest_pair
 from repro.runtime.telemetry import RunLog, resolve_run_log
-from repro.seeding import ensure_rng
 from repro.serve.artifact import ProgrammedArray
 from repro.serve.engine import InferenceEngine
 from repro.serve.health import DriftMonitor, DriftPolicy
@@ -49,6 +48,11 @@ from repro.serve.protocol import Service, ServiceLifecycle
 from repro.serve.scheduler import BatchScheduler, ServeOverloadedError
 
 __all__ = ["CrossbarService", "ReplicaDeadError", "Service"]
+
+
+#: A re-pretested device whose |theta| exceeds this counts as stuck-at
+#: in the repair report.
+DEFECT_THETA_CUTOFF = 1.5
 
 
 class ReplicaDeadError(RuntimeError):
@@ -78,10 +82,6 @@ class CrossbarService(ServiceLifecycle):
         max_batch: Scheduler batch bound.
         max_queue: Scheduler queue bound.
         default_deadline_s: Default per-request deadline.
-        microbatch: Engine microbatch size.
-        rng: Randomness for re-pretests during repair; derived from
-            the artifact's recorded seed when omitted (so a service
-            restarted from the same artifact repairs identically).
         log: Telemetry sink shared by scheduler and monitor.
         nodal_solver: ``None`` or ``"lu"`` (sparse LU, the only nodal
             solver); any other value raises :class:`ValueError`.  It
@@ -92,8 +92,6 @@ class CrossbarService(ServiceLifecycle):
         shard_index: The shard this lane serves in a fleet; ``None``
             (the default) for a standalone service.
         replica_index: Position within the shard's replica set.
-        min_retry_after_s: Floor for the overload retry-after hint
-            (see :class:`~repro.serve.scheduler.BatchScheduler`).
         name_prefix: Prepended to a fleet lane's name (and thus its
             telemetry lane label).  A multi-fleet composition such as
             ``repro.pipeline`` uses ``"layer<k>/"`` so one shared run
@@ -108,14 +106,11 @@ class CrossbarService(ServiceLifecycle):
         max_batch: int = 32,
         max_queue: int = 128,
         default_deadline_s: float | None = None,
-        microbatch: int = 64,
-        rng: np.random.Generator | None = None,
         log: RunLog | None = None,
         nodal_solver: str | None = None,
         *,
         shard_index: int | None = None,
         replica_index: int = 0,
-        min_retry_after_s: float = 0.05,
         name_prefix: str = "",
     ):
         if nodal_solver not in (None, "lu"):
@@ -130,16 +125,14 @@ class CrossbarService(ServiceLifecycle):
             "" if shard_index is None
             else f"{name_prefix}shard{shard_index}/r{replica_index}"
         )
-        if rng is None:
-            rng = np.random.default_rng(
-                int(artifact.metadata.get("seed", 0))
-            )
-        self._rng = ensure_rng(rng, "repro.serve.service.CrossbarService")
+        # Re-pretests during repair draw from the artifact's recorded
+        # seed, so a service restarted from it repairs identically.
+        self._rng = np.random.default_rng(
+            int(artifact.metadata.get("seed", 0))
+        )
         self.log = resolve_run_log(log)
         self.policy = policy if policy is not None else DriftPolicy()
-        self.engine = InferenceEngine.from_artifact(
-            artifact, ir_mode=ir_mode, microbatch=microbatch
-        )
+        self.engine = InferenceEngine.from_artifact(artifact, ir_mode=ir_mode)
         self.pair = self.engine.target
         self.monitor = DriftMonitor.for_artifact(
             self.engine,
@@ -162,7 +155,6 @@ class CrossbarService(ServiceLifecycle):
             max_batch=max_batch,
             max_queue=max_queue,
             default_deadline_s=default_deadline_s,
-            min_retry_after_s=min_retry_after_s,
         )
         self.restart_scheduler()
 
@@ -288,9 +280,9 @@ class CrossbarService(ServiceLifecycle):
 
         Returns:
             Stuck-at defect counts inferred from the re-pretest (a
-            measured |theta| beyond the policy cutoff reads as a stuck
-            device -- the pre-test cannot distinguish a defect from an
-            extreme variation, and AMP does not need it to).
+            measured |theta| beyond ``DEFECT_THETA_CUTOFF`` reads as a
+            stuck device -- the pre-test cannot distinguish a defect
+            from an extreme variation, and AMP does not need it to).
         """
         artifact = self.artifact
         pretest = pretest_pair(self.pair, rng=self._rng)
@@ -308,11 +300,10 @@ class CrossbarService(ServiceLifecycle):
             x_reference=mapping.inputs_to_physical(artifact.x_mean),
         )
         self.engine.replace_mapping(mapping)
-        cutoff = self.policy.defect_theta_cutoff
         theta = np.concatenate(
             [pretest.theta_pos.ravel(), pretest.theta_neg.ravel()]
         )
         return {
-            "stuck_at_lrs": int(np.sum(theta > cutoff)),
-            "stuck_at_hrs": int(np.sum(theta < -cutoff)),
+            "stuck_at_lrs": int(np.sum(theta > DEFECT_THETA_CUTOFF)),
+            "stuck_at_hrs": int(np.sum(theta < -DEFECT_THETA_CUTOFF)),
         }

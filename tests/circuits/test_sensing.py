@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.circuits.adc import ADC
 from repro.circuits.sensing import CurrentSense, repeated_sense_average
 from repro.config import CrossbarConfig, VariationConfig
 from repro.core.base import HardwareSpec, build_pair
-from repro.seeding import DEFAULT_FALLBACK_SEED
 from repro.serve.artifact import ProgramConfig, program_array
 from repro.xbar.mapping import WeightScaler
 from repro.xbar.tiling import TiledPair
@@ -74,30 +71,26 @@ class TestRepeatedSense:
 class TestNoiselessSenseTakesNoGenerator:
     """A sense without readout noise never draws, so it needs no ``rng``.
 
-    The three pair builders that construct one without a generator must
-    not reach the deprecated fixed-seed fallback, and their reads must
-    equal those through a sense holding that fallback's generator.
+    The three pair builders construct one without a generator (a noisy
+    sense without one raises), and their reads must equal those through
+    a sense holding a seeded generator.
     """
 
     @staticmethod
-    def _fallback_sense(adc):
-        return CurrentSense(
-            adc=adc, rng=np.random.default_rng(DEFAULT_FALLBACK_SEED)
-        )
+    def _seeded_sense(adc):
+        return CurrentSense(adc=adc, rng=np.random.default_rng(0))
 
     def _assert_reads_unchanged(self, pair, x):
         got = pair.matvec(x)
-        pair.diff_sense = self._fallback_sense(pair.diff_sense.adc)
+        pair.diff_sense = self._seeded_sense(pair.diff_sense.adc)
         assert np.array_equal(got, pair.matvec(x))
 
     def test_noiseless_sense_keeps_no_generator(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sense = CurrentSense(adc=ADC(4, 1.0))
+        sense = CurrentSense(adc=ADC(4, 1.0))
         assert sense.rng is None
 
-    def test_noisy_sense_without_rng_still_warns(self):
-        with pytest.warns(DeprecationWarning, match="CurrentSense"):
+    def test_noisy_sense_without_rng_raises(self):
+        with pytest.raises(TypeError, match="CurrentSense"):
             CurrentSense(noise_std=1e-6)
 
     def test_build_pair(self):
@@ -105,9 +98,7 @@ class TestNoiselessSenseTakesNoGenerator:
             variation=VariationConfig(sigma=0.3),
             crossbar=CrossbarConfig(rows=12, cols=3, r_wire=0.0),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pair = build_pair(spec, WeightScaler(1.0), np.random.default_rng(2))
+        pair = build_pair(spec, WeightScaler(1.0), np.random.default_rng(2))
         assert pair.diff_sense is not None
         pair.program_weights(np.linspace(-0.8, 0.8, 36).reshape(12, 3))
         x = np.random.default_rng(3).random((5, 12))
@@ -117,26 +108,22 @@ class TestNoiselessSenseTakesNoGenerator:
         config = ProgramConfig(
             scheme="vortex", image_size=7, n_train=120, sigma=0.3, seed=5,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            artifact = program_array(config)
-            pair = artifact.build_pair()
+        artifact = program_array(config)
+        pair = artifact.build_pair()
         assert pair.diff_sense is not None
         x = np.random.default_rng(4).random((6, pair.shape[0]))
         self._assert_reads_unchanged(pair, x)
 
     def test_tiled_pair_with_adc(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            tiled = TiledPair(
-                WeightScaler(1.0), n_rows=16, cols=3, tile_rows=6,
-                config=CrossbarConfig(rows=16, cols=3, r_wire=0.0),
-                variation=VariationConfig(sigma=0.2, sigma_cycle=0.0),
-                rng=np.random.default_rng(6), adc_bits=6,
-            )
+        tiled = TiledPair(
+            WeightScaler(1.0), n_rows=16, cols=3, tile_rows=6,
+            config=CrossbarConfig(rows=16, cols=3, r_wire=0.0),
+            variation=VariationConfig(sigma=0.2, sigma_cycle=0.0),
+            rng=np.random.default_rng(6), adc_bits=6,
+        )
         tiled.program_weights(np.linspace(-0.5, 0.5, 48).reshape(16, 3))
         x = np.random.default_rng(7).random((4, 16))
         got = tiled.matvec(x)
         for tile in tiled.tiles:
-            tile.diff_sense = self._fallback_sense(tile.diff_sense.adc)
+            tile.diff_sense = self._seeded_sense(tile.diff_sense.adc)
         assert np.array_equal(got, tiled.matvec(x))

@@ -10,6 +10,10 @@ answers must equal the offline engine on the loaded artifact bit for
 bit.  ``CrossbarService`` keeps its ``nodal_solver`` keyword for older
 callers, but only ``None`` and ``"lu"`` pass it.
 
+Each older form also serves through the CLI's one front door,
+``repro serve --artifact KEY --stdin``, which picks the service from
+the stored manifest (a single-array snapshot has no ``kind`` key).
+
 Snapshots and manifests pinned to the retired ``"fixed_point"`` read
 mode fail loudly instead: a snapshot refuses to serve without an
 ``ir_mode`` override, and a fleet or pipeline manifest refuses to load.
@@ -17,11 +21,13 @@ mode fail loudly instead: a snapshot refuses to serve without an
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.fleet import (
     FleetConfig,
     FleetService,
@@ -66,6 +72,20 @@ def _write_older_form(root, nodal_solver=None) -> int:
     return rewritten
 
 
+def _cli_served(root, key: str, x, capsys, monkeypatch) -> np.ndarray:
+    """Scores of ``repro serve --artifact key --stdin`` for rows ``x``."""
+    lines = "\n".join(",".join(repr(float(v)) for v in row) for row in x)
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines + "\n"))
+    capsys.readouterr()
+    argv = ["serve", "--cache-dir", str(root), "--artifact", key, "--stdin"]
+    assert main(argv) == 0
+    answers = [
+        json.loads(text)
+        for text in capsys.readouterr().out.splitlines() if text
+    ]
+    return np.array([answer["scores"] for answer in answers])
+
+
 def _pin_ir_mode(root, ir_mode: str) -> int:
     """Pin ``ir_mode`` in every cached snapshot and manifest config."""
     pinned = 0
@@ -79,11 +99,14 @@ def _pin_ir_mode(root, ir_mode: str) -> int:
     return pinned
 
 
-def test_programmed_array_with_backend_metadata_serves(tmp_path):
+def test_programmed_array_with_backend_metadata_serves(
+    tmp_path, capsys, monkeypatch
+):
     config = ProgramConfig(scheme="old", image_size=7, n_train=100, seed=2)
     cache = ArtifactCache(tmp_path)
     key = program_array(config).save(cache, artifact_key(config))
     assert _write_older_form(tmp_path) == 1
+    assert "kind" not in cache.get_json(key)
 
     loaded = ProgrammedArray.load(cache, key)
     assert loaded.metadata["backend"] == "numpy"
@@ -94,9 +117,14 @@ def test_programmed_array_with_backend_metadata_serves(tmp_path):
             [service.submit(row).result(timeout=30.0) for row in x]
         )
     assert np.array_equal(served, expected)
+    assert np.array_equal(
+        _cli_served(tmp_path, key, x, capsys, monkeypatch), expected
+    )
 
 
-def test_fleet_manifest_with_backend_field_serves(tmp_path):
+def test_fleet_manifest_with_backend_field_serves(
+    tmp_path, capsys, monkeypatch
+):
     config = FleetConfig(n_rows=20, cols=4, tile_rows=8, seed=7, n_probes=4)
     w = np.random.default_rng(1).uniform(-1, 1, (20, 4))
     cache = ArtifactCache(tmp_path)
@@ -110,10 +138,13 @@ def test_fleet_manifest_with_backend_field_serves(tmp_path):
     expected = InferenceEngine(loaded.build_tiled()).forward(x)
     with FleetService(loaded) as service:
         assert np.array_equal(service.forward(x, timeout=30.0), expected)
+    assert np.array_equal(
+        _cli_served(tmp_path, key, x, capsys, monkeypatch), expected
+    )
 
 
 def test_pipeline_manifest_with_backend_field_serves(
-    tmp_path, mlp_config, mlp_artifact
+    tmp_path, mlp_config, mlp_artifact, capsys, monkeypatch
 ):
     cache = ArtifactCache(tmp_path)
     key = mlp_artifact.save(cache, pipeline_key(mlp_config))
@@ -125,6 +156,9 @@ def test_pipeline_manifest_with_backend_field_serves(
     expected = offline_engine(loaded).forward(x)
     with PipelineService(loaded) as service:
         assert np.array_equal(service.forward(x, timeout=30.0), expected)
+    assert np.array_equal(
+        _cli_served(tmp_path, key, x, capsys, monkeypatch), expected
+    )
 
 
 def test_programmed_array_with_pinned_cg_serves_through_lu(tmp_path):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import http.client
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -63,6 +67,23 @@ class TestParser:
         assert args.command == "quickstart"
         assert args.sigma == 0.4
         assert args.image_size == 7
+
+    def test_leaf_commands(self):
+        import argparse
+
+        def leaves(parser, prefix=()):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from leaves(child, prefix + (name,))
+                    return
+            yield " ".join(prefix)
+
+        assert sorted(leaves(build_parser())) == [
+            "cache prune", "cache stats", "fleet program", "lint",
+            "pipeline eval", "pipeline program", "program", "quickstart",
+            "report", "serve", "status",
+        ]
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -283,24 +304,25 @@ class TestFleetParser:
     def test_serve_requires_io_mode(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["fleet", "serve", "--cache-dir", "/tmp/c",
-                 "--fleet", "k"]
+                ["serve", "--cache-dir", "/tmp/c", "--artifact", "k",
+                 "--replicas", "2"]
             )
 
     def test_serve_options(self):
         args = build_parser().parse_args([
-            "fleet", "serve", "--cache-dir", "/tmp/c", "--fleet", "k",
+            "serve", "--cache-dir", "/tmp/c", "--artifact", "k",
             "--stdin", "--replicas", "3", "--drift-threshold", "0.1",
         ])
         assert args.replicas == 3
         assert args.drift_threshold == 0.1
 
     def test_status_defaults(self):
+        # No --replicas: the service's own default (2 for a fleet).
         args = build_parser().parse_args(
-            ["fleet", "status", "--cache-dir", "/tmp/c", "--fleet", "k"]
+            ["status", "--cache-dir", "/tmp/c", "--artifact", "k"]
         )
-        assert args.fleet_command == "status"
-        assert args.replicas == 2
+        assert args.command == "status"
+        assert args.replicas is None
 
 
 class TestFleetProgramAndStatus:
@@ -323,8 +345,7 @@ class TestFleetProgramAndStatus:
         assert json.loads(capsys.readouterr().out)["status"] == "cached"
 
         assert main([
-            "fleet", "status", "--cache-dir", cache_dir,
-            "--fleet", summary["key"],
+            "status", "--cache-dir", cache_dir, "--artifact", summary["key"],
         ]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["n_shards"] == 4
@@ -346,19 +367,20 @@ class TestPipelineParser:
         assert args.tile_rows == 32
 
     def test_serve_requires_io_mode(self, capsys):
+        # A pipeline is served by the top-level serve command.
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["pipeline", "serve", "--cache-dir", "/tmp/c",
-                 "--pipeline", "k"]
+                ["serve", "--cache-dir", "/tmp/c", "--artifact", "k",
+                 "--replicas", "1"]
             )
 
     def test_eval_defaults(self):
         args = build_parser().parse_args([
             "pipeline", "eval", "--cache-dir", "/tmp/c",
-            "--pipeline", "k",
+            "--artifact", "k",
         ])
         assert args.pipeline_command == "eval"
-        assert args.replicas == 1
+        assert args.replicas is None
         assert args.n_test == 200
         assert args.flip_fraction == 0.1
 
@@ -390,7 +412,7 @@ class TestPipelineCommands:
 
         assert main([
             "pipeline", "eval", "--cache-dir", cache_dir,
-            "--pipeline", summary["key"], "--n-test", "24",
+            "--artifact", summary["key"], "--n-test", "24",
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "mlp"
@@ -401,8 +423,8 @@ class TestPipelineCommands:
         line = ",".join(["0.2"] * 49)
         monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n\n"))
         assert main([
-            "pipeline", "serve", "--cache-dir", cache_dir,
-            "--pipeline", summary["key"], "--stdin",
+            "serve", "--cache-dir", cache_dir,
+            "--artifact", summary["key"], "--stdin",
         ]) == 0
         captured = capsys.readouterr()
         answers = [
@@ -427,7 +449,7 @@ class TestPipelineCommands:
 
         assert main([
             "pipeline", "eval", "--cache-dir", cache_dir,
-            "--pipeline", summary["key"],
+            "--artifact", summary["key"],
             "--probes-per-prototype", "2",
         ]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -535,8 +557,7 @@ PROGRAM_ARGV = {
 
 @pytest.fixture(scope="module")
 def served_snapshots(tmp_path_factory):
-    """Serve argv (minus the I/O flag) for one snapshot of each kind."""
-    import contextlib
+    """``--cache-dir``/``--artifact`` argv of one snapshot of each kind."""
     import io
     import json
 
@@ -547,11 +568,42 @@ def served_snapshots(tmp_path_factory):
         with contextlib.redirect_stdout(out):
             assert main(argv + ["--cache-dir", cache_dir]) == 0
         key = json.loads(out.getvalue())["key"]
-        flag = {"serve": "--artifact", "fleet": "--fleet",
-                "pipeline": "--pipeline"}[kind]
-        prefix = ["serve"] if kind == "serve" else [kind, "serve"]
-        argvs[kind] = prefix + ["--cache-dir", cache_dir, flag, key]
+        argvs[kind] = ["--cache-dir", cache_dir, "--artifact", key]
     return argvs
+
+
+@contextlib.contextmanager
+def _http_front(argv):
+    """``repro serve ARGV --port 0``'s service and HTTP port, in a thread."""
+    from repro import cli
+
+    args = build_parser().parse_args(["serve", *argv, "--port", "0"])
+    service = cli._open_service(args)
+    server = cli._http_server(service, 0)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield service, server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10.0)
+        service.close()
+
+
+def _post(port: int, body: bytes, length: str | None = None):
+    """POST /predict; the response status and body."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader(
+            "Content-Length", str(len(body)) if length is None else length
+        )
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
 
 
 class TestMalformedQueries:
@@ -567,7 +619,7 @@ class TestMalformedQueries:
         valid = ",".join(["0.2"] * SERVE_WIDTH)
         lines = [valid, "0.2,abc", ",".join(["0.2"] * 5), valid]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
-        assert main(served_snapshots[kind] + ["--stdin"]) == 0
+        assert main(["serve", *served_snapshots[kind], "--stdin"]) == 0
         answers = [
             json.loads(text)
             for text in capsys.readouterr().out.splitlines() if text
@@ -579,43 +631,16 @@ class TestMalformedQueries:
 
     @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
     def test_http_answers_400_and_goes_on(self, kind, served_snapshots):
-        import http.client
         import json
-        import threading
-
-        from repro import cli
-
-        build = {
-            "serve": cli._build_service,
-            "fleet": cli._build_fleet_service,
-            "pipeline": cli._build_pipeline_service,
-        }[kind]
-        args = build_parser().parse_args(
-            served_snapshots[kind] + ["--port", "0"]
-        )
-        service = build(args)
-        server = cli._http_server(service, 0)
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-
-        def post(length: str, body: bytes) -> int:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.server_address[1], timeout=30.0
-            )
-            try:
-                conn.putrequest("POST", "/predict")
-                conn.putheader("Content-Length", length)
-                conn.endheaders(body)
-                response = conn.getresponse()
-                response.read()
-                return response.status
-            finally:
-                conn.close()
 
         def inputs(width: int, rows: int = 1) -> bytes:
             return json.dumps({"inputs": [[0.2] * width] * rows}).encode()
 
-        try:
+        with _http_front(served_snapshots[kind]) as (_, port):
+
+            def post(length: str, body: bytes) -> int:
+                return _post(port, body, length)[0]
+
             ok = inputs(SERVE_WIDTH, rows=2)
             assert post(str(len(ok)), ok) == 200
             bad = inputs(5)
@@ -624,11 +649,161 @@ class TestMalformedQueries:
             assert post("-1", ok) == 400
             assert post("3", b"[1]") == 400
             assert post(str(len(ok)), ok) == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10.0)
-            service.close()
+
+
+def _offline_forward(cache_dir: str, key: str, x):
+    """The offline reference read of any snapshot kind."""
+    from repro.fleet import ProgrammedFleet
+    from repro.pipeline import PipelineArtifact, offline_engine
+    from repro.runtime.cache import ArtifactCache
+    from repro.serve import InferenceEngine, ProgrammedArray
+
+    cache = ArtifactCache(cache_dir)
+    kind = cache.get_json(key).get("kind")
+    if kind == "fleet_manifest":
+        engine = InferenceEngine(ProgrammedFleet.load(cache, key).build_tiled())
+    elif kind == "pipeline_manifest":
+        engine = offline_engine(PipelineArtifact.load(cache, key))
+    else:
+        engine = InferenceEngine.from_artifact(ProgrammedArray.load(cache, key))
+    return engine.forward(x)
+
+
+def _kill_one_lane(service) -> None:
+    """Leave the service with no live lane for its first rows."""
+    from repro.fleet import FleetService
+    from repro.pipeline import PipelineService
+
+    if isinstance(service, PipelineService):
+        service.kill_replica(0, 0, 0)
+    elif isinstance(service, FleetService):
+        service.kill_replica(0, 0)
+    else:
+        service.kill()
+
+
+class TestServeAnySnapshot:
+    """``serve`` and ``status`` open a snapshot by its stored manifest."""
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
+    def test_served_answers_equal_offline(
+        self, kind, served_snapshots, capsys, monkeypatch
+    ):
+        import io
+        import json
+
+        import numpy as np
+
+        x = np.random.default_rng(3).random((3, SERVE_WIDTH))
+        lines = "\n".join(",".join(repr(float(v)) for v in row) for row in x)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines + "\n"))
+        assert main(["serve", *served_snapshots[kind], "--stdin"]) == 0
+        served = np.array([
+            json.loads(text)["scores"]
+            for text in capsys.readouterr().out.splitlines() if text
+        ])
+        _, cache_dir, _, key = served_snapshots[kind]
+        assert np.array_equal(served, _offline_forward(cache_dir, key, x))
+
+    @pytest.mark.parametrize(
+        "kind, field, replicas",
+        [("serve", "scheme", None), ("fleet", "n_shards", 2),
+         ("pipeline", "n_layers", 1)],
+    )
+    def test_status_opens_every_kind(
+        self, kind, field, replicas, served_snapshots, capsys
+    ):
+        import json
+
+        assert main(["status", *served_snapshots[kind]]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert field in status
+        if replicas is not None:
+            # No --replicas: the service's own default.
+            lanes = (
+                status["shards"] if kind == "fleet"
+                else status["layers"][0]["shards"]
+            )
+            assert all(len(s["replicas"]) == replicas for s in lanes)
+
+    def test_replicas_set_on_status(self, served_snapshots, capsys):
+        import json
+
+        argv = ["status", *served_snapshots["fleet"], "--replicas", "3"]
+        assert main(argv) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["replicas_per_shard"] == 3
+
+    @pytest.mark.parametrize("command", ["serve", "status"])
+    def test_unknown_artifact_is_a_usage_error(
+        self, command, served_snapshots, capsys
+    ):
+        _, cache_dir, _, _ = served_snapshots["serve"]
+        argv = [command, "--cache-dir", cache_dir, "--artifact", "nope"]
+        if command == "serve":
+            argv.append("--stdin")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "'nope'" in err[0]
+
+    def test_eval_of_a_non_pipeline_is_a_usage_error(
+        self, served_snapshots, capsys
+    ):
+        argv = ["pipeline", "eval", *served_snapshots["fleet"]]
+        assert main(argv) == 2
+        assert "pipeline" in capsys.readouterr().err
+
+    def test_replicas_on_a_single_array_is_a_usage_error(
+        self, served_snapshots, capsys
+    ):
+        argv = ["serve", *served_snapshots["serve"], "--stdin",
+                "--replicas", "2"]
+        assert main(argv) == 2
+        assert "--replicas" in capsys.readouterr().err
+
+
+class TestUnavailableService:
+    """A service with no live lane answers ``unavailable`` and goes on."""
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
+    def test_stdin_answers_unavailable(
+        self, kind, served_snapshots, capsys, monkeypatch
+    ):
+        import io
+        import json
+
+        from repro import cli
+
+        replicas = [] if kind == "serve" else ["--replicas", "1"]
+        args = build_parser().parse_args(
+            ["serve", *served_snapshots[kind], "--stdin", *replicas]
+        )
+        line = ",".join(["0.2"] * SERVE_WIDTH)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{line}\n{line}\n"))
+        with cli._open_service(args) as service:
+            _kill_one_lane(service)
+            assert cli._serve_stdin(service) == 0
+        answers = [
+            json.loads(text)
+            for text in capsys.readouterr().out.splitlines() if text
+        ]
+        assert answers == [{"error": "unavailable"}] * 2
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAM_ARGV))
+    def test_http_answers_503(self, kind, served_snapshots):
+        import json
+
+        replicas = [] if kind == "serve" else ["--replicas", "1"]
+        body = json.dumps({"inputs": [[0.2] * SERVE_WIDTH]}).encode()
+        with _http_front([*served_snapshots[kind], *replicas]) as (
+            service, port
+        ):
+            _kill_one_lane(service)
+            for _ in range(2):
+                status, answer = _post(port, body)
+                assert status == 503
+                assert json.loads(answer) == {"error": "unavailable"}
 
 
 class TestModuleEntryPoint:

@@ -1,11 +1,11 @@
-"""Seed-discipline helpers: every accepted rng form, plus the fallback."""
+"""Seed-discipline helpers: every accepted rng form; ``None`` is refused."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.seeding import DEFAULT_FALLBACK_SEED, ensure_rng, fallback_rng
+from repro.seeding import ensure_rng
 
 
 class TestEnsureRng:
@@ -37,21 +37,6 @@ class TestEnsureRng:
         assert wrapped.bit_generator is bitgen
         assert wrapped.integers(1 << 30) == reference.integers(1 << 30)
 
-    def test_none_warns_and_uses_fixed_fallback_seed(self):
-        with pytest.warns(DeprecationWarning, match="test.api"):
-            rng = ensure_rng(None, "test.api")
-        expected = np.random.default_rng(DEFAULT_FALLBACK_SEED)
-        assert rng.integers(1 << 30) == expected.integers(1 << 30)
-
-    def test_none_fallback_is_reproducible_across_calls(self):
-        with pytest.warns(DeprecationWarning):
-            a = ensure_rng(None, "test.api")
-        with pytest.warns(DeprecationWarning):
-            b = ensure_rng(None, "test.api")
-        assert a.integers(1 << 30) == b.integers(1 << 30)
-
-
-class TestFallbackRng:
-    def test_warning_names_the_calling_api(self):
-        with pytest.warns(DeprecationWarning, match="repro.some.api"):
-            fallback_rng("repro.some.api")
+    def test_none_raises_naming_the_api(self):
+        with pytest.raises(TypeError, match="repro.some.api"):
+            ensure_rng(None, "repro.some.api")
