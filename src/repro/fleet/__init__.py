@@ -20,7 +20,7 @@ from repro.fleet.plan import (
 )
 from repro.fleet.router import FleetRouter, NoLiveReplicaError, ShardGroup
 from repro.fleet.service import FleetService
-from repro.serve.service import ReplicaDeadError
+from repro.serve.scheduler import ReplicaDeadError
 
 __all__ = [
     "FleetConfig",

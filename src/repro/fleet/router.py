@@ -1,11 +1,12 @@
 """Scatter-gather routing: every shard answers, one replica per shard.
 
-A fleet query touches *all* shards (each owns a row slice of the
+A fleet request -- one query ``(n,)`` or a block of query rows
+``(k, n)`` -- touches *all* shards (each owns a row slice of the
 layer) but only *one replica* of each (any replica of a shard restores
 the same golden artifact, so they are interchangeable).  The router
 therefore:
 
-1. splits the query at the shard row boundaries,
+1. splits the request at the shard row boundaries (``x[..., a:b]``),
 2. scatters each slice to the least-loaded live replica of its shard,
 3. gathers the partial column currents, and
 4. reduces them digitally with the one true accumulation order
@@ -13,8 +14,11 @@ therefore:
    so the gathered result is bit-identical to a single
    :meth:`TiledPair.matvec` on the same hardware state.
 
+A block travels as one partial per shard and is reduced once, so a
+``k``-row block costs the router what one query does.
+
 Failure handling is per-partial: a partial that fails with
-:class:`~repro.serve.service.ReplicaDeadError` is resubmitted to a
+:class:`~repro.serve.scheduler.ReplicaDeadError` is resubmitted to a
 sibling replica of the same shard (excluding replicas already tried),
 so killing one replica of a replicated shard drops zero queries.
 Deadline expiries are *not* retried — a dropped deadline is the
@@ -28,8 +32,8 @@ import concurrent.futures
 import numpy as np
 
 from repro.lint.sanitize import make_lock
-from repro.serve.scheduler import ServeOverloadedError
-from repro.serve.service import CrossbarService, ReplicaDeadError
+from repro.serve.scheduler import ReplicaDeadError, ServeOverloadedError
+from repro.serve.service import CrossbarService
 from repro.xbar.tiling import TiledPair
 
 __all__ = ["FleetRouter", "NoLiveReplicaError", "ShardGroup"]
@@ -102,7 +106,7 @@ class ShardGroup:
 
 
 class _GatherState:
-    """Mutable rendezvous of one query's scattered partials."""
+    """Mutable rendezvous of one request's scattered partials."""
 
     def __init__(self, n_parts: int, future: concurrent.futures.Future):
         self.parts: list[np.ndarray | None] = [None] * n_parts
@@ -163,25 +167,31 @@ class FleetRouter:
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Scatter one query; the future resolves to the reduced scores.
+        """Scatter one request; the future resolves to the reduced scores.
+
+        A query ``(n,)`` resolves to ``(cols,)``, a block ``(k, n)``
+        to ``(k, cols)``.
 
         Raises:
+            ValueError: ``x`` is neither a query nor a non-empty block
+                of the fleet's width.
             ServeOverloadedError: Some shard had every replica's queue
-                full (nothing was half-served: failed queries fail
+                full (nothing was half-served: failed requests fail
                 whole).
             NoLiveReplicaError: Some shard has no live replica at all.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.n_rows:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_rows or not x.size:
             raise ValueError(
-                f"input width {x.shape} != fleet rows ({self.n_rows},)"
+                f"input width {x.shape} != fleet rows ({self.n_rows},) "
+                f"or (k, {self.n_rows})"
             )
         done: concurrent.futures.Future = concurrent.futures.Future()
         state = _GatherState(len(self.groups), done)
         for i, (start, stop) in enumerate(self.ranges):
             try:
                 self._dispatch(
-                    state, i, x[start:stop], deadline_s, frozenset()
+                    state, i, x[..., start:stop], deadline_s, frozenset()
                 )
             except Exception as exc:
                 state.fail(exc)  # drop partials queued on earlier shards

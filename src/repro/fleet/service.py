@@ -102,7 +102,7 @@ class FleetService(ServiceLifecycle):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Scatter one query (see :meth:`FleetRouter.submit`)."""
+        """Scatter one query or block (see :meth:`FleetRouter.submit`)."""
         return self.router.submit(x, deadline_s)
 
     # -- health --------------------------------------------------------

@@ -20,15 +20,23 @@ drives both deployment shapes:
   bit-identical to the direct tiled read, served results equal offline
   results float for float.
 
-For BSB pipelines the engine iterates the saturating recall dynamics,
-driving the two bipolar phases (positive and negative half-states)
-through the single weight layer each iteration, exactly as the offline
-:func:`~repro.nn.bsb.bsb_recall` hardware loop does.
+Every stage takes a query ``(n,)`` or a block ``(k, n)``: the digital
+glue is elementwise, so a block rides the chain as one request per
+lane.
+
+For BSB pipelines the engine iterates the saturating recall dynamics:
+each iteration reads the two bipolar phases (positive and negative
+half-states) of every unconverged probe as one stacked block through
+the single weight layer, and retires each probe at its own convergence
+or iteration budget, exactly as the offline
+:func:`~repro.nn.bsb.bsb_recall` hardware loop would for that probe
+alone.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import functools
 import time
 
@@ -57,6 +65,17 @@ def stage_activation(out_scaled, gain: float):  # repro-lint: batch-invariant
     reference).
     """
     return np.clip(np.maximum(out_scaled, 0.0) * gain, 0.0, 1.0)
+
+
+@dataclasses.dataclass
+class _Recall:
+    """One recall request in flight: a probe or a block of probes."""
+
+    single: bool  # submitted as one (n,) probe
+    deadline: float | None
+    done: concurrent.futures.Future
+    results: list  # BSBResult per probe row, filled as rows retire
+    active: np.ndarray  # probe rows still iterating, in row order
 
 
 class DirectLane:
@@ -144,13 +163,14 @@ class PipelineEngine(Submitter):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Start one query through the staged chain.
+        """Start one query ``(n,)`` or block ``(k, n)`` through the chain.
 
-        For ``'mlp'`` the future resolves to the score vector; for
-        ``'bsb'`` to the recalled state vector (use
-        :meth:`submit_recall` for the full :class:`BSBResult`).  The
+        For ``'mlp'`` the future resolves to the scores; for ``'bsb'``
+        to the recalled states (use :meth:`submit_recall` for the full
+        :class:`BSBResult`), ``(cols,)`` or ``(k, cols)``.  The
         deadline budget spans the *whole* chain: each stage is
-        submitted with whatever time remains.
+        submitted with whatever time remains, and a block misses it
+        whole.
 
         A refusal by the first lane (wrong width, full queue, no live
         replica) raises here; later stages' refusals fail the future.
@@ -224,26 +244,35 @@ class PipelineEngine(Submitter):
     def submit_recall(
         self, probe: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Start one recall; the future resolves to a :class:`BSBResult`.
+        """Start one recall, or one per row of a probe block.
 
-        Each iteration drives the positive then the negative phase of
-        the current state through the weight layer (word lines accept
-        [0, 1] drives), recombines them digitally, applies the
-        saturating update, and either stops at a corner or resubmits —
-        the same float sequence as the offline bipolar
+        The future resolves to a :class:`BSBResult` for a probe
+        ``(n,)`` and to a list of them, in row order, for a block
+        ``(k, n)``.  Each iteration drives the positive and negative
+        phases of every unconverged state through the weight layer as
+        one stacked read (word lines accept [0, 1] drives), recombines
+        them digitally, applies the saturating update, and retires
+        each probe at a corner or at the iteration budget -- the same
+        float sequence, per probe, as the offline bipolar
         :func:`~repro.nn.bsb.bsb_recall` loop.  A refusal of the first
         read raises at the call (see :meth:`submit`).
         """
         if self.kind != "bsb":
             raise ValueError("recall is only defined for BSB pipelines")
-        done: concurrent.futures.Future = concurrent.futures.Future()
-        deadline = (
-            None if deadline_s is None
-            else time.monotonic() + deadline_s
+        probe = np.asarray(probe, dtype=float)
+        states = np.clip(np.atleast_2d(probe), -1.0, 1.0)
+        recall = _Recall(
+            single=probe.ndim == 1,
+            deadline=(
+                None if deadline_s is None
+                else time.monotonic() + deadline_s
+            ),
+            done=concurrent.futures.Future(),
+            results=[None] * len(states),
+            active=np.arange(len(states)),
         )
-        state = np.clip(np.asarray(probe, dtype=float), -1.0, 1.0)
-        self._recall_iterate(state, 1, deadline, done)
-        return done
+        self._recall_iterate(recall, states, 1)
+        return recall.done
 
     @staticmethod
     def _adapt_recall(  # repro-lint: thread=worker
@@ -253,74 +282,84 @@ class PipelineEngine(Submitter):
         exc = future.exception()
         if exc is not None:
             done.set_exception(exc)
-        else:
-            done.set_result(future.result().state)
+            return
+        result = future.result()
+        done.set_result(
+            result.state if isinstance(result, BSBResult)
+            else np.stack([r.state for r in result])
+        )
 
     def _recall_iterate(
-        self,
-        state: np.ndarray,
-        iteration: int,
-        deadline: float | None,
-        done: concurrent.futures.Future,
+        self, recall: _Recall, states: np.ndarray, iteration: int
     ) -> None:
+        """Read both phases of the unconverged ``states`` at once."""
         self._read(
-            self.lanes[0], np.clip(state, 0.0, 1.0), deadline, done,
-            functools.partial(
-                self._recall_pos, state, iteration, deadline, done
+            self.lanes[0],
+            np.concatenate(
+                [np.clip(states, 0.0, 1.0), np.clip(-states, 0.0, 1.0)]
             ),
+            recall.deadline, recall.done,
+            functools.partial(self._recall_pos, recall, states, iteration),
         )
 
     def _recall_pos(  # repro-lint: thread=worker
         self,
-        state: np.ndarray,
+        recall: _Recall,
+        states: np.ndarray,
         iteration: int,
-        deadline: float | None,
-        done: concurrent.futures.Future,
-        pos: np.ndarray,
+        out: np.ndarray,
     ) -> None:
-        self._read(
-            self.lanes[0], np.clip(-state, 0.0, 1.0), deadline, done,
-            functools.partial(
-                self._recall_neg, state, pos, iteration, deadline, done
-            ),
-        )
+        """Split the stacked answer into its two phases."""
+        k = len(states)
+        self._recall_neg(recall, states, out[:k], out[k:], iteration)
 
     def _recall_neg(  # repro-lint: thread=worker
         self,
-        state: np.ndarray,
+        recall: _Recall,
+        states: np.ndarray,
         pos: np.ndarray,
-        iteration: int,
-        deadline: float | None,
-        done: concurrent.futures.Future,
         neg: np.ndarray,
+        iteration: int,
     ) -> None:
         cfg = self.dynamics
         # Same expression order as the offline hardware loop:
         # mv = (pos - neg) * scale, then the saturating update.
         mv = (pos - neg) * self.scales[0]
-        updated = np.clip(
-            cfg.alpha * mv + cfg.lam * state, -1.0, 1.0
-        )
-        if np.all(np.abs(updated) >= 1.0 - 1e-12):
-            self._record_recall(iteration, True)
-            done.set_result(BSBResult(
-                state=updated, iterations=iteration, converged=True,
-            ))
-        elif iteration >= cfg.max_iterations:
-            self._record_recall(cfg.max_iterations, False)
-            done.set_result(BSBResult(
-                state=updated, iterations=cfg.max_iterations,
-                converged=False,
-            ))
+        updated = np.clip(cfg.alpha * mv + cfg.lam * states, -1.0, 1.0)
+        converged = np.all(np.abs(updated) >= 1.0 - 1e-12, axis=1)
+        if iteration >= cfg.max_iterations:
+            retire = np.ones_like(converged)
+        elif converged.any():
+            retire = converged
         else:
-            self._recall_iterate(updated, iteration + 1, deadline, done)
+            self._recall_iterate(recall, updated, iteration + 1)
+            return
+        for j in np.flatnonzero(retire):
+            recall.results[recall.active[j]] = BSBResult(
+                state=updated[j],
+                iterations=iteration,
+                converged=bool(converged[j]),
+            )
+        self._record_recall(
+            int(retire.sum()), iteration, int(converged[retire].sum())
+        )
+        if retire.all():
+            recall.done.set_result(
+                recall.results[0] if recall.single else recall.results
+            )
+        else:
+            keep = ~retire
+            recall.active = recall.active[keep]
+            self._recall_iterate(recall, updated[keep], iteration + 1)
 
-    def _record_recall(self, iterations: int, converged: bool) -> None:
+    def _record_recall(
+        self, recalls: int, iterations: int, converged: int
+    ) -> None:
+        """Count ``recalls`` probes retired after ``iterations`` each."""
         with self._state:
-            self._recalls += 1
-            self._recall_iterations += int(iterations)
-            if converged:
-                self._recalls_converged += 1
+            self._recalls += recalls
+            self._recall_iterations += recalls * iterations
+            self._recalls_converged += converged
 
     def recall_stats(self) -> dict:
         """Aggregate recall telemetry (count, convergence, iterations)."""
@@ -342,8 +381,8 @@ class PipelineEngine(Submitter):
         probe: np.ndarray,
         deadline_s: float | None = None,
         timeout: float | None = None,
-    ) -> BSBResult:
-        """Run one recall to completion and return the full result."""
+    ) -> BSBResult | list[BSBResult]:
+        """Run a recall (or one per block row) to completion."""
         return self.submit_recall(probe, deadline_s).result(
             timeout=timeout
         )

@@ -96,10 +96,10 @@ class PipelineService(ServiceLifecycle):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Start one query through the staged chain.
+        """Start one query ``(n,)`` or block ``(k, n)`` through the chain.
 
-        The future resolves to the score vector (MLP) or the recalled
-        state vector (BSB).
+        The future resolves to the scores (MLP) or the recalled states
+        (BSB), ``(cols,)`` or ``(k, cols)``.
         """
         if deadline_s is None:
             deadline_s = self.default_deadline_s
@@ -110,8 +110,9 @@ class PipelineService(ServiceLifecycle):
         probe: np.ndarray,
         deadline_s: float | None = None,
         timeout: float | None = None,
-    ) -> BSBResult:
-        """Run one BSB recall to convergence through the served layer."""
+    ) -> BSBResult | list[BSBResult]:
+        """Run a BSB recall (one per row of a probe block) through the
+        served layer."""
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         return self.engine.recall(probe, deadline_s, timeout)

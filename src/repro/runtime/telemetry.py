@@ -22,9 +22,11 @@ cheap no-op on a throwaway default.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -97,15 +99,20 @@ class ExperimentRecord:
 class RequestRecord:
     """Telemetry for one inference request served by ``repro.serve``.
 
+    A request is one query or one block of query rows; the summaries
+    of :class:`RunLog` count rows, so the same traffic reads the same
+    whether it was sent row by row or as blocks.
+
     Attributes:
         latency_s: Submit-to-result wall time.
         queue_s: Portion of the latency spent waiting in the queue.
-        batch_size: Size of the microbatch the request rode in.
+        batch_size: Rows of the hardware read the request rode in.
         ok: ``False`` when the request was dropped (deadline exceeded,
-            shutdown) instead of answered.
+            failed read, failed lane) instead of answered.
         label: Which serving lane answered the request (a fleet shard
             replica such as ``"shard2/r0"``; empty for a single-array
             scheduler), so one shared log can split latency per shard.
+        rows: Query rows the request carried.
     """
 
     latency_s: float
@@ -113,6 +120,7 @@ class RequestRecord:
     batch_size: int = 1
     ok: bool = True
     label: str = ""
+    rows: int = 1
 
 
 @dataclasses.dataclass
@@ -228,10 +236,11 @@ class RunLog:
         batch_size: int = 1,
         ok: bool = True,
         label: str = "",
+        rows: int = 1,
     ) -> RequestRecord:
         record = RequestRecord(
             latency_s=latency_s, queue_s=queue_s, batch_size=batch_size,
-            ok=ok, label=label,
+            ok=ok, label=label, rows=rows,
         )
         self.requests.append(record)
         return record
@@ -307,42 +316,23 @@ class RunLog:
 
     @property
     def dropped_requests(self) -> int:
-        return sum(1 for r in self.requests if not r.ok)
-
-    def latency_percentiles(
-        self, quantiles: tuple[int, ...] = (50, 95, 99)
-    ) -> dict[str, float]:
-        """Nearest-rank latency percentiles over answered requests."""
-        latencies = sorted(r.latency_s for r in self.requests if r.ok)
-        if not latencies:
-            return {f"p{q}": 0.0 for q in quantiles}
-        out = {}
-        for q in quantiles:
-            rank = max(1, math.ceil(q / 100.0 * len(latencies)))
-            out[f"p{q}"] = latencies[rank - 1]
-        return out
+        """Query rows dropped instead of answered."""
+        return sum(r.rows for r in self.requests if not r.ok)
 
     def serve_summary(self) -> dict:
-        """Aggregate serving telemetry (latency, drops, drift)."""
+        """Aggregate serving telemetry (latency, drops, drift), in rows."""
+        summary = _row_summary(self.requests)
         answered = [r for r in self.requests if r.ok]
-        total_latency = sum(r.latency_s for r in answered)
-        summary = {
-            "requests": len(self.requests),
-            "answered": len(answered),
-            "dropped": self.dropped_requests,
-            "mean_latency_s": (
-                total_latency / len(answered) if answered else 0.0
-            ),
-            "mean_batch_size": (
-                sum(r.batch_size for r in answered) / len(answered)
-                if answered else 0.0
-            ),
-            "drift_events": len(self.drift_events),
-            "remaps": sum(
-                1 for e in self.drift_events if e.action == "remap"
-            ),
-        }
-        summary.update(self.latency_percentiles())
+        summary["mean_batch_size"] = (
+            sum(r.batch_size * r.rows for r in answered)
+            / summary["answered"]
+            if answered else 0.0
+        )
+        summary["drift_events"] = len(self.drift_events)
+        summary["remaps"] = sum(
+            1 for e in self.drift_events if e.action == "remap"
+        )
+        summary.update(_row_percentiles(answered))
         if self.fleet_events:
             summary["fleet_events"] = len(self.fleet_events)
             summary["reprograms"] = sum(
@@ -351,7 +341,7 @@ class RunLog:
         return summary
 
     def label_summary(self) -> dict[str, dict]:
-        """Per-label (per fleet shard replica) request breakdown.
+        """Per-label (per fleet shard replica) request breakdown, in rows.
 
         Labels sort lexicographically so the summary is deterministic
         for a fixed request history.
@@ -360,20 +350,9 @@ class RunLog:
         for record in self.requests:
             if record.label:
                 by_label.setdefault(record.label, []).append(record)
-        summary = {}
-        for label in sorted(by_label):
-            records = by_label[label]
-            answered = [r for r in records if r.ok]
-            summary[label] = {
-                "requests": len(records),
-                "answered": len(answered),
-                "dropped": len(records) - len(answered),
-                "mean_latency_s": (
-                    sum(r.latency_s for r in answered) / len(answered)
-                    if answered else 0.0
-                ),
-            }
-        return summary
+        return {
+            label: _row_summary(by_label[label]) for label in sorted(by_label)
+        }
 
     # -- rendering -----------------------------------------------------
     def render_summary(self) -> str:
@@ -459,6 +438,37 @@ class RunLog:
             indent=2,
             sort_keys=True,
         )
+
+
+def _row_summary(records: list[RequestRecord]) -> dict:
+    """Requests, answers and drops counted in rows; row-mean latency."""
+    requests = answered = 0
+    latency = 0.0
+    for r in records:
+        requests += r.rows
+        if r.ok:
+            answered += r.rows
+            latency += r.latency_s * r.rows
+    return {
+        "requests": requests,
+        "answered": answered,
+        "dropped": requests - answered,
+        "mean_latency_s": latency / answered if answered else 0.0,
+    }
+
+
+def _row_percentiles(answered: list[RequestRecord]) -> dict[str, float]:
+    """Nearest-rank p50/p95/p99 latency, each record weighted by its rows."""
+    ranked = sorted((r.latency_s, r.rows) for r in answered)
+    if not ranked:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    cumulative = list(itertools.accumulate(rows for _, rows in ranked))
+    return {
+        f"p{q}": ranked[bisect.bisect_left(
+            cumulative, max(1, math.ceil(q / 100.0 * cumulative[-1]))
+        )][0]
+        for q in (50, 95, 99)
+    }
 
 
 _CURRENT: contextvars.ContextVar[RunLog | None] = contextvars.ContextVar(

@@ -38,9 +38,10 @@ from repro.serve.health import DriftMonitor, DriftPolicy
 from repro.serve.scheduler import (
     BatchScheduler,
     DeadlineExceededError,
+    ReplicaDeadError,
     ServeOverloadedError,
 )
-from repro.serve.service import CrossbarService, ReplicaDeadError
+from repro.serve.service import CrossbarService
 
 __all__ = [
     "BatchScheduler",

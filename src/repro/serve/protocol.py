@@ -14,8 +14,8 @@ The lifecycle verbs are:
 * ``close(timeout)`` -- full release of the service (drains first);
   also what ``with service:`` runs on exit.
 
-:class:`Submitter` supplies ``predict`` and the row-by-row
-``forward`` on top of a concrete ``submit``, and
+:class:`Submitter` supplies ``predict`` and the block ``forward`` on
+top of a concrete ``submit``, and
 :class:`ServiceLifecycle` adds ``close``/context management on top of
 a concrete ``drain``, so every service writes them once.
 """
@@ -37,7 +37,8 @@ class Service(Protocol):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Enqueue one query; the future resolves to its scores."""
+        """Enqueue one query ``(n,)`` or block ``(k, n)``; the future
+        resolves to its scores, ``(cols,)`` or ``(k, cols)``."""
         ...
 
     def predict(
@@ -67,8 +68,8 @@ class Service(Protocol):
 
 
 class Submitter:
-    """Mixin: synchronous ``predict`` and row-by-row ``forward`` on top
-    of ``submit`` (services, the pipeline engine, the scheduler)."""
+    """Mixin: synchronous ``predict`` and block ``forward`` on top of
+    ``submit`` (services, the pipeline engine, the scheduler)."""
 
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
@@ -87,21 +88,14 @@ class Submitter:
     def forward(
         self, x: np.ndarray, timeout: float | None = None
     ) -> np.ndarray:
-        """Serve a whole batch, one query per row, and gather all.
+        """Serve a query or a whole block as one request and wait.
 
-        Submitting rows individually lets the serving lanes pack their
-        own batches; per-row results are still bit-identical to
-        single-query runs because every read path in between is
+        The block travels whole: one partial per shard, one read per
+        lane batch.  Each row's result is still bit-identical to its
+        single-query run because every read path in between is
         batch-invariant.
         """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        futures = [self.submit(row) for row in xb]
-        out = np.stack(
-            [f.result(timeout=timeout) for f in futures], axis=0
-        )
-        return out[0] if single else out
+        return self.submit(x).result(timeout=timeout)
 
 
 class ServiceLifecycle(Submitter):

@@ -1,16 +1,19 @@
 """Batched request scheduling: queueing, backpressure, deadlines.
 
-One worker thread drains a bounded queue, packs whatever is waiting
-(up to ``max_batch``) into a single microbatched forward pass, and
-resolves each request's future.  The design choices mirror a real
-serving stack scaled down to in-process size:
+A request is one query ``(n,)`` or a block of query rows ``(k, n)``.
+One worker thread drains a bounded queue, packs whole waiting requests
+until their rows reach ``max_batch`` (a larger block is served alone,
+chunked by the engine's microbatch), makes a single forward pass, and
+resolves each request's future with its own rows of the answer.  The
+design choices mirror a real serving stack scaled down to in-process
+size:
 
 * **Bounded depth + rejection.**  An unbounded queue converts overload
   into unbounded latency; a full queue instead rejects immediately
   with :class:`ServeOverloadedError` carrying a retry-after hint
   estimated from recent batch throughput.
 * **Deadlines.**  A request whose deadline has passed by the time its
-  batch forms is dropped (its future receives
+  batch forms is dropped whole (its future receives
   :class:`DeadlineExceededError`) rather than wasting a hardware read
   on an answer nobody is waiting for.
 * **Graceful shutdown.**  ``shutdown()`` stops intake, lets the worker
@@ -21,10 +24,14 @@ serving stack scaled down to in-process size:
   and fails every queued request with that error before the worker
   exits, so nothing waits on a worker that is gone.
 
-Every request is recorded in the ambient
+Every request is recorded once in the ambient
 :class:`~repro.runtime.telemetry.RunLog` (latency, queue share, batch
-size, dropped flag), so serving telemetry flows through the same
-channel as Monte-Carlo telemetry.
+rows, its own rows, dropped flag), so serving telemetry flows through
+the same channel as Monte-Carlo telemetry.  A failed read or a failed
+lane counts the requests it fails as dropped, except a
+:class:`ReplicaDeadError`: that hands the request back to its sender
+(a fleet router replays it on a sibling), and the replay is recorded
+where it is served.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from repro.serve.protocol import Submitter
 __all__ = [
     "BatchScheduler",
     "DeadlineExceededError",
+    "ReplicaDeadError",
     "ServeOverloadedError",
 ]
 
@@ -64,9 +72,14 @@ class DeadlineExceededError(RuntimeError):
     """The request's deadline passed before it reached the hardware."""
 
 
-@dataclasses.dataclass
+class ReplicaDeadError(RuntimeError):
+    """The lane was killed or failed; retry the query on a sibling."""
+
+
+@dataclasses.dataclass(slots=True)
 class _Request:
-    x: np.ndarray
+    x: np.ndarray  # always a (rows, n) block
+    single: bool  # submitted as one (n,) query: answer (cols,)
     deadline: float | None
     submitted: float
     future: concurrent.futures.Future
@@ -80,7 +93,8 @@ class BatchScheduler(Submitter):
 
     Args:
         engine: The batched forward pass to drive.
-        max_batch: Largest request count packed into one forward pass.
+        max_batch: Most query rows packed into one forward pass; a
+            single larger block is served alone.
         max_queue: Queue depth bound; submissions beyond it are
             rejected with :class:`ServeOverloadedError`.
         default_deadline_s: Deadline applied to requests that do not
@@ -118,11 +132,11 @@ class BatchScheduler(Submitter):
                 f"min_retry_after_s must be > 0, got {min_retry_after_s}"
             )
         self.engine = engine
-        # Every query of a batch is stacked into one read, so a query
-        # of the wrong width is refused at the door rather than failing
-        # the batch it would join.  The width is fixed for the
+        # Every request of a batch is stacked into one read, so a
+        # request of the wrong width is refused at the door rather than
+        # failing the batch it would join.  The width is fixed for the
         # engine's life (``replace_mapping`` refuses to change it).
-        self._shape = (engine.n_features,)
+        self._width = engine.n_features
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.default_deadline_s = default_deadline_s
@@ -146,6 +160,9 @@ class BatchScheduler(Submitter):
         # EMA of per-batch wall time; None until the first batch lands
         # so cold-start backpressure can fall back to the floor.
         self._batch_seconds: float | None = None
+        # A request taken off the queue that would have overfilled the
+        # batch being packed; it opens the next batch.  Worker-only.
+        self._carry: _Request | None = None
         self._worker = threading.Thread(
             target=self._run, name="repro-serve-worker", daemon=True
         )
@@ -155,23 +172,30 @@ class BatchScheduler(Submitter):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Enqueue one query; the future resolves to its score vector.
+        """Enqueue one request; the future resolves to its scores.
+
+        A query ``(n,)`` resolves to ``(cols,)``, a block ``(k, n)``
+        to ``(k, cols)``.
 
         Raises:
-            ValueError: ``x`` is not one query of the engine's width.
+            ValueError: ``x`` is neither a query nor a non-empty block
+                of the engine's width.
             ServeOverloadedError: The queue is at capacity.
             RuntimeError: The scheduler has been shut down.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != self._shape:
+        if x.ndim not in (1, 2) or x.shape[-1] != self._width or not x.size:
             raise ValueError(
-                f"query shape {x.shape} != engine input {self._shape}"
+                f"query shape {x.shape} != engine input ({self._width},) "
+                f"or (k, {self._width})"
             )
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         now = time.monotonic()
+        single = x.ndim == 1
         request = _Request(
-            x=x,
+            x=x[None, :] if single else x,
+            single=single,
             deadline=None if deadline_s is None else now + deadline_s,
             submitted=now,
             future=concurrent.futures.Future(),
@@ -230,12 +254,15 @@ class BatchScheduler(Submitter):
 
     # -- worker side ---------------------------------------------------
     def _collect(self) -> list[_Request] | None:
-        """Block for one request, then greedily pack up to max_batch."""
-        first = self._queue.get()
+        """Block for one request, then pack whole ones up to max_batch rows."""
+        first, self._carry = self._carry, None
+        if first is None:
+            first = self._queue.get()
         if first is _SHUTDOWN:
             return None
         batch = [first]
-        while len(batch) < self.max_batch:
+        rows = len(first.x)
+        while rows < self.max_batch:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
@@ -245,41 +272,65 @@ class BatchScheduler(Submitter):
                 # queued ahead of the sentinel still gets answered.
                 self._queue.put(item)
                 break
+            if rows + len(item.x) > self.max_batch:
+                self._carry = item
+                break
             batch.append(item)
+            rows += len(item.x)
         return batch
+
+    def _record(
+        self, request: _Request, now: float, start: float,
+        batch_rows: int, ok: bool,
+    ) -> None:
+        self.log.record_request(
+            latency_s=now - request.submitted,
+            queue_s=start - request.submitted,
+            batch_size=batch_rows,
+            ok=ok,
+            label=self.label,
+            rows=len(request.x),
+        )
+
+    def _fail(self, requests: list[_Request], exc: BaseException) -> None:
+        """Fail ``requests`` with ``exc``, counting them as dropped
+        unless ``exc`` hands them back for a replay."""
+        now = time.monotonic()
+        if not isinstance(exc, ReplicaDeadError):
+            for request in requests:
+                self._record(request, now, now, len(request.x), ok=False)
+        for request in requests:
+            request.future.set_exception(exc)
 
     def _serve_batch(self, batch: list[_Request]) -> None:
         start = time.monotonic()
+        rows = sum(len(r.x) for r in batch)
         live: list[_Request] = []
         for request in batch:
             if request.deadline is not None and request.deadline < start:
+                with self._state:
+                    self._deadline_misses += 1
+                self._record(request, start, start, rows, ok=False)
                 request.future.set_exception(
                     DeadlineExceededError(
                         "deadline passed while queued "
                         f"({start - request.submitted:.3f}s)"
                     )
                 )
-                with self._state:
-                    self._deadline_misses += 1
-                self.log.record_request(
-                    latency_s=start - request.submitted,
-                    queue_s=start - request.submitted,
-                    batch_size=len(batch),
-                    ok=False,
-                    label=self.label,
-                )
             else:
                 live.append(request)
         if not live:
             return
+        if len(live) < len(batch):
+            rows = sum(len(r.x) for r in live)
         try:
             scores = self.engine.forward(
-                np.stack([r.x for r in live], axis=0)
+                live[0].x if len(live) == 1
+                else np.concatenate([r.x for r in live], axis=0)
             )
         except Exception as exc:
             # Not swallowed: every waiting future receives the error.
-            for request in live:
-                request.future.set_exception(exc)
+            self._fail(live, exc)
             return
         done = time.monotonic()
         measured = done - start
@@ -289,15 +340,15 @@ class BatchScheduler(Submitter):
                 if self._batch_seconds is None
                 else 0.7 * self._batch_seconds + 0.3 * measured
             )
-        for i, request in enumerate(live):
-            request.future.set_result(scores[i])
-            self.log.record_request(
-                latency_s=done - request.submitted,
-                queue_s=start - request.submitted,
-                batch_size=len(live),
-                ok=True,
-                label=self.label,
+        offset = 0
+        for request in live:
+            k = len(request.x)
+            request.future.set_result(
+                scores[offset] if request.single
+                else scores[offset : offset + k]
             )
+            offset += k
+            self._record(request, done, start, rows, ok=True)
 
     def _abort(self, exc: BaseException) -> None:
         """Close intake and fail every queued request with ``exc``."""
@@ -306,13 +357,16 @@ class BatchScheduler(Submitter):
         # Nothing is enqueued once the flag is set (submit checks it
         # under the same lock), so this empties the queue for good.
         # Futures fail outside the lock: they fire user callbacks.
+        queued = [] if self._carry is None else [self._carry]
+        self._carry = None
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
-                return
+                break
             if item is not _SHUTDOWN:
-                item.future.set_exception(exc)
+                queued.append(item)
+        self._fail(queued, exc)
 
     def _run(self) -> None:
         while True:

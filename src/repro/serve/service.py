@@ -45,7 +45,11 @@ from repro.serve.artifact import ProgrammedArray
 from repro.serve.engine import InferenceEngine
 from repro.serve.health import DriftMonitor, DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
-from repro.serve.scheduler import BatchScheduler, ServeOverloadedError
+from repro.serve.scheduler import (
+    BatchScheduler,
+    ReplicaDeadError,
+    ServeOverloadedError,
+)
 
 __all__ = ["CrossbarService", "ReplicaDeadError", "Service"]
 
@@ -53,10 +57,6 @@ __all__ = ["CrossbarService", "ReplicaDeadError", "Service"]
 #: A re-pretested device whose |theta| exceeds this counts as stuck-at
 #: in the repair report.
 DEFECT_THETA_CUTOFF = 1.5
-
-
-class ReplicaDeadError(RuntimeError):
-    """The lane was killed or failed; retry the query on a sibling."""
 
 
 class _DeadTarget:
@@ -197,10 +197,11 @@ class CrossbarService(ServiceLifecycle):
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Enqueue one query (see :meth:`BatchScheduler.submit`).
+        """Enqueue one query or block (see :meth:`BatchScheduler.submit`).
 
         Raises:
-            ValueError: ``x`` is not one query of the served width.
+            ValueError: ``x`` is neither a query nor a non-empty block
+                of the served width.
             ServeOverloadedError: The queue is full.
             ReplicaDeadError: The lane was killed or failed, or is
                 draining or drained; a fleet retries on a sibling.

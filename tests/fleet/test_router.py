@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.fleet import (
     FleetConfig,
     FleetService,
     NoLiveReplicaError,
+    ShardGroup,
     program_fleet,
 )
+from repro.xbar.tiling import TiledPair
 
 N_ROWS = 20
 COLS = 4
@@ -151,5 +155,95 @@ class TestFailureRetry:
 
             with pytest.raises(ReplicaDeadError):
                 replica.submit(np.ones(10))
+        finally:
+            service.close()
+
+
+class TestBlockPath:
+    """A block of k rows travels as one partial per shard."""
+
+    def test_one_partial_per_shard_and_one_reduce(self, monkeypatch):
+        fleet, service = make_service(4)  # 5 shards
+        x = np.random.default_rng(8).random((9, N_ROWS))
+        reference = fleet.build_tiled().matvec(x)
+        calls = {"shard_submit": 0, "reduce": 0}
+        shard_submit = ShardGroup.submit
+        reduce = TiledPair.reduce_partials
+
+        def counted_submit(group, *args, **kwargs):
+            calls["shard_submit"] += 1
+            return shard_submit(group, *args, **kwargs)
+
+        def counted_reduce(parts):
+            calls["reduce"] += 1
+            return reduce(parts)
+
+        monkeypatch.setattr(ShardGroup, "submit", counted_submit)
+        monkeypatch.setattr(
+            TiledPair, "reduce_partials", staticmethod(counted_reduce)
+        )
+        try:
+            got = service.forward(x, timeout=30.0)
+        finally:
+            service.close()
+        assert np.array_equal(got, reference)
+        assert calls == {"shard_submit": fleet.n_shards, "reduce": 1}
+        # One record per lane request, counted in rows.
+        assert [r.rows for r in service.log.requests] == [9] * fleet.n_shards
+        assert service.stats()["answered"] == 9 * fleet.n_shards
+
+    @pytest.mark.parametrize(
+        "ir_mode,r_wire", [("ideal", 0.0), ("nodal", 2.0)],
+        ids=["ideal", "nodal"],
+    )
+    def test_killed_replica_replays_queued_block_partial(
+        self, ir_mode, r_wire
+    ):
+        fleet, service = make_service(
+            10, replicas=2, ir_mode=ir_mode, r_wire=r_wire
+        )
+        blocks = np.random.default_rng(9).random((3, 7, N_ROWS))
+        tiled = fleet.build_tiled()
+        reference = [tiled.matvec(b, ir_mode) for b in blocks]
+        victim, sibling = service.groups[0].replicas
+        entered, release = threading.Event(), threading.Event()
+        forward = victim.engine.forward
+
+        def held_forward(x):
+            entered.set()
+            release.wait(10.0)
+            return forward(x)
+
+        victim.engine.forward = held_forward
+        # Shard 0's partials all go to the victim until it is killed.
+        sibling.draining = True
+        try:
+            futures = [service.submit(blocks[0])]
+            assert entered.wait(10.0)  # a block partial is in flight
+            futures += [service.submit(b) for b in blocks[1:]]
+            assert victim.depth == 2  # and two more are queued
+            sibling.draining = False
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            service.kill_replica(0, 0)
+            got = [f.result(timeout=30.0) for f in futures]
+            timer.join()
+        finally:
+            release.set()
+            service.close()
+        for block, expected in zip(got, reference):
+            assert np.array_equal(block, expected)
+        stats = service.stats()
+        assert stats["dropped"] == 0
+        # The sibling served every replayed row of shard 0.
+        assert stats["lanes"]["shard0/r1"]["answered"] == 21
+        assert "shard0/r0" not in stats["lanes"]
+
+    def test_wrong_width_block_refused(self):
+        _, service = make_service(10)
+        try:
+            for shape in [(2, N_ROWS + 1), (0, N_ROWS), (1, 1, N_ROWS)]:
+                with pytest.raises(ValueError, match="width"):
+                    service.submit(np.ones(shape))
         finally:
             service.close()

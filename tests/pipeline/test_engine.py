@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.nn.bsb import bsb_recall
+from repro.nn.bsb import bsb_recall, noisy_probe
 from repro.nn.mlp import MLPOnCrossbars
 from repro.pipeline import (
     DirectLane,
@@ -122,6 +124,49 @@ class TestBSBOfflineIdentity:
             assert np.array_equal(got.state, expected.state)
             assert got.iterations == expected.iterations
             assert got.converged == expected.converged
+
+    def test_block_recall_retires_each_row_like_its_solo_loop(
+        self, bsb_config, bsb_artifact
+    ):
+        # A budget between the probes' iteration counts: some rows
+        # saturate early, the rest retire unconverged at the budget.
+        dynamics = dataclasses.replace(
+            bsb_artifact.bsb_dynamics(), max_iterations=20
+        )
+        tiled = bsb_artifact.layers[0].build_tiled()
+        scale = bsb_artifact.scales[0]
+        mode = bsb_config.ir_mode
+
+        def hw_matvec(v):
+            pos = tiled.matvec(np.clip(v, 0.0, 1.0), mode)
+            neg = tiled.matvec(np.clip(-v, 0.0, 1.0), mode)
+            return (pos - neg) * scale
+
+        rng = np.random.default_rng(4)
+        probes = np.stack([
+            noisy_probe(p, 0.2, rng)
+            for p in bsb_artifact.prototypes for _ in range(2)
+        ])
+        expected = [bsb_recall(p, dynamics, matvec=hw_matvec) for p in probes]
+        assert {e.converged for e in expected} == {True, False}
+        engine = PipelineEngine(
+            [DirectLane(tiled, mode)], [scale], kind="bsb",
+            dynamics=dynamics,
+        )
+        got = engine.recall(probes)
+        assert len(got) == len(probes)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g.state, e.state)
+            assert (g.iterations, g.converged) == (e.iterations, e.converged)
+        stats = engine.recall_stats()
+        assert stats["recalls"] == len(probes)
+        assert stats["converged"] == sum(e.converged for e in expected)
+        assert stats["mean_iterations"] == (
+            sum(e.iterations for e in expected) / len(probes)
+        )
+        assert np.array_equal(
+            engine.forward(probes), np.stack([e.state for e in expected])
+        )
 
     def test_submit_resolves_to_state_vector(self, bsb_artifact):
         engine = offline_engine(bsb_artifact)

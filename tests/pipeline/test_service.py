@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.devices.retention import RetentionConfig, age_pair
-from repro.nn.bsb import noisy_probe
+from repro.nn.bsb import bsb_recall, noisy_probe
 from repro.nn.mlp import MLPOnCrossbars
 from repro.pipeline import (
     PipelineConfig,
@@ -94,6 +94,45 @@ class TestServedBSB:
             status = service.status()
             assert status["recall"]["recalls"] == 2
             assert status["recall"]["converged"] == 2
+
+
+    def test_block_forward_equals_per_probe_offline_recall(
+        self, bsb_artifact
+    ):
+        # One served block recalls every probe as if it ran alone: the
+        # same states, iteration counts and convergence flags.
+        tiled = bsb_artifact.layers[0].build_tiled()
+        scale = bsb_artifact.scales[0]
+        mode = bsb_artifact.config.ir_mode
+
+        def hw_matvec(v):
+            pos = tiled.matvec(np.clip(v, 0.0, 1.0), mode)
+            neg = tiled.matvec(np.clip(-v, 0.0, 1.0), mode)
+            return (pos - neg) * scale
+
+        rng = np.random.default_rng(4)
+        probes = np.stack([
+            noisy_probe(p, 0.2, rng)
+            for p in bsb_artifact.prototypes for _ in range(2)
+        ])
+        dynamics = bsb_artifact.bsb_dynamics()
+        expected = [bsb_recall(p, dynamics, matvec=hw_matvec) for p in probes]
+        assert len({e.iterations for e in expected}) > 1
+        with PipelineService(bsb_artifact) as service:
+            states = service.forward(probes, timeout=60.0)
+            stats = service.engine.recall_stats()
+            results = service.recall(probes, timeout=60.0)
+        assert np.array_equal(states, np.stack([e.state for e in expected]))
+        assert stats == {
+            "recalls": len(probes),
+            "converged": sum(e.converged for e in expected),
+            "mean_iterations": (
+                sum(e.iterations for e in expected) / len(probes)
+            ),
+        }
+        assert [(r.iterations, r.converged) for r in results] == [
+            (e.iterations, e.converged) for e in expected
+        ]
 
 
 @pytest.fixture(scope="module")

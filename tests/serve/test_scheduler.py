@@ -12,6 +12,7 @@ from repro.runtime.telemetry import RunLog
 from repro.serve.scheduler import (
     BatchScheduler,
     DeadlineExceededError,
+    ReplicaDeadError,
     ServeOverloadedError,
 )
 
@@ -67,13 +68,16 @@ class TestScheduling:
         assert max(engine.batch_sizes) > 1
 
     @pytest.mark.parametrize(
-        "shape", [(5,), (3,), (1, 4), ()],
-        ids=["wide", "narrow", "row-batch", "scalar"],
+        "shape", [(5,), (3,), (1, 5), (2, 3), (1, 1, 4), (0, 4), ()],
+        ids=[
+            "wide", "narrow", "wide-block", "narrow-block", "3-d",
+            "empty-block", "scalar",
+        ],
     )
     def test_wrong_width_query_rejected_alone(self, shape):
-        # Every query of a batch is stacked into one read, so a query
-        # of the wrong shape must be refused at submit, not fail the
-        # valid queries it would have been batched with.
+        # Every request of a batch is stacked into one read, so a
+        # query or block of the wrong shape must be refused at submit,
+        # not fail the valid queries it would have been batched with.
         gate = threading.Event()
         engine = FakeEngine(gate=gate)
         with BatchScheduler(engine, max_batch=8) as sched:
@@ -86,6 +90,42 @@ class TestScheduling:
             results = [f.result(timeout=5.0) for f in [held, *valid]]
         assert [float(r[0]) for r in results] == [4.0, 0.0, 4.0, 8.0]
         assert engine.batch_sizes == [1, 3]
+
+    def test_blocks_answer_like_their_rows(self):
+        engine = FakeEngine()
+        log = RunLog()
+        rng = np.random.default_rng(1)
+        blocks = [rng.uniform(size=(k, 4)) for k in (1, 3, 5, 2)]
+        with BatchScheduler(engine, max_batch=8, log=log) as sched:
+            futures = [sched.submit(b) for b in blocks]
+            single = sched.submit(blocks[1][0])
+            results = [f.result(timeout=5.0) for f in futures]
+            assert np.array_equal(
+                single.result(timeout=5.0), results[1][0]
+            )
+        for block, got in zip(blocks, results):
+            assert got.shape == (len(block), 2)
+            assert np.array_equal(got, FakeEngine().forward(block))
+        # One record per request, counted in rows by the summaries.
+        assert [r.rows for r in log.requests] == [1, 3, 5, 2, 1]
+        summary = log.serve_summary()
+        assert (summary["requests"], summary["answered"]) == (12, 12)
+
+    def test_packs_whole_requests_up_to_max_batch_rows(self):
+        gate = threading.Event()
+        engine = FakeEngine(gate=gate)
+        with BatchScheduler(engine, max_batch=8, max_queue=64) as sched:
+            held = sched.submit(np.ones(4))
+            assert engine.entered.wait(timeout=5.0)
+            # 3 + 4 rows fit in one read of 8; the next 3 would not and
+            # open the next read; 12 rows exceed max_batch and go alone.
+            futures = [
+                sched.submit(np.ones((k, 4))) for k in (3, 4, 3, 12, 1)
+            ]
+            gate.set()
+            for f in [held, *futures]:
+                f.result(timeout=5.0)
+        assert engine.batch_sizes == [1, 7, 3, 12, 1]
 
     def test_full_queue_rejects_with_retry_after(self):
         gate = threading.Event()
@@ -170,6 +210,24 @@ class TestScheduling:
             sched.predict(np.ones(4), timeout=5.0)
         assert [r.label for r in log.requests] == ["shard3/r1"]
         assert "shard3/r1" in log.label_summary()
+
+    def test_expired_deadline_drops_the_whole_block(self):
+        gate = threading.Event()
+        engine = FakeEngine(gate=gate)
+        log = RunLog()
+        sched = BatchScheduler(engine, max_batch=8, log=log)
+        blocker = sched.submit(np.ones(4))
+        assert engine.entered.wait(timeout=5.0)
+        doomed = sched.submit(np.ones((5, 4)), deadline_s=0.01)
+        time.sleep(0.05)
+        gate.set()
+        assert blocker.result(timeout=5.0) is not None
+        with pytest.raises(DeadlineExceededError):
+            doomed.result(timeout=5.0)
+        sched.shutdown()
+        assert engine.batch_sizes == [1]
+        assert sched.deadline_misses == 1
+        assert log.serve_summary()["dropped"] == 5
 
     def test_expired_deadline_drops_request(self):
         gate = threading.Event()
@@ -270,6 +328,68 @@ class TestScheduling:
             future = sched.submit(np.ones(4))
             with pytest.raises(ValueError, match="boom"):
                 future.result(timeout=5.0)
+
+    def test_failed_reads_count_as_dropped_rows(self):
+        class FaultyEngine(FakeEngine):
+            def forward(self, x):
+                raise OSError("sense amplifier fault")
+
+        log = RunLog()
+        with BatchScheduler(FaultyEngine(), max_batch=4, log=log) as sched:
+            futures = [
+                sched.submit(np.ones(4)),
+                sched.submit(np.ones((3, 4))),
+                sched.submit(np.ones((6, 4))),
+            ]
+            for future in futures:
+                with pytest.raises(OSError, match="sense amplifier"):
+                    future.result(timeout=5.0)
+            summary = log.serve_summary()
+        assert summary["requests"] == summary["dropped"] == 10
+        assert summary["answered"] == 0
+        assert log.dropped_requests == 10
+
+    def test_hook_failure_counts_queued_rows_as_dropped(self):
+        gate = threading.Event()
+        entered = threading.Event()
+
+        def broken_hook():
+            entered.set()
+            gate.wait(timeout=5.0)
+            raise OSError("probe read fault")
+
+        log = RunLog()
+        sched = BatchScheduler(
+            FakeEngine(), max_batch=2, log=log, on_batch=broken_hook
+        )
+        try:
+            first = sched.submit(np.ones(4))
+            assert entered.wait(timeout=5.0)
+            queued = [sched.submit(np.ones((k, 4))) for k in (1, 2, 5)]
+            gate.set()
+            assert first.result(timeout=5.0) is not None
+            for future in queued:
+                with pytest.raises(OSError, match="probe read fault"):
+                    future.result(timeout=5.0)
+        finally:
+            gate.set()
+            sched.shutdown(timeout=5.0)
+        summary = log.serve_summary()
+        assert (summary["answered"], summary["dropped"]) == (1, 8)
+
+    def test_hand_back_is_not_a_drop(self):
+        # A ReplicaDeadError hands the request back for a replay on a
+        # sibling; the replay is recorded where it is served.
+        class DeadEngine(FakeEngine):
+            def forward(self, x):
+                raise ReplicaDeadError("replica is dead")
+
+        log = RunLog()
+        with BatchScheduler(DeadEngine(), log=log) as sched:
+            future = sched.submit(np.ones((2, 4)))
+            with pytest.raises(ReplicaDeadError):
+                future.result(timeout=5.0)
+        assert log.requests == []
 
     def test_on_batch_hook_runs_after_each_batch(self):
         calls: list[int] = []

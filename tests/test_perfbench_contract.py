@@ -46,6 +46,7 @@ def test_tracer_installs_and_restores_every_attribute():
 def test_serving_classes_define_the_traced_methods_themselves():
     from repro.fleet.router import FleetRouter, ShardGroup
     from repro.fleet.service import FleetService
+    from repro.pipeline.engine import PipelineEngine
     from repro.serve.engine import InferenceEngine
     from repro.serve.health import DriftMonitor
     from repro.serve.service import CrossbarService
@@ -57,6 +58,13 @@ def test_serving_classes_define_the_traced_methods_themselves():
         (ShardGroup, "submit"),
         (InferenceEngine, "forward"),
         (DriftMonitor, "discrepancy"),
+        *[
+            (PipelineEngine, method)
+            for method in (
+                "submit", "submit_recall", "_recall_iterate",
+                "_recall_pos", "_recall_neg", "_on_stage",
+            )
+        ],
     ]:
         assert attr in owner.__dict__, (owner.__name__, attr)
 
@@ -93,6 +101,42 @@ def test_single_array_service_keeps_the_benchmark_surface(artifact):
         assert service.log.requests
     finally:
         service.close()
+
+
+def test_request_records_keep_the_fields_the_benchmark_reads(artifact):
+    # Outcome.keep_requests reads batch_size and queue_s record by record.
+    from repro.serve import CrossbarService
+
+    service = CrossbarService(artifact)
+    try:
+        service.forward(artifact.probes[:3], timeout=30.0)
+        service.predict(artifact.probes[0], timeout=30.0)
+    finally:
+        service.close()
+    assert len(service.log.requests) == 2
+    for record in service.log.requests:
+        assert record.batch_size >= 1
+        assert record.queue_s >= 0.0
+
+
+def test_fleet_block_forward_equals_row_by_row_predict():
+    # fleet-ideal checks forward() of a block against the tiled read.
+    import numpy as np
+
+    from repro.fleet import FleetConfig, FleetService, program_fleet
+
+    config = FleetConfig(
+        n_rows=32, cols=4, tile_rows=8, sigma=0.3, r_wire=2.5, seed=1,
+        ir_mode="ideal", n_probes=4,
+    )
+    w = np.random.default_rng(2).uniform(-1.0, 1.0, (32, 4))
+    fleet = program_fleet(config, w)
+    x = np.random.default_rng(3).random((16, 32))
+    with FleetService(fleet, replicas=2) as service:
+        block = service.forward(x, timeout=30.0)
+        rows = np.stack([service.predict(row, timeout=30.0) for row in x])
+    assert np.array_equal(block, rows)
+    assert np.array_equal(block, fleet.build_tiled().matvec(x, "ideal"))
 
 
 def test_benchmark_error_imports():
