@@ -27,7 +27,7 @@ stderr and ``--run-log`` saves the full structured log as JSON.
 
 The three ``program`` commands store a snapshot and print its key.
 ``serve`` and ``status`` open any snapshot by its stored manifest: a
-single array, a sharded fleet (``--replicas`` per shard) or a
+single array, a sharded fleet (``--replicas`` copies) or a
 multi-layer pipeline.
 """
 
@@ -107,7 +107,7 @@ def _add_snapshot_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--replicas", type=int, default=None,
         help=(
-            "serving copies per shard of a fleet or pipeline snapshot "
+            "serving copies of a fleet or pipeline snapshot's layers "
             "(default: the service's own)"
         ),
     )

@@ -2,11 +2,12 @@
 
 The horizontal scaling layer over :mod:`repro.serve`: a large layer is
 row-partitioned into per-tile artifacts (:mod:`repro.fleet.plan`),
-each tile is served by N independent replica lanes (each one a
-:class:`~repro.serve.service.CrossbarService`), queries are scattered
-and their partial currents reduced bit-identically to a single tiled
-read (:mod:`repro.fleet.router`), and drifted replicas are reprogrammed
-in rolling fashion without dropping below quorum
+the whole tiled layer is served by N independent replica lanes (each
+one a :class:`~repro.serve.service.CrossbarService` over a
+:class:`~repro.xbar.tiling.TiledPair`), each request goes whole to one
+live replica and is replayed on a sibling if that replica dies
+(:mod:`repro.fleet.router`), and drifted replicas are reprogrammed in
+rolling fashion without dropping below quorum
 (:mod:`repro.fleet.health`).  :class:`~repro.fleet.service.FleetService`
 wires the pieces together.
 """

@@ -12,14 +12,19 @@ format single-array serving uses, so each shard restores, serves and
 drift-monitors with the existing machinery.
 
 Per-shard probe baselines are the tile's *partial* outputs
-(:meth:`TiledPair.partial_matvec`), not the full layer outputs: a
-shard replica can then judge its own health without seeing any other
-shard's current.
+(:meth:`TiledPair.partial_matvec`), not the full layer outputs, so a
+drift monitor can judge every tile on its own: one aged tile among
+many is not diluted by the healthy ones.
 
 :class:`ProgrammedFleet` is the persisted plan — the config plus the
 ordered shard bundles — and can rebuild the equivalent single
 ``TiledPair`` (:meth:`ProgrammedFleet.build_tiled`), which is the
-bit-identity reference the router is tested against.
+bit-identity reference the router is tested against.  It also offers
+the few artifact members a serving lane reads (``build_pair``,
+``restore``, ``probes``, ``baseline``, ``ir_mode``, ``mapping``,
+``metadata``), so every fleet replica is one
+:class:`~repro.serve.service.CrossbarService` over a whole
+``TiledPair``.
 """
 
 from __future__ import annotations
@@ -139,17 +144,41 @@ class ProgrammedFleet:
     def shape(self) -> tuple[int, int]:
         return (self.config.n_rows, self.config.cols)
 
+    # -- the artifact members a serving lane reads --------------------
+    scheme = "fleet"
+    # A fleet routes inputs straight to the tile rows: the engine's
+    # identity routing.
+    mapping = None
+
+    @property
+    def ir_mode(self) -> str:
+        return self.config.ir_mode
+
+    @property
+    def metadata(self) -> dict:
+        """Provenance a lane reads: the seed of its repair draws."""
+        return {"scheme": self.scheme, "seed": self.config.seed}
+
+    @property
     def probes(self) -> np.ndarray:
         """Full-width probe inputs, reassembled from the shard slices."""
         return np.concatenate(
             [shard.probes for shard in self.shards], axis=1
         )
 
-    def baseline(self) -> np.ndarray:
-        """Programming-time fleet outputs: the reduced shard partials."""
-        return TiledPair.reduce_partials(
-            [shard.baseline for shard in self.shards]
-        )
+    @property
+    def baseline(self) -> list[np.ndarray]:
+        """Programming-time probe outputs, one partial per shard.
+
+        Their left-to-right reduction is the full layer's baseline; a
+        drift monitor compares each tile to its own part.
+        """
+        return [shard.baseline for shard in self.shards]
+
+    def restore(self, tiled: TiledPair) -> None:
+        """Reprogram every tile of ``tiled`` to its shard snapshot."""
+        for tile, shard in zip(tiled.tiles, self.shards):
+            shard.restore(tile)
 
     # -- persistence ---------------------------------------------------
     def save(self, cache: ArtifactCache, key: str) -> str:
@@ -205,13 +234,15 @@ class ProgrammedFleet:
             variation=VariationConfig(sigma=0.0, sigma_cycle=0.0),
             rng=np.random.default_rng(0),
         )
-        for tile, shard in zip(tiled.tiles, self.shards):
-            shard.restore(tile)
+        self.restore(tiled)
         if c.ir_mode == "reference":
             tiled.set_reference_input(
                 np.concatenate([s.x_mean for s in self.shards])
             )
         return tiled
+
+    # A fleet replica lane serves the whole rebuilt layer.
+    build_pair = build_tiled
 
 
 def program_fleet(

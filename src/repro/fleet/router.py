@@ -1,60 +1,59 @@
-"""Scatter-gather routing: every shard answers, one replica per shard.
+"""Replica routing: one whole-layer replica answers each request.
 
-A fleet request -- one query ``(n,)`` or a block of query rows
-``(k, n)`` -- touches *all* shards (each owns a row slice of the
-layer) but only *one replica* of each (any replica of a shard restores
-the same golden artifact, so they are interchangeable).  The router
-therefore:
+Every fleet replica is one serving lane over the whole tiled layer
+(:class:`~repro.serve.service.CrossbarService` over a
+:class:`~repro.xbar.tiling.TiledPair`), and every replica restores the
+same golden shard artifacts, so they are interchangeable.  A request
+-- one query ``(n,)`` or a block of query rows ``(k, n)`` -- therefore
+goes whole to the least-loaded live replica, whose single
+:meth:`TiledPair.matvec` reads every tile and reduces the partial
+column currents in the one true accumulation order
+(:meth:`TiledPair.reduce_partials`, left-to-right in shard order).
+The answer is bit-identical to a single tiled read on the same
+hardware state, and a block costs one lane hand-off however many
+shards the layer has.
 
-1. splits the request at the shard row boundaries (``x[..., a:b]``),
-2. scatters each slice to the least-loaded live replica of its shard,
-3. gathers the partial column currents, and
-4. reduces them digitally with the one true accumulation order
-   (:meth:`TiledPair.reduce_partials`, left-to-right in shard order),
-   so the gathered result is bit-identical to a single
-   :meth:`TiledPair.matvec` on the same hardware state.
-
-A block travels as one partial per shard and is reduced once, so a
-``k``-row block costs the router what one query does.
-
-Failure handling is per-partial: a partial that fails with
-:class:`~repro.serve.scheduler.ReplicaDeadError` is resubmitted to a
-sibling replica of the same shard (excluding replicas already tried),
-so killing one replica of a replicated shard drops zero queries.
-Deadline expiries are *not* retried — a dropped deadline is the
-scheduler doing its job, and a retry would arrive even later.
+Failure handling is per request: a request that fails with
+:class:`~repro.serve.scheduler.ReplicaDeadError` (its replica died
+with it queued or in flight) is replayed whole on a sibling that has
+not been tried yet, so killing one replica drops zero queries.  When
+no untried live sibling is left, the request fails with
+:class:`NoLiveReplicaError` and its rows are recorded once as dropped,
+under the lane that lost them.  Deadline expiries are *not* retried --
+a dropped deadline is the scheduler doing its job, and a retry would
+arrive even later.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import time
 
 import numpy as np
 
-from repro.lint.sanitize import make_lock
 from repro.serve.scheduler import ReplicaDeadError, ServeOverloadedError
 from repro.serve.service import CrossbarService
-from repro.xbar.tiling import TiledPair
 
 __all__ = ["FleetRouter", "NoLiveReplicaError", "ShardGroup"]
 
 
 class NoLiveReplicaError(RuntimeError):
-    """Every replica of a shard is dead or excluded; the query fails."""
+    """Every replica is dead or excluded; the request fails."""
 
 
 class ShardGroup:
-    """The replica set of one shard.
+    """The replica set of one sharded layer.
+
+    Each replica serves every shard of the layer, so the group is the
+    whole serving capacity of a fleet.
 
     Args:
-        shard_index: Which shard the group serves.
-        replicas: The shard's replicas, in replica-index order.
+        replicas: The replicas, in replica-index order.
     """
 
-    def __init__(self, shard_index: int, replicas: list[CrossbarService]):
+    def __init__(self, replicas: list[CrossbarService]):
         if not replicas:
-            raise ValueError("a shard group needs at least one replica")
-        self.shard_index = int(shard_index)
+            raise ValueError("a replica set needs at least one replica")
         self.replicas = list(replicas)
 
     @property
@@ -67,9 +66,7 @@ class ShardGroup:
             r for r in self.live_replicas if r.name not in exclude
         ]
         if not candidates:
-            raise NoLiveReplicaError(
-                f"shard {self.shard_index} has no live replica left"
-            )
+            raise NoLiveReplicaError("the fleet has no live replica left")
         return min(
             candidates, key=lambda r: (r.depth, r.replica_index)
         )
@@ -80,7 +77,7 @@ class ShardGroup:
         deadline_s: float | None = None,
         exclude: frozenset[str] = frozenset(),
     ) -> tuple[CrossbarService, concurrent.futures.Future]:
-        """Enqueue a partial on the best replica, walking past failures.
+        """Enqueue a request on the best replica, walking past failures.
 
         A replica that dies between pick and enqueue is skipped; an
         overloaded replica is skipped too, but if *every* live replica
@@ -105,69 +102,20 @@ class ShardGroup:
                 tried.add(replica.name)
 
 
-class _GatherState:
-    """Mutable rendezvous of one request's scattered partials."""
-
-    def __init__(self, n_parts: int, future: concurrent.futures.Future):
-        self.parts: list[np.ndarray | None] = [None] * n_parts
-        self.remaining = n_parts
-        self.future = future
-        self.lock = make_lock("gather-state")
-        self.failed = False
-
-    def deliver(self, index: int, part: np.ndarray) -> None:  # repro-lint: thread=worker
-        with self.lock:
-            if self.failed:
-                return
-            self.parts[index] = part
-            self.remaining -= 1
-            # Snapshot under the lock: only the thread that lands the
-            # last partial sees a full list, and taking the copy here
-            # (not after release) keeps every self.parts access
-            # lock-guarded.
-            parts = list(self.parts) if self.remaining == 0 else None
-        if parts is not None:
-            # Fixed reduction order: left-to-right in shard order, the
-            # same order TiledPair.matvec uses, so the gathered result
-            # is bit-identical to the single-machine read.  set_result
-            # runs outside the lock: it fires user callbacks.
-            self.future.set_result(TiledPair.reduce_partials(parts))
-
-    def fail(self, exc: BaseException) -> None:  # repro-lint: thread=worker
-        with self.lock:
-            if self.failed:
-                return
-            self.failed = True
-        self.future.set_exception(exc)
-
-
 class FleetRouter:
-    """Scatter queries across shard groups, gather exact results.
+    """Route whole requests to live replicas; replay on replica death.
 
     Args:
-        groups: One :class:`ShardGroup` per shard, in shard order.
-        ranges: The shard row ranges (``FleetConfig.ranges``); group
-            ``i`` serves rows ``ranges[i]``.
+        group: The fleet's replica set.
     """
 
-    def __init__(
-        self,
-        groups: list[ShardGroup],
-        ranges: list[tuple[int, int]],
-    ):
-        if len(groups) != len(ranges):
-            raise ValueError(
-                f"{len(groups)} shard groups but {len(ranges)} row ranges"
-            )
-        self.groups = list(groups)
-        self.ranges = list(ranges)
-        self.n_rows = ranges[-1][1]
+    def __init__(self, group: ShardGroup):
+        self.group = group
 
-    # -- request path --------------------------------------------------
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Scatter one request; the future resolves to the reduced scores.
+        """Route one request; the future resolves to its scores.
 
         A query ``(n,)`` resolves to ``(cols,)``, a block ``(k, n)``
         to ``(k, cols)``.
@@ -175,67 +123,63 @@ class FleetRouter:
         Raises:
             ValueError: ``x`` is neither a query nor a non-empty block
                 of the fleet's width.
-            ServeOverloadedError: Some shard had every replica's queue
-                full (nothing was half-served: failed requests fail
-                whole).
-            NoLiveReplicaError: Some shard has no live replica at all.
+            ServeOverloadedError: Every live replica's queue is full.
+            NoLiveReplicaError: No replica is live.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n_rows or not x.size:
-            raise ValueError(
-                f"input width {x.shape} != fleet rows ({self.n_rows},) "
-                f"or (k, {self.n_rows})"
-            )
+        replica, future = self.group.submit(x, deadline_s)
         done: concurrent.futures.Future = concurrent.futures.Future()
-        state = _GatherState(len(self.groups), done)
-        for i, (start, stop) in enumerate(self.ranges):
-            try:
-                self._dispatch(
-                    state, i, x[..., start:stop], deadline_s, frozenset()
-                )
-            except Exception as exc:
-                state.fail(exc)  # drop partials queued on earlier shards
-                raise
+        self._watch(done, x, deadline_s, replica, frozenset(), future,
+                    time.monotonic())
         return done
 
-    def _dispatch(
+    def _watch(
         self,
-        state: _GatherState,
-        shard_index: int,
-        x_slice: np.ndarray,
+        done: concurrent.futures.Future,
+        x: np.ndarray,
         deadline_s: float | None,
-        exclude: frozenset[str],
+        replica: CrossbarService,
+        tried: frozenset[str],
+        future: concurrent.futures.Future,
+        submitted: float,
     ) -> None:
-        replica, future = self.groups[shard_index].submit(
-            x_slice, deadline_s, exclude=exclude
-        )
+        tried = tried | {replica.name}
         future.add_done_callback(
-            lambda f: self._on_part(
-                state, shard_index, x_slice, deadline_s,
-                exclude | {replica.name}, f,
+            lambda f: self._on_answer(
+                done, x, deadline_s, replica, tried, f, submitted
             )
         )
 
-    def _on_part(
+    def _on_answer(  # repro-lint: thread=worker
         self,
-        state: _GatherState,
-        shard_index: int,
-        x_slice: np.ndarray,
+        done: concurrent.futures.Future,
+        x: np.ndarray,
         deadline_s: float | None,
+        replica: CrossbarService,
         tried: frozenset[str],
         future: concurrent.futures.Future,
+        submitted: float,
     ) -> None:
         exc = future.exception()
         if exc is None:
-            state.deliver(shard_index, future.result())
-        elif isinstance(exc, ReplicaDeadError):
-            # The replica died with this partial queued or in flight:
-            # replay it on a sibling that has not been tried yet.
+            done.set_result(future.result())
+            return
+        if isinstance(exc, ReplicaDeadError):
+            # The replica died with this request queued or in flight:
+            # replay it whole on a sibling not tried yet.
             try:
-                self._dispatch(
-                    state, shard_index, x_slice, deadline_s, tried
-                )
+                sibling, retry = self.group.submit(x, deadline_s, tried)
             except Exception as replay_exc:
-                state.fail(replay_exc)
-        else:
-            state.fail(exc)
+                # Recorded once, in the run log the lost lane shares
+                # with its siblings.
+                replica.log.record_request(
+                    latency_s=time.monotonic() - submitted,
+                    ok=False,
+                    label=replica.name,
+                    rows=1 if np.ndim(x) == 1 else len(x),
+                )
+                done.set_exception(replay_exc)
+                return
+            self._watch(done, x, deadline_s, sibling, tried, retry,
+                        submitted)
+            return
+        done.set_exception(exc)

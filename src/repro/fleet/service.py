@@ -1,14 +1,16 @@
 """The fleet facade: programmed shard plan in, routed service out.
 
 :class:`FleetService` is the horizontal counterpart of
-:class:`~repro.serve.service.CrossbarService`: it restores every shard
-of a :class:`~repro.fleet.plan.ProgrammedFleet` into ``replicas``
-independent :class:`~repro.serve.service.CrossbarService` lanes, fronts
-them with a :class:`~repro.fleet.router.FleetRouter`, and keeps them
-healthy with a :class:`~repro.fleet.health.RollingReprogrammer`.  One
-shared :class:`~repro.runtime.telemetry.RunLog` collects every lane's
-request records (labelled ``shard<i>/r<j>``) and every health action,
-so :meth:`stats` summarises the whole fleet.
+:class:`~repro.serve.service.CrossbarService`: it serves a
+:class:`~repro.fleet.plan.ProgrammedFleet` as ``replicas`` independent
+:class:`~repro.serve.service.CrossbarService` lanes, each over the
+whole rebuilt tiled layer, fronts them with a
+:class:`~repro.fleet.router.FleetRouter`, and keeps them healthy with a
+:class:`~repro.fleet.health.RollingReprogrammer`.  A block costs one
+lane hand-off and one tiled read.  One shared
+:class:`~repro.runtime.telemetry.RunLog` collects every lane's request
+records (labelled ``r<j>``) and every health action, so :meth:`stats`
+summarises the whole fleet with each client row counted once.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ class FleetService(ServiceLifecycle):
 
     Args:
         fleet: The programmed shard plan to serve.
-        replicas: Serving copies per shard (2 tolerates one failure or
-            one rolling reprogram per shard with no capacity gap).
+        replicas: Serving copies of the whole layer (2 tolerates one
+            failure or one rolling reprogram with no capacity gap).
         ir_mode: Read-model override (the fleet's own mode when
             ``None``).
-        policy: Drift policy shared by every replica monitor and the
-            rolling reprogrammer.
+        policy: Drift policy shared by every replica monitor; the
+            rolling reprogrammer acts on its threshold.
         max_batch / max_queue / default_deadline_s: Per-replica
             scheduler parameters.
         log: Telemetry sink; the ambient run log (or a private one)
@@ -66,92 +68,75 @@ class FleetService(ServiceLifecycle):
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.fleet = fleet
         self.ir_mode = ir_mode if ir_mode is not None else fleet.config.ir_mode
-        self.replicas = int(replicas)
-        self.label_prefix = str(label_prefix)
-        self.policy = policy if policy is not None else DriftPolicy()
         self.log = resolve_run_log(log)
 
-        def lane(shard, i: int, r: int) -> CrossbarService:
-            lane = CrossbarService(
-                shard,
+        # A fleet lane only alerts on drift: the rolling reprogrammer
+        # restores it, under quorum.
+        self.group = ShardGroup([
+            CrossbarService(
+                fleet,
                 ir_mode=ir_mode,
-                policy=self.policy,
+                policy=policy,
                 max_batch=max_batch,
                 max_queue=max_queue,
                 default_deadline_s=default_deadline_s,
                 log=self.log,
-                shard_index=i,
                 replica_index=r,
-                name_prefix=self.label_prefix,
+                name_prefix=label_prefix,
             )
-            # A fleet lane only alerts on drift: the rolling
-            # reprogrammer restores it, under quorum, instead.
-            lane.monitor.repair = None
-            return lane
-
-        self.groups = [
-            ShardGroup(i, [lane(shard, i, r) for r in range(self.replicas)])
-            for i, shard in enumerate(fleet.shards)
-        ]
-        self.router = FleetRouter(self.groups, fleet.ranges)
-        self.reprogrammer = RollingReprogrammer(
-            self.groups, policy=self.policy, log=self.log
-        )
+            for r in range(int(replicas))
+        ])
+        self.router = FleetRouter(self.group)
+        self.reprogrammer = RollingReprogrammer(self.group, log=self.log)
 
     # -- request path --------------------------------------------------
     def submit(
         self, x: np.ndarray, deadline_s: float | None = None
     ) -> concurrent.futures.Future:
-        """Scatter one query or block (see :meth:`FleetRouter.submit`)."""
+        """Route one query or block (see :meth:`FleetRouter.submit`)."""
         return self.router.submit(x, deadline_s)
 
     # -- health --------------------------------------------------------
-    def kill_replica(self, shard: int, replica: int) -> None:
+    def kill_replica(self, replica: int) -> None:
         """Crash one replica (testing/benchmark failure injection)."""
-        self.groups[shard].replicas[replica].kill()
+        self.group.replicas[replica].kill()
 
     def run_recovery_cycle(self) -> list[FleetEvent]:
-        """One rolling scan-and-reprogram pass over the whole fleet."""
+        """One rolling scan-and-reprogram pass over every replica."""
         return self.reprogrammer.run_cycle()
 
     def status(self) -> dict:
-        """Deterministic per-shard fleet inventory.
+        """Deterministic fleet inventory, one entry per replica.
 
-        Replica discrepancies come from a probe replay, so a status
-        call costs one hardware read per live replica.
+        A replica's ``discrepancy`` lists every tile's probe
+        discrepancy in shard order (``None`` once dead); it comes from
+        a probe replay, so a status call costs one hardware read per
+        live replica.
         """
-        shards = []
-        for group, (start, stop) in zip(
-            self.groups, self.fleet.ranges
-        ):
-            lanes = []
-            for r in group.replicas:
-                lanes.append({
-                    "name": r.name,
-                    "alive": r.alive,
-                    "draining": r.draining,
-                    "depth": r.depth,
-                    "deadline_misses": r.scheduler.deadline_misses,
-                    "discrepancy": (
-                        round(r.monitor.discrepancy(), 6)
-                        if r.alive else None
-                    ),
-                })
-            shards.append({
-                "shard": group.shard_index,
-                "rows": [start, stop],
-                "live": len(group.live_replicas),
-                "replicas": lanes,
-            })
+        replicas = [
+            {
+                "name": r.name,
+                "alive": r.alive,
+                "draining": r.draining,
+                "depth": r.depth,
+                "deadline_misses": r.scheduler.deadline_misses,
+                "discrepancy": (
+                    [round(v, 6) for v in r.monitor.tile_discrepancies()]
+                    if r.alive else None
+                ),
+            }
+            for r in self.group.replicas
+        ]
         return {
             "n_shards": self.fleet.n_shards,
-            "replicas_per_shard": self.replicas,
+            "shard_rows": [list(rows) for rows in self.fleet.ranges],
             "ir_mode": self.ir_mode,
-            "shards": shards,
+            "live": len(self.group.live_replicas),
+            "replicas": replicas,
         }
 
     def stats(self) -> dict:
-        """Fleet-wide serving telemetry summary."""
+        """Fleet-wide serving telemetry summary, in client rows."""
         summary = self.log.serve_summary()
         labels = self.log.label_summary()
         if labels:
@@ -160,7 +145,6 @@ class FleetService(ServiceLifecycle):
 
     # -- lifecycle (close/context from ServiceLifecycle) ---------------
     def drain(self, timeout: float | None = None) -> None:
-        """Drain every replica of every shard."""
-        for group in self.groups:
-            for replica in group.replicas:
-                replica.drain(timeout)
+        """Drain every replica."""
+        for replica in self.group.replicas:
+            replica.drain(timeout)

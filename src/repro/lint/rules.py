@@ -72,13 +72,13 @@ _EXECUTOR_APIS = {
 }
 
 # Positional index of the callable when it is passed without a keyword
-# (fleet health management takes its repair callable fourth).
+# (fleet health management takes its repair callable third).
 _CALLABLE_ARG_INDEX = {
     "run_monte_carlo": 0,
     "map_trials": 0,
     "map_trials_batched": 0,
     "parallel_map": 0,
-    "RollingReprogrammer": 3,
+    "RollingReprogrammer": 2,
 }
 
 # Type names that make a cache-key dataclass field order- or

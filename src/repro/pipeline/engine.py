@@ -10,7 +10,7 @@ object with ``submit(x, deadline_s) -> Future`` — so the same engine
 drives both deployment shapes:
 
 * **Served**: each lane is a :class:`~repro.fleet.service.FleetService`
-  (scatter-gather routing, batching, backpressure, per-layer drift
+  (replica routing, batching, backpressure, per-layer drift
   monitors).  Stages chain through future callbacks: a query occupies
   no thread between reads, and layer ``k+1`` starts batching a query
   the moment layer ``k`` answers it.

@@ -2,8 +2,9 @@
 
 :class:`PipelineService` composes one
 :class:`~repro.fleet.service.FleetService` per programmed layer —
-every layer gets its own sharded, replicated, drift-monitored serving
-plane, labelled ``layer<k>/shard<i>/r<j>`` in the shared run log — and
+every layer gets its own replicated, drift-monitored serving plane
+(each replica one lane over the whole tiled layer), labelled
+``layer<k>/r<j>`` in the shared run log — and
 fronts them with a :class:`~repro.pipeline.engine.PipelineEngine` that
 chains the stages (or iterates the recall loop) through future
 callbacks.  It implements the shared
@@ -36,7 +37,7 @@ class PipelineService(ServiceLifecycle):
 
     Args:
         artifact: The programmed pipeline to serve.
-        replicas: Serving copies per shard, in every layer.
+        replicas: Serving copies of every layer.
         ir_mode: Read-model override (the artifact's mode when
             ``None``).
         policy: Drift policy shared by every replica monitor.
@@ -118,11 +119,9 @@ class PipelineService(ServiceLifecycle):
         return self.engine.recall(probe, deadline_s, timeout)
 
     # -- health --------------------------------------------------------
-    def kill_replica(
-        self, layer: int, shard: int, replica: int
-    ) -> None:
-        """Crash one replica (testing/benchmark failure injection)."""
-        self.layer_services[layer].kill_replica(shard, replica)
+    def kill_replica(self, layer: int, replica: int) -> None:
+        """Crash one replica of one layer (failure injection)."""
+        self.layer_services[layer].kill_replica(replica)
 
     def run_recovery_cycle(self) -> dict[str, list[FleetEvent]]:
         """One rolling scan-and-reprogram pass over every layer."""
@@ -134,11 +133,11 @@ class PipelineService(ServiceLifecycle):
     def status(self) -> dict:
         """Deterministic pipeline inventory with per-lane counters.
 
-        ``queues`` maps every replica lane label to its live queue
-        depth and deadline-miss count, across all layers — the
-        observable the scheduler satellite exposes.  Layer entries
-        carry the full per-shard fleet inventory (a status call costs
-        one probe read per live replica).
+        ``queues`` maps every replica lane label (``layer<k>/r<j>``)
+        to its live queue depth and deadline-miss count, across all
+        layers.  Layer entries carry the full per-replica fleet
+        inventory (a status call costs one probe read per live
+        replica).
         """
         queues: dict[str, dict] = {}
         layers = []
@@ -150,12 +149,11 @@ class PipelineService(ServiceLifecycle):
                 "scale": self.artifact.scales[i],
                 **layer_status,
             })
-            for shard in layer_status["shards"]:
-                for lane in shard["replicas"]:
-                    queues[lane["name"]] = {
-                        "depth": lane["depth"],
-                        "deadline_misses": lane["deadline_misses"],
-                    }
+            for lane in layer_status["replicas"]:
+                queues[lane["name"]] = {
+                    "depth": lane["depth"],
+                    "deadline_misses": lane["deadline_misses"],
+                }
         status = {
             "kind": self.kind,
             "n_layers": self.artifact.n_layers,

@@ -109,9 +109,10 @@ class RequestRecord:
         batch_size: Rows of the hardware read the request rode in.
         ok: ``False`` when the request was dropped (deadline exceeded,
             failed read, failed lane) instead of answered.
-        label: Which serving lane answered the request (a fleet shard
-            replica such as ``"shard2/r0"``; empty for a single-array
-            scheduler), so one shared log can split latency per shard.
+        label: Which serving lane took the request (a fleet replica
+            such as ``"r1"``, or ``"layer0/r1"`` in a pipeline; empty
+            for a single-array scheduler), so one shared log can split
+            latency per lane.
         rows: Query rows the request carried.
     """
 
@@ -128,12 +129,11 @@ class FleetEvent:
     """Telemetry for one health-management action on a serving lane.
 
     Attributes:
-        shard: Index of the shard the action concerns (``None`` for a
-            standalone single-array service).
-        replica: Index of the replica within the shard.
+        replica: Index of the fleet replica the action concerns
+            (``None`` for a standalone single-array service).
         action: What happened: ``'reprogram'`` (drain + reprogram +
             return to rotation), ``'defer'`` (drifted but recovering it
-            would drop the shard below quorum), ``'kill'`` (replica
+            would drop the fleet below quorum), ``'kill'`` (replica
             removed from rotation, e.g. a simulated crash), or
             ``'fail'`` (the lane's per-batch health check or repair
             raised, so the lane took itself out of service).
@@ -146,8 +146,7 @@ class FleetEvent:
             reprogram (``None`` for other actions).
     """
 
-    shard: int | None
-    replica: int
+    replica: int | None
     action: str
     seconds: float = 0.0
     discrepancy: float | None = None
@@ -247,15 +246,13 @@ class RunLog:
 
     def record_fleet(
         self,
-        shard: int | None,
-        replica: int,
+        replica: int | None,
         action: str,
         seconds: float = 0.0,
         discrepancy: float | None = None,
         recovered_discrepancy: float | None = None,
     ) -> FleetEvent:
         event = FleetEvent(
-            shard=shard,
             replica=replica,
             action=action,
             seconds=seconds,
@@ -341,7 +338,7 @@ class RunLog:
         return summary
 
     def label_summary(self) -> dict[str, dict]:
-        """Per-label (per fleet shard replica) request breakdown, in rows.
+        """Per-label (per fleet replica lane) request breakdown, in rows.
 
         Labels sort lexicographically so the summary is deterministic
         for a fixed request history.

@@ -14,6 +14,11 @@ threshold is crossed.
 The baseline is never refreshed after a repair: recovery is only
 claimed when the array again produces the outputs it produced when it
 was first programmed, not merely when it stops getting worse.
+
+A tiled layer (a fleet replica) keeps one baseline part per tile and
+replays the probes as one :meth:`~repro.xbar.tiling.TiledPair.partial_matvec`,
+so each tile is judged against its own programming-time partial and
+the layer reads as drifted when any tile does.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ class DriftMonitor:
             through the same routed, microbatched read path requests
             use).
         probes: Logical probe inputs ``(p, n_features)``.
-        baseline: Programming-time probe outputs ``(p, cols)``.
+        baseline: Programming-time probe outputs ``(p, cols)``, or one
+            ``(p, cols)`` partial per tile when the engine serves a
+            :class:`~repro.xbar.tiling.TiledPair`.
         policy: Thresholds and cadence.
         repair: Callback invoked on a threshold crossing; returns a
             defect-count dict for the telemetry record.  When ``None``
@@ -90,12 +97,17 @@ class DriftMonitor:
     ):
         self.engine = engine
         self.probes = np.asarray(probes, dtype=float)
-        self.baseline = np.asarray(baseline, dtype=float)
-        if self.probes.shape[0] != self.baseline.shape[0]:
-            raise ValueError(
-                f"{self.probes.shape[0]} probes but "
-                f"{self.baseline.shape[0]} baseline rows"
-            )
+        self.baseline = (
+            [np.asarray(part, dtype=float) for part in baseline]
+            if isinstance(baseline, list)
+            else np.asarray(baseline, dtype=float)
+        )
+        for part in self._parts(self.baseline):
+            if self.probes.shape[0] != part.shape[0]:
+                raise ValueError(
+                    f"{self.probes.shape[0]} probes but "
+                    f"{part.shape[0]} baseline rows"
+                )
         self.policy = policy if policy is not None else DriftPolicy()
         self.repair = repair
         self.log = resolve_run_log(log)
@@ -119,29 +131,47 @@ class DriftMonitor:
         programmed, so the gap between the two read models never
         reads as drift.
         """
-        baseline = artifact.baseline
-        if engine.ir_mode != artifact.ir_mode:
-            baseline = engine.forward(artifact.probes)
-        return cls(
+        monitor = cls(
             engine,
             probes=artifact.probes,
-            baseline=baseline,
+            baseline=artifact.baseline,
             policy=policy,
             repair=repair,
             log=log,
         )
+        if engine.ir_mode != artifact.ir_mode:
+            monitor.baseline = monitor.read_probes()
+        return monitor
 
-    def discrepancy(self) -> float:
-        """Current probe discrepancy vs the programming-time baseline.
+    @staticmethod
+    def _parts(outputs) -> list[np.ndarray]:
+        return outputs if isinstance(outputs, list) else [outputs]
+
+    def read_probes(self) -> np.ndarray | list[np.ndarray]:
+        """Replay the probes, shaped like the baseline (per tile or not)."""
+        if isinstance(self.baseline, list):
+            return self.engine.target.partial_matvec(
+                self.probes, self.engine.ir_mode
+            )
+        return self.engine.forward(self.probes)
+
+    def tile_discrepancies(self) -> list[float]:
+        """Probe discrepancy of every baseline part (one per tile).
 
         The paper's Fig. 2 column-output metric: mean absolute output
         deviation normalised by the mean absolute baseline output.
         """
-        y = self.engine.forward(self.probes)
-        denom = float(np.mean(np.abs(self.baseline)))
-        if denom == 0.0:
-            return float(np.mean(np.abs(y)))
-        return float(np.mean(np.abs(y - self.baseline)) / denom)
+        return [
+            _relative_discrepancy(y, y0)
+            for y, y0 in zip(
+                self._parts(self.read_probes()), self._parts(self.baseline)
+            )
+        ]
+
+    def discrepancy(self) -> float:
+        """Current probe discrepancy vs the programming-time baseline:
+        the worst tile's, so one drifted tile is enough to act on."""
+        return max(self.tile_discrepancies())
 
     def check(self) -> DriftEvent | None:
         """Replay the probes; act and record if over threshold."""
@@ -168,3 +198,10 @@ class DriftMonitor:
         self._batches_seen += 1
         if self._batches_seen % self.policy.check_every == 0:
             self.check()
+
+
+def _relative_discrepancy(y: np.ndarray, baseline: np.ndarray) -> float:
+    denom = float(np.mean(np.abs(baseline)))
+    if denom == 0.0:
+        return float(np.mean(np.abs(y)))
+    return float(np.mean(np.abs(y - baseline)) / denom)

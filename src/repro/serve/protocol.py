@@ -90,7 +90,7 @@ class Submitter:
     ) -> np.ndarray:
         """Serve a query or a whole block as one request and wait.
 
-        The block travels whole: one partial per shard, one read per
+        The block travels whole: one lane hand-off, one read per
         lane batch.  Each row's result is still bit-identical to its
         single-query run because every read path in between is
         batch-invariant.

@@ -109,7 +109,7 @@ class BatchScheduler(Submitter):
             sample, so a cold-start rejection falls back to this floor
             instead of advertising an instant (or zero) retry.
         label: Serving-lane tag stamped on every request record (the
-            fleet uses ``"shard<i>/r<j>"``); empty for a lone scheduler.
+            fleet uses ``"r<j>"``); empty for a lone scheduler.
     """
 
     def __init__(
@@ -186,8 +186,8 @@ class BatchScheduler(Submitter):
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self._width or not x.size:
             raise ValueError(
-                f"query shape {x.shape} != engine input ({self._width},) "
-                f"or (k, {self._width})"
+                f"query shape {x.shape} != engine input width "
+                f"({self._width},) or (k, {self._width})"
             )
         if deadline_s is None:
             deadline_s = self.default_deadline_s

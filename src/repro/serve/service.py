@@ -15,17 +15,20 @@ rows move off the bad devices, and reprogram open-loop.  The stored
 states do.
 
 The same class is the fleet's serving lane:
-:class:`~repro.fleet.service.FleetService` serves every replica of
-every shard as one ``CrossbarService`` named ``shard<i>/r<j>``.  A
-fleet lane's monitor has no repair hook, so it only raises an alert;
-the rolling reprogrammer (:mod:`repro.fleet.health`) restores it under
-quorum.  Two liveness flags separate the failure modes a lane has:
+:class:`~repro.fleet.service.FleetService` serves every replica as one
+``CrossbarService`` named ``r<j>`` over the replica's whole tiled
+layer (its artifact is the :class:`~repro.fleet.plan.ProgrammedFleet`,
+which offers the members read here).  A service over a fleet has no
+repair hook, so its monitor only raises an alert; in a fleet the
+rolling reprogrammer (:mod:`repro.fleet.health`) restores the lane
+under quorum.  Two liveness
+flags separate the failure modes a lane has:
 
 * ``alive`` -- cleared by :meth:`CrossbarService.kill` (a crash) or
   when the per-batch health check or its repair raises (a read or
   programming fault).  Queued and in-flight work fails loudly -- a
-  fleet lane's with :class:`ReplicaDeadError`, so the router retries
-  the partial on a sibling -- and a dead lane never comes back.
+  fleet lane's with :class:`ReplicaDeadError`, so the router replays
+  the block on a sibling -- and a dead lane never comes back.
 * ``draining`` -- set by the rolling reprogrammer while the lane is
   being drained and reprogrammed.  A draining lane finishes what it
   accepted, takes no new work, and returns to rotation afterwards.
@@ -34,6 +37,7 @@ quorum.  Two liveness flags separate the failure modes a lane has:
 from __future__ import annotations
 
 import concurrent.futures
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,6 +55,9 @@ from repro.serve.scheduler import (
     ServeOverloadedError,
 )
 
+if TYPE_CHECKING:
+    from repro.fleet.plan import ProgrammedFleet
+
 __all__ = ["CrossbarService", "ReplicaDeadError", "Service"]
 
 
@@ -62,11 +69,14 @@ DEFECT_THETA_CUTOFF = 1.5
 class _DeadTarget:
     """Hardware stand-in after a kill: every read fails fast."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, shape: tuple[int, int]):
         self.name = name
+        self.shape = shape
 
     def matvec(self, x: np.ndarray, ir_mode: str = "ideal") -> np.ndarray:
         raise ReplicaDeadError(f"replica {self.name} is dead")
+
+    partial_matvec = matvec
 
 
 class CrossbarService(ServiceLifecycle):
@@ -75,7 +85,10 @@ class CrossbarService(ServiceLifecycle):
     Implements the :class:`~repro.serve.protocol.Service` protocol.
 
     Args:
-        artifact: Deployment snapshot to serve.
+        artifact: Deployment snapshot to serve: a
+            :class:`~repro.serve.artifact.ProgrammedArray`, or a
+            :class:`~repro.fleet.plan.ProgrammedFleet` for a fleet
+            replica over the whole tiled layer.
         ir_mode: Read-model override (artifact's own mode when
             ``None``).
         policy: Drift policy; defaults applied when ``None``.
@@ -89,9 +102,8 @@ class CrossbarService(ServiceLifecycle):
             solver was selectable, among them the
             ``serve-nodal-repair`` workload of ``perfbench``, pass
             ``nodal_solver="lu"``.
-        shard_index: The shard this lane serves in a fleet; ``None``
-            (the default) for a standalone service.
-        replica_index: Position within the shard's replica set.
+        replica_index: The lane's position in a fleet's replica
+            set; ``None`` (the default) for a standalone service.
         name_prefix: Prepended to a fleet lane's name (and thus its
             telemetry lane label).  A multi-fleet composition such as
             ``repro.pipeline`` uses ``"layer<k>/"`` so one shared run
@@ -100,7 +112,7 @@ class CrossbarService(ServiceLifecycle):
 
     def __init__(
         self,
-        artifact: ProgrammedArray,
+        artifact: ProgrammedArray | ProgrammedFleet,
         ir_mode: str | None = None,
         policy: DriftPolicy | None = None,
         max_batch: int = 32,
@@ -109,8 +121,7 @@ class CrossbarService(ServiceLifecycle):
         log: RunLog | None = None,
         nodal_solver: str | None = None,
         *,
-        shard_index: int | None = None,
-        replica_index: int = 0,
+        replica_index: int | None = None,
         name_prefix: str = "",
     ):
         if nodal_solver not in (None, "lu"):
@@ -118,12 +129,13 @@ class CrossbarService(ServiceLifecycle):
                 f"nodal_solver must be None or 'lu', got {nodal_solver!r}"
             )
         self.artifact = artifact
-        self.shard_index = None if shard_index is None else int(shard_index)
-        self.replica_index = int(replica_index)
+        self.replica_index = (
+            None if replica_index is None else int(replica_index)
+        )
         # A standalone service stamps no lane label on its requests.
         self.name = (
-            "" if shard_index is None
-            else f"{name_prefix}shard{shard_index}/r{replica_index}"
+            "" if replica_index is None
+            else f"{name_prefix}r{replica_index}"
         )
         # Re-pretests during repair draw from the artifact's recorded
         # seed, so a service restarted from it repairs identically.
@@ -134,11 +146,16 @@ class CrossbarService(ServiceLifecycle):
         self.policy = policy if policy is not None else DriftPolicy()
         self.engine = InferenceEngine.from_artifact(artifact, ir_mode=ir_mode)
         self.pair = self.engine.target
+        # A tiled layer has no repair hook (remap re-places one
+        # array's weights); its monitor only alerts, and a fleet's
+        # rolling reprogrammer restores it under quorum instead.
         self.monitor = DriftMonitor.for_artifact(
             self.engine,
             artifact,
             policy=self.policy,
-            repair=self.remap,
+            repair=(
+                self.remap if isinstance(artifact, ProgrammedArray) else None
+            ),
             log=self.log,
         )
         # Single-writer liveness flags, read racily on purpose: 'alive'
@@ -182,12 +199,8 @@ class CrossbarService(ServiceLifecycle):
             # queued request with what this raises -- for a fleet lane
             # a ReplicaDeadError, which the router replays on a sibling.
             self.alive = False
-            self.log.record_fleet(
-                shard=self.shard_index,
-                replica=self.replica_index,
-                action="fail",
-            )
-            if self.shard_index is None:
+            self.log.record_fleet(replica=self.replica_index, action="fail")
+            if self.replica_index is None:
                 raise
             raise ReplicaDeadError(
                 f"replica {self.name} failed its health check: {exc!r}"
@@ -267,13 +280,9 @@ class CrossbarService(ServiceLifecycle):
         if not self.alive:
             return
         self.alive = False
-        self.engine.target = _DeadTarget(self.name)
+        self.engine.target = _DeadTarget(self.name, self.pair.shape)
         self.scheduler.shutdown(timeout)
-        self.log.record_fleet(
-            shard=self.shard_index,
-            replica=self.replica_index,
-            action="kill",
-        )
+        self.log.record_fleet(replica=self.replica_index, action="kill")
 
     # -- repair path ---------------------------------------------------
     def remap(self) -> dict:

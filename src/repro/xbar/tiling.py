@@ -149,10 +149,9 @@ class TiledPair:
 
         Each tile sees its own row slice of ``x`` and returns its
         digitised contribution to ``x @ W``; :meth:`matvec` is exactly
-        the left-to-right sum of this list.  The fleet layer reads
-        shards remotely and reduces the gathered partials in the same
-        order, so a scatter-gather read reproduces a local tiled read
-        bit-for-bit.
+        the left-to-right sum of this list.  A fleet's drift monitor
+        compares each partial to its shard's programming-time
+        baseline, so every tile is judged on its own.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_rows:
@@ -168,10 +167,10 @@ class TiledPair:
     def reduce_partials(parts: list[np.ndarray]) -> np.ndarray:
         """Left-to-right digital sum of per-tile partial outputs.
 
-        The one true accumulation order: :meth:`matvec`, the fleet
-        router and any other consumer of :meth:`partial_matvec` must
-        reduce through this helper so their results stay bit-identical
-        regardless of where the partials were computed.
+        The one true accumulation order: :meth:`matvec` and any other
+        consumer of :meth:`partial_matvec` must reduce through this
+        helper so their results stay bit-identical regardless of where
+        the partials were computed.
         """
         if not parts:
             raise ValueError("no partial outputs to reduce")

@@ -15,6 +15,7 @@ from repro.fleet import (
     program_fleet,
 )
 from repro.serve.health import DriftPolicy
+from repro.serve.service import CrossbarService
 
 N_ROWS = 24
 COLS = 4
@@ -35,10 +36,10 @@ def make_service(replicas=2, ir_mode="ideal", r_wire=0.0, **kwargs):
     return fleet, FleetService(fleet, replicas=replicas, **kwargs)
 
 
-def drift_replica(replica) -> None:
-    """Heavy retention aging of one replica's restored pair."""
+def drift_tile(replica, tile: int = 1) -> None:
+    """Heavy retention aging of one tile of a replica's tiled layer."""
     age_pair(
-        replica.engine.target, 3e5,
+        replica.engine.target.tiles[tile], 3e5,
         RetentionConfig(nu_median=0.05, nu_sigma=0.5),
         np.random.default_rng(11),
     )
@@ -57,9 +58,13 @@ class TestRollingReprogram:
         x = np.random.default_rng(6).random((8, N_ROWS))
         reference = fleet.build_tiled().matvec(x, ir_mode)
         try:
-            victim = service.groups[1].replicas[0]
-            drift_replica(victim)
-            assert victim.monitor.discrepancy() > 0.05
+            victim = service.group.replicas[0]
+            drift_tile(victim)
+            # Only the aged tile reads as drifted.
+            tiles = victim.monitor.tile_discrepancies()
+            assert tiles[1] > 0.05
+            assert tiles[0] == tiles[2] == 0.0
+            assert victim.monitor.discrepancy() == tiles[1]
             # Queries in flight across the recovery are all answered
             # (the sibling covers the drained replica); answers routed
             # through the drifted hardware are off until recovery --
@@ -74,7 +79,7 @@ class TestRollingReprogram:
             assert np.array_equal(after, reference)
             assert [e.action for e in events] == ["reprogram"]
             event = events[0]
-            assert (event.shard, event.replica) == (1, 0)
+            assert event.replica == 0
             assert event.discrepancy > 0.05
             assert event.recovered_discrepancy == 0.0
             assert event.seconds > 0.0
@@ -96,8 +101,8 @@ class TestRollingReprogram:
     def test_recovery_defers_below_quorum(self):
         _, service = make_service(replicas=1)
         try:
-            victim = service.groups[0].replicas[0]
-            drift_replica(victim)
+            victim = service.group.replicas[0]
+            drift_tile(victim)
             events = service.run_recovery_cycle()
             assert [e.action for e in events] == ["defer"]
             assert events[0].discrepancy > 0.05
@@ -110,8 +115,8 @@ class TestRollingReprogram:
     def test_dead_sibling_blocks_recovery(self):
         _, service = make_service(replicas=2)
         try:
-            service.kill_replica(2, 1)
-            drift_replica(service.groups[2].replicas[0])
+            service.kill_replica(1)
+            drift_tile(service.group.replicas[0], tile=2)
             events = service.run_recovery_cycle()
             assert [e.action for e in events] == ["defer"]
         finally:
@@ -121,14 +126,13 @@ class TestRollingReprogram:
         _, service = make_service()
         seen = []
         reprogrammer = RollingReprogrammer(
-            service.groups,
-            policy=DriftPolicy(threshold=0.05),
+            service.group,
             reprogram_fn=seen.append,
             log=service.log,
         )
         try:
-            victim = service.groups[0].replicas[1]
-            drift_replica(victim)
+            victim = service.group.replicas[1]
+            drift_tile(victim, tile=0)
             reprogrammer.run_cycle()
             assert seen == [victim]
         finally:
@@ -138,7 +142,7 @@ class TestRollingReprogram:
         _, service = make_service()
         try:
             with pytest.raises(ValueError, match="min_live"):
-                RollingReprogrammer(service.groups, min_live=0)
+                RollingReprogrammer(service.group, min_live=0)
         finally:
             service.close()
 
@@ -147,15 +151,13 @@ class TestFleetTelemetry:
     def test_summary_counts_fleet_events(self):
         _, service = make_service()
         try:
-            drift_replica(service.groups[0].replicas[0])
+            drift_tile(service.group.replicas[0])
             service.run_recovery_cycle()
             service.predict(np.ones(N_ROWS), timeout=30.0)
             summary = service.stats()
             assert summary["fleet_events"] == 1
             assert summary["reprograms"] == 1
-            assert any(
-                label.startswith("shard") for label in summary["lanes"]
-            )
+            assert set(summary["lanes"]) <= {"r0", "r1"}
         finally:
             service.close()
 
@@ -164,7 +166,7 @@ class TestFleetTelemetry:
 
         _, service = make_service()
         try:
-            drift_replica(service.groups[0].replicas[0])
+            drift_tile(service.group.replicas[0])
             service.run_recovery_cycle()
         finally:
             service.close()
@@ -186,13 +188,9 @@ class TestReadModeOverride:
 
     def test_override_baseline_reads_no_drift(self):
         with FleetService(make_fleet(r_wire=2.5), ir_mode="nodal") as service:
-            replicas = [
-                replica
-                for shard in service.status()["shards"]
-                for replica in shard["replicas"]
-            ]
-        assert replicas
-        assert all(r["discrepancy"] == 0.0 for r in replicas)
+            replicas = service.status()["replicas"]
+        assert [r["name"] for r in replicas] == ["r0", "r1"]
+        assert all(r["discrepancy"] == [0.0] * 3 for r in replicas)
 
 
 class TestLaneFaults:
@@ -202,7 +200,7 @@ class TestLaneFaults:
         )
         x = np.random.default_rng(6).random((8, N_ROWS))
         reference = fleet.build_tiled().matvec(x, "ideal")
-        victim, sibling = service.groups[1].replicas
+        victim, sibling = service.group.replicas
         entered, release = threading.Event(), threading.Event()
 
         def broken_check():
@@ -215,20 +213,45 @@ class TestLaneFaults:
             futures = [service.submit(x[0])]
             assert entered.wait(10.0)  # the victim's worker is stuck
             futures += [service.submit(row) for row in x[1:]]
-            assert victim.depth >= 1  # partials queued behind the fault
+            assert victim.depth >= 1  # queries queued behind the fault
             release.set()
-            # The queued partials fail with ReplicaDeadError and are
+            # The queued queries fail with ReplicaDeadError and are
             # replayed on the sibling: nothing is lost or changed.
             got = np.stack([f.result(timeout=5.0) for f in futures])
             assert np.array_equal(got, reference)
             assert not victim.alive and sibling.live
             assert [
-                (e.shard, e.replica, e.action)
-                for e in service.log.fleet_events
-            ] == [(1, 0, "fail")]
-            assert service.status()["shards"][1]["live"] == 1
+                (e.replica, e.action) for e in service.log.fleet_events
+            ] == [(0, "fail")]
+            assert service.status()["live"] == 1
+            assert service.stats()["dropped"] == 0
         finally:
             release.set()
+            service.close()
+
+    def test_standalone_fleet_service_alerts_on_drift(self):
+        # A CrossbarService over a whole fleet, outside FleetService,
+        # has no repair hook: a drifted tile raises an alert, and the
+        # service stays alive and keeps answering.
+        fleet = make_fleet()
+        x = np.random.default_rng(6).random((4, N_ROWS))
+        service = CrossbarService(
+            fleet, policy=DriftPolicy(threshold=0.05, check_every=1)
+        )
+        try:
+            assert service.monitor.repair is None
+            drift_tile(service)
+            drifted = service.engine.target.matvec(x, "ideal")
+            got = service.submit(x).result(timeout=10.0)
+            assert np.array_equal(got, drifted)
+            assert service.submit(x).result(timeout=10.0).shape == (4, COLS)
+            assert service.alive
+            assert [e.action for e in service.log.drift_events][:1] == [
+                "alert"
+            ]
+            assert service.status()["discrepancy"] > 0.05
+            assert service.log.fleet_events == []
+        finally:
             service.close()
 
     def test_failing_reprogram_kills_the_replica(self):
@@ -241,20 +264,20 @@ class TestLaneFaults:
         x = np.random.default_rng(6).random((8, N_ROWS))
         reference = fleet.build_tiled().matvec(x, "ideal")
         try:
-            victim, sibling = service.groups[1].replicas
-            drift_replica(victim)
+            victim, sibling = service.group.replicas
+            drift_tile(victim)
             with pytest.raises(OSError, match="programming fault"):
                 service.run_recovery_cycle()
             # Drained and half-reprogrammed: out of rotation for good.
             assert not victim.alive and not victim.live
             assert [
-                (e.shard, e.replica, e.action)
-                for e in service.log.fleet_events
-            ] == [(1, 0, "kill")]
-            status = service.status()["shards"][1]
+                (e.replica, e.action) for e in service.log.fleet_events
+            ] == [(0, "kill")]
+            status = service.status()
             assert status["live"] == 1
             assert [r["alive"] for r in status["replicas"]] == [False, True]
-            assert service.groups[1].pick() is sibling
+            assert status["replicas"][0]["discrepancy"] is None
+            assert service.group.pick() is sibling
             assert np.array_equal(service.forward(x), reference)
         finally:
             service.close()

@@ -69,13 +69,17 @@ class TestProgramFleet:
         # read of the reassembled probes, bit for bit.
         config, _, fleet = make_fleet()
         tiled = fleet.build_tiled()
-        probes = fleet.probes()
+        probes = fleet.probes
         assert np.array_equal(
-            fleet.baseline(), tiled.matvec(probes, config.ir_mode)
+            TiledPair.reduce_partials(fleet.baseline),
+            tiled.matvec(probes, config.ir_mode),
         )
         partials = tiled.partial_matvec(probes, config.ir_mode)
-        for shard, partial in zip(fleet.shards, partials):
+        for shard, baseline, partial in zip(
+            fleet.shards, fleet.baseline, partials
+        ):
             assert np.array_equal(shard.baseline, partial)
+            assert np.array_equal(baseline, partial)
 
     def test_identical_inputs_produce_identical_fleets(self):
         _, _, first = make_fleet()

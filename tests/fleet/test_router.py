@@ -1,4 +1,4 @@
-"""Scatter-gather routing: exactness, load balance, failure retry."""
+"""Replica routing: exactness, load balance, whole-block replay."""
 
 from __future__ import annotations
 
@@ -29,6 +29,18 @@ def make_service(tile_rows, replicas=2, ir_mode="ideal", r_wire=0.0,
     w = np.random.default_rng(1).uniform(-1, 1, (N_ROWS, COLS))
     fleet = program_fleet(config, w)
     return fleet, FleetService(fleet, replicas=replicas, **kwargs)
+
+
+def hold_reads(replica, entered, release) -> None:
+    """Hold ``replica``'s reads until ``release`` is set."""
+    forward = replica.engine.forward
+
+    def held_forward(x):
+        entered.set()
+        release.wait(10.0)
+        return forward(x)
+
+    replica.engine.forward = held_forward
 
 
 class TestExactness:
@@ -81,15 +93,14 @@ class TestRouting:
     def test_ties_break_to_lowest_replica_index(self):
         _, service = make_service(10)
         try:
-            for group in service.groups:
-                assert group.pick().replica_index == 0
+            assert service.group.pick().replica_index == 0
         finally:
             service.close()
 
     def test_draining_replicas_are_skipped(self):
         _, service = make_service(10)
         try:
-            group = service.groups[0]
+            group = service.group
             group.replicas[0].draining = True
             assert group.pick().replica_index == 1
             assert len(group.live_replicas) == 1
@@ -99,9 +110,9 @@ class TestRouting:
     def test_exclusion_exhaustion_raises(self):
         _, service = make_service(10, replicas=1)
         try:
-            group = service.groups[0]
+            group = service.group
             with pytest.raises(NoLiveReplicaError):
-                group.pick(exclude=frozenset({"shard0/r0"}))
+                group.pick(exclude=frozenset({"r0"}))
         finally:
             service.close()
 
@@ -122,7 +133,7 @@ class TestFailureRetry:
         reference = fleet.build_tiled().matvec(x, ir_mode)
         try:
             futures = [service.submit(row) for row in x]
-            service.kill_replica(0, 0)
+            service.kill_replica(0)
             gathered = np.stack([f.result(timeout=30.0) for f in futures])
             assert np.array_equal(gathered, reference)
             # Later traffic also survives on the sibling alone.
@@ -134,12 +145,12 @@ class TestFailureRetry:
             e for e in service.log.fleet_events if e.action == "kill"
         ]
         assert len(kills) == 1
-        assert (kills[0].shard, kills[0].replica) == (0, 0)
+        assert kills[0].replica == 0
 
     def test_unreplicated_shard_death_fails_queries_loudly(self):
         _, service = make_service(10, replicas=1)
         try:
-            service.kill_replica(1, 0)
+            service.kill_replica(0)
             with pytest.raises(NoLiveReplicaError):
                 service.predict(np.ones(N_ROWS), timeout=30.0)
         finally:
@@ -148,19 +159,20 @@ class TestFailureRetry:
     def test_killed_replica_rejects_new_work(self):
         _, service = make_service(10, replicas=2)
         try:
-            replica = service.groups[0].replicas[0]
+            replica = service.group.replicas[0]
             replica.kill()
             assert not replica.live
             from repro.fleet import ReplicaDeadError
 
             with pytest.raises(ReplicaDeadError):
-                replica.submit(np.ones(10))
+                replica.submit(np.ones(N_ROWS))
         finally:
             service.close()
 
 
 class TestBlockPath:
-    """A block of k rows travels as one partial per shard."""
+    """A block of k rows goes whole to one replica: one lane hand-off,
+    one tiled read (one partial per shard, one reduce)."""
 
     def test_one_partial_per_shard_and_one_reduce(self, monkeypatch):
         fleet, service = make_service(4)  # 5 shards
@@ -187,10 +199,21 @@ class TestBlockPath:
         finally:
             service.close()
         assert np.array_equal(got, reference)
-        assert calls == {"shard_submit": fleet.n_shards, "reduce": 1}
-        # One record per lane request, counted in rows.
-        assert [r.rows for r in service.log.requests] == [9] * fleet.n_shards
-        assert service.stats()["answered"] == 9 * fleet.n_shards
+        assert calls == {"shard_submit": 1, "reduce": 1}
+        # One record per block, counted in rows.
+        assert [r.rows for r in service.log.requests] == [9]
+        assert service.stats()["answered"] == 9
+
+    def test_client_rows_count_once_across_shards(self):
+        fleet, service = make_service(7)  # 3 shards
+        assert fleet.n_shards == 3
+        x = np.random.default_rng(10).random((5, N_ROWS))
+        try:
+            service.forward(x, timeout=30.0)
+        finally:
+            service.close()
+        stats = service.stats()
+        assert (stats["requests"], stats["answered"]) == (5, 5)
 
     @pytest.mark.parametrize(
         "ir_mode,r_wire", [("ideal", 0.0), ("nodal", 2.0)],
@@ -205,27 +228,20 @@ class TestBlockPath:
         blocks = np.random.default_rng(9).random((3, 7, N_ROWS))
         tiled = fleet.build_tiled()
         reference = [tiled.matvec(b, ir_mode) for b in blocks]
-        victim, sibling = service.groups[0].replicas
+        victim, sibling = service.group.replicas
         entered, release = threading.Event(), threading.Event()
-        forward = victim.engine.forward
-
-        def held_forward(x):
-            entered.set()
-            release.wait(10.0)
-            return forward(x)
-
-        victim.engine.forward = held_forward
-        # Shard 0's partials all go to the victim until it is killed.
+        hold_reads(victim, entered, release)
+        # Every block goes to the victim until it is killed.
         sibling.draining = True
         try:
             futures = [service.submit(blocks[0])]
-            assert entered.wait(10.0)  # a block partial is in flight
+            assert entered.wait(10.0)  # a block is in flight
             futures += [service.submit(b) for b in blocks[1:]]
             assert victim.depth == 2  # and two more are queued
             sibling.draining = False
             timer = threading.Timer(0.05, release.set)
             timer.start()
-            service.kill_replica(0, 0)
+            service.kill_replica(0)
             got = [f.result(timeout=30.0) for f in futures]
             timer.join()
         finally:
@@ -235,9 +251,34 @@ class TestBlockPath:
             assert np.array_equal(block, expected)
         stats = service.stats()
         assert stats["dropped"] == 0
-        # The sibling served every replayed row of shard 0.
-        assert stats["lanes"]["shard0/r1"]["answered"] == 21
-        assert "shard0/r0" not in stats["lanes"]
+        # The sibling served every replayed row, each counted once.
+        assert stats["lanes"]["r1"]["answered"] == 21
+        assert "r0" not in stats["lanes"]
+        assert (stats["requests"], stats["answered"]) == (21, 21)
+
+    def test_failed_replay_counts_the_block_as_dropped(self):
+        _, service = make_service(10, replicas=1)
+        victim = service.group.replicas[0]
+        entered, release = threading.Event(), threading.Event()
+        hold_reads(victim, entered, release)
+        block = np.random.default_rng(11).random((3, N_ROWS))
+        try:
+            future = service.submit(block)
+            assert entered.wait(10.0)  # the block is in the read
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            service.kill_replica(0)
+            with pytest.raises(NoLiveReplicaError):
+                future.result(timeout=30.0)
+            timer.join()
+        finally:
+            release.set()
+            service.close()
+        stats = service.stats()
+        assert (stats["requests"], stats["answered"], stats["dropped"]) == (
+            3, 0, 3
+        )
+        assert stats["lanes"]["r0"]["dropped"] == 3
 
     def test_wrong_width_block_refused(self):
         _, service = make_service(10)

@@ -73,7 +73,7 @@ def _first_stage_engines(service) -> list:
         return [service.engine]
     if isinstance(service, PipelineService):
         service = service.layer_services[0]
-    return [r.engine for g in service.groups for r in g.replicas]
+    return [r.engine for r in service.group.replicas]
 
 
 class _GatedTarget:
@@ -121,16 +121,16 @@ def test_no_live_replica_raises_at_the_call(make, kind):
     # A single array has no replicas to lose.
     with make(kind) as service:
         if kind == "fleet":
-            service.kill_replica(0, 0)
+            service.kill_replica(0)
         else:
-            service.kill_replica(0, 0, 0)
+            service.kill_replica(0, 0)
         with pytest.raises(NoLiveReplicaError):
             service.submit(np.full(_width(service), 0.5))
 
 
 def test_later_stage_refusal_lands_on_the_future(mlp_artifact):
     with PipelineService(mlp_artifact, replicas=1) as service:
-        service.kill_replica(1, 0, 0)
+        service.kill_replica(1, 0)
         future = service.submit(np.full(_width(service), 0.5))
         with pytest.raises(NoLiveReplicaError):
             future.result(timeout=30.0)
@@ -138,7 +138,7 @@ def test_later_stage_refusal_lands_on_the_future(mlp_artifact):
 
 def test_recall_refusal_raises_at_the_call(bsb_artifact):
     with PipelineService(bsb_artifact, replicas=1) as service:
-        service.kill_replica(0, 0, 0)
+        service.kill_replica(0, 0)
         probe = np.zeros(bsb_artifact.config.n_features)
         with pytest.raises(NoLiveReplicaError):
             service.engine.submit_recall(probe)

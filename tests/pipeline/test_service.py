@@ -231,9 +231,9 @@ class TestHealth:
             mlp_artifact, replicas=2,
             policy=DriftPolicy(threshold=0.05),
         ) as service:
-            victim = service.layer_services[1].groups[0].replicas[0]
+            victim = service.layer_services[1].group.replicas[0]
             age_pair(
-                victim.engine.target, 3e5,
+                victim.engine.target.tiles[0], 3e5,
                 RetentionConfig(nu_median=0.05, nu_sigma=0.5),
                 np.random.default_rng(11),
             )
@@ -252,7 +252,7 @@ class TestHealth:
         x = mlp_config.dataset().x_test[:4]
         expected = offline_engine(mlp_artifact).forward(x)
         with PipelineService(mlp_artifact, replicas=2) as service:
-            service.kill_replica(layer=0, shard=0, replica=0)
+            service.kill_replica(layer=0, replica=0)
             assert np.array_equal(
                 service.forward(x, timeout=30.0), expected
             )

@@ -200,7 +200,7 @@ class TestFailingHealthHook:
             assert not service.alive and not service.live
             with pytest.raises(ReplicaDeadError):
                 service.submit(x[0])
-            assert [(e.shard, e.action) for e in log.fleet_events] == [
+            assert [(e.replica, e.action) for e in log.fleet_events] == [
                 (None, "fail")
             ]
         finally:

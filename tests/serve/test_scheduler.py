@@ -205,11 +205,11 @@ class TestScheduling:
     def test_label_stamped_on_request_records(self):
         log = RunLog()
         with BatchScheduler(
-            FakeEngine(), log=log, label="shard3/r1"
+            FakeEngine(), log=log, label="layer3/r1"
         ) as sched:
             sched.predict(np.ones(4), timeout=5.0)
-        assert [r.label for r in log.requests] == ["shard3/r1"]
-        assert "shard3/r1" in log.label_summary()
+        assert [r.label for r in log.requests] == ["layer3/r1"]
+        assert "layer3/r1" in log.label_summary()
 
     def test_expired_deadline_drops_the_whole_block(self):
         gate = threading.Event()

@@ -349,9 +349,11 @@ class TestFleetProgramAndStatus:
         ]) == 0
         status = json.loads(capsys.readouterr().out)
         assert status["n_shards"] == 4
-        shard = status["shards"][0]
-        assert shard["live"] == 2
-        assert all(lane["alive"] for lane in shard["replicas"])
+        assert status["live"] == 2
+        assert all(lane["alive"] for lane in status["replicas"])
+        assert all(
+            len(lane["discrepancy"]) == 4 for lane in status["replicas"]
+        )
 
 
 class TestPipelineParser:
@@ -675,9 +677,9 @@ def _kill_one_lane(service) -> None:
     from repro.pipeline import PipelineService
 
     if isinstance(service, PipelineService):
-        service.kill_replica(0, 0, 0)
-    elif isinstance(service, FleetService):
         service.kill_replica(0, 0)
+    elif isinstance(service, FleetService):
+        service.kill_replica(0)
     else:
         service.kill()
 
@@ -720,11 +722,8 @@ class TestServeAnySnapshot:
         assert field in status
         if replicas is not None:
             # No --replicas: the service's own default.
-            lanes = (
-                status["shards"] if kind == "fleet"
-                else status["layers"][0]["shards"]
-            )
-            assert all(len(s["replicas"]) == replicas for s in lanes)
+            layer = status if kind == "fleet" else status["layers"][0]
+            assert len(layer["replicas"]) == replicas
 
     def test_replicas_set_on_status(self, served_snapshots, capsys):
         import json
@@ -732,7 +731,7 @@ class TestServeAnySnapshot:
         argv = ["status", *served_snapshots["fleet"], "--replicas", "3"]
         assert main(argv) == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["replicas_per_shard"] == 3
+        assert [r["name"] for r in status["replicas"]] == ["r0", "r1", "r2"]
 
     @pytest.mark.parametrize("command", ["serve", "status"])
     def test_unknown_artifact_is_a_usage_error(
