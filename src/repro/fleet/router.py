@@ -58,7 +58,7 @@ class ShardGroup:
 
     @property
     def live_replicas(self) -> list[CrossbarService]:
-        return [r for r in self.replicas if r.live]
+        return [r for r in self.replicas if r.alive]
 
     def pick(self, exclude: frozenset[str] = frozenset()) -> CrossbarService:
         """Least-loaded live replica, deterministic on depth ties."""

@@ -4,13 +4,15 @@
 :class:`~repro.serve.service.CrossbarService`: it serves a
 :class:`~repro.fleet.plan.ProgrammedFleet` as ``replicas`` independent
 :class:`~repro.serve.service.CrossbarService` lanes, each over the
-whole rebuilt tiled layer, fronts them with a
-:class:`~repro.fleet.router.FleetRouter`, and keeps them healthy with a
-:class:`~repro.fleet.health.RollingReprogrammer`.  A block costs one
-lane hand-off and one tiled read.  One shared
-:class:`~repro.runtime.telemetry.RunLog` collects every lane's request
-records (labelled ``r<j>``) and every health action, so :meth:`stats`
-summarises the whole fleet with each client row counted once.
+whole rebuilt tiled layer, and fronts them with a
+:class:`~repro.fleet.router.FleetRouter`.  A block costs one lane
+hand-off and one tiled read.  Every lane keeps itself healthy: its own
+per-batch drift check restores a drifted tile to the golden shard
+snapshot in place, between batches, without leaving rotation.  One
+shared :class:`~repro.runtime.telemetry.RunLog` collects every lane's
+request records (labelled ``r<j>``) and every health event, so
+:meth:`stats` summarises the whole fleet with each client row counted
+once.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import concurrent.futures
 
 import numpy as np
 
-from repro.fleet.health import RollingReprogrammer
 from repro.fleet.plan import ProgrammedFleet
 from repro.fleet.router import FleetRouter, ShardGroup
-from repro.runtime.telemetry import FleetEvent, RunLog, resolve_run_log
+from repro.runtime.telemetry import RunLog, resolve_run_log
 from repro.serve.health import DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
 from repro.serve.service import CrossbarService
@@ -31,18 +32,17 @@ __all__ = ["FleetService", "Service"]
 
 
 class FleetService(ServiceLifecycle):
-    """Routed, replicated, drift-managed serving of a sharded layer.
+    """Routed, replicated, self-repairing serving of a sharded layer.
 
     Implements the :class:`~repro.serve.protocol.Service` protocol.
 
     Args:
         fleet: The programmed shard plan to serve.
         replicas: Serving copies of the whole layer (2 tolerates one
-            failure or one rolling reprogram with no capacity gap).
+            failure).
         ir_mode: Read-model override (the fleet's own mode when
             ``None``).
-        policy: Drift policy shared by every replica monitor; the
-            rolling reprogrammer acts on its threshold.
+        policy: Drift policy shared by every replica monitor.
         max_batch / max_queue / default_deadline_s: Per-replica
             scheduler parameters.
         log: Telemetry sink; the ambient run log (or a private one)
@@ -70,8 +70,6 @@ class FleetService(ServiceLifecycle):
         self.ir_mode = ir_mode if ir_mode is not None else fleet.config.ir_mode
         self.log = resolve_run_log(log)
 
-        # A fleet lane only alerts on drift: the rolling reprogrammer
-        # restores it, under quorum.
         self.group = ShardGroup([
             CrossbarService(
                 fleet,
@@ -87,7 +85,6 @@ class FleetService(ServiceLifecycle):
             for r in range(int(replicas))
         ])
         self.router = FleetRouter(self.group)
-        self.reprogrammer = RollingReprogrammer(self.group, log=self.log)
 
     # -- request path --------------------------------------------------
     def submit(
@@ -101,10 +98,6 @@ class FleetService(ServiceLifecycle):
         """Crash one replica (testing/benchmark failure injection)."""
         self.group.replicas[replica].kill()
 
-    def run_recovery_cycle(self) -> list[FleetEvent]:
-        """One rolling scan-and-reprogram pass over every replica."""
-        return self.reprogrammer.run_cycle()
-
     def status(self) -> dict:
         """Deterministic fleet inventory, one entry per replica.
 
@@ -117,7 +110,6 @@ class FleetService(ServiceLifecycle):
             {
                 "name": r.name,
                 "alive": r.alive,
-                "draining": r.draining,
                 "depth": r.depth,
                 "deadline_misses": r.scheduler.deadline_misses,
                 "discrepancy": (

@@ -68,17 +68,14 @@ _EXECUTOR_APIS = {
     "map_trials": ("trial",),
     "map_trials_batched": ("batch_trial",),
     "parallel_map": ("fn",),
-    "RollingReprogrammer": ("reprogram_fn",),
 }
 
-# Positional index of the callable when it is passed without a keyword
-# (fleet health management takes its repair callable third).
+# Positional index of the callable when it is passed without a keyword.
 _CALLABLE_ARG_INDEX = {
     "run_monte_carlo": 0,
     "map_trials": 0,
     "map_trials_batched": 0,
     "parallel_map": 0,
-    "RollingReprogrammer": 2,
 }
 
 # Type names that make a cache-key dataclass field order- or

@@ -2,9 +2,9 @@
 
 :class:`PipelineService` composes one
 :class:`~repro.fleet.service.FleetService` per programmed layer —
-every layer gets its own replicated, drift-monitored serving plane
-(each replica one lane over the whole tiled layer), labelled
-``layer<k>/r<j>`` in the shared run log — and
+every layer gets its own replicated serving plane (each replica one
+lane over the whole tiled layer that restores its own drifted tiles
+in place), labelled ``layer<k>/r<j>`` in the shared run log — and
 fronts them with a :class:`~repro.pipeline.engine.PipelineEngine` that
 chains the stages (or iterates the recall loop) through future
 callbacks.  It implements the shared
@@ -23,7 +23,7 @@ from repro.fleet.service import FleetService
 from repro.nn.bsb import BSBResult
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.plan import PipelineArtifact
-from repro.runtime.telemetry import FleetEvent, RunLog, resolve_run_log
+from repro.runtime.telemetry import RunLog, resolve_run_log
 from repro.serve.health import DriftPolicy
 from repro.serve.protocol import Service, ServiceLifecycle
 
@@ -122,13 +122,6 @@ class PipelineService(ServiceLifecycle):
     def kill_replica(self, layer: int, replica: int) -> None:
         """Crash one replica of one layer (failure injection)."""
         self.layer_services[layer].kill_replica(replica)
-
-    def run_recovery_cycle(self) -> dict[str, list[FleetEvent]]:
-        """One rolling scan-and-reprogram pass over every layer."""
-        return {
-            f"layer{i}": service.run_recovery_cycle()
-            for i, service in enumerate(self.layer_services)
-        }
 
     def status(self) -> dict:
         """Deterministic pipeline inventory with per-lane counters.

@@ -33,8 +33,8 @@ from repro.runtime.executor import (
     trial_seed_sequence,
 )
 from repro.runtime.telemetry import (
-    DriftEvent,
     ExperimentRecord,
+    HealthEvent,
     RequestRecord,
     RunLog,
     TrialBatch,
@@ -44,8 +44,8 @@ from repro.runtime.telemetry import (
 
 __all__ = [
     "ArtifactCache",
-    "DriftEvent",
     "ExperimentRecord",
+    "HealthEvent",
     "RequestRecord",
     "RunLog",
     "RuntimeConfig",

@@ -39,22 +39,15 @@ class RuntimeConfig:
         use_cache: When ``False``, the cache is neither read nor
             written even if ``cache_dir`` is set (the CLI's
             ``--no-cache``).
-        chunk_size: Trials per worker task; ``None`` picks a size that
-            gives each worker a few chunks for load balancing.
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = True
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
 
     @property
     def effective_jobs(self) -> int:

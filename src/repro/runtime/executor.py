@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.runtime.config import current_runtime, resolve_jobs
+from repro.runtime.config import resolve_jobs
 from repro.runtime.telemetry import current_run_log
 
 __all__ = [
@@ -324,8 +324,6 @@ def _map_chunked(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     jobs = resolve_jobs(jobs)
-    if chunk_size is None:
-        chunk_size = current_runtime().chunk_size
     log = current_run_log()
     bounds = chunk_bounds(trials, jobs, chunk_size)
 

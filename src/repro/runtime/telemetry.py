@@ -8,6 +8,11 @@ workload) runs:
 * :class:`ExperimentRecord` -- one per report section, with wall time
   and whether the artifact cache served it.
 
+Serving adds two more: a :class:`RequestRecord` per answered or
+dropped request, and a :class:`HealthEvent` per health action a
+serving lane takes (an in-place drift repair, a kill or a failure),
+whether the lane stands alone or is one replica of a fleet.
+
 The records split into a *deterministic* view (``render_summary``:
 names, trial counts, cache status -- safe to embed in the report text,
 which must be byte-identical across worker counts) and a *timing* view
@@ -36,8 +41,7 @@ __all__ = [
     "TrialBatch",
     "ExperimentRecord",
     "RequestRecord",
-    "DriftEvent",
-    "FleetEvent",
+    "HealthEvent",
     "RunLog",
     "current_run_log",
     "resolve_run_log",
@@ -125,25 +129,26 @@ class RequestRecord:
 
 
 @dataclasses.dataclass
-class FleetEvent:
-    """Telemetry for one health-management action on a serving lane.
+class HealthEvent:
+    """Telemetry for one health action on a serving lane.
 
     Attributes:
-        replica: Index of the fleet replica the action concerns
-            (``None`` for a standalone single-array service).
-        action: What happened: ``'reprogram'`` (drain + reprogram +
-            return to rotation), ``'defer'`` (drifted but recovering it
-            would drop the fleet below quorum), ``'kill'`` (replica
-            removed from rotation, e.g. a simulated crash), or
-            ``'fail'`` (the lane's per-batch health check or repair
-            raised, so the lane took itself out of service).
-        seconds: Wall time of the action (drain through re-entry for
-            reprograms; the rolling-recovery time the fleet benchmark
-            reports).
-        discrepancy: Probe discrepancy that motivated the action, when
-            one was measured.
+        replica: The lane's index in its fleet's replica set (``None``
+            for a standalone service).
+        action: What happened: ``'remap'`` (a drifted array was
+            re-pretested, re-mapped by AMP and reprogrammed in place),
+            ``'restore'`` (a drifted tiled layer was reprogrammed to
+            its golden shard snapshots in place), ``'kill'`` (the lane
+            crashed, e.g. a simulated crash) or ``'fail'`` (the lane's
+            per-batch health check or repair raised, so the lane took
+            itself out of service).
+        seconds: Wall time of a repair.
+        discrepancy: Probe discrepancy that triggered a repair (the
+            Fig. 2 relative column-output error against the
+            programming-time baseline).
         recovered_discrepancy: Probe discrepancy re-measured after a
-            reprogram (``None`` for other actions).
+            repair.
+        defects: Stuck-at counts reported by a remap's re-pretest.
     """
 
     replica: int | None
@@ -151,29 +156,7 @@ class FleetEvent:
     seconds: float = 0.0
     discrepancy: float | None = None
     recovered_discrepancy: float | None = None
-
-
-@dataclasses.dataclass
-class DriftEvent:
-    """Telemetry for one drift-monitor check that crossed a threshold.
-
-    Attributes:
-        discrepancy: Probe-set discrepancy that tripped the monitor
-            (the Fig. 2 relative column-output error, measured against
-            the programming-time baseline).
-        threshold: Policy threshold in force.
-        action: What the monitor did: ``'remap'`` (AMP re-pretest and
-            reprogram) or ``'alert'`` (detected but no repair path).
-        defects: Defect counts reported by the re-pretest, when one ran.
-        recovered_discrepancy: Probe discrepancy re-measured after the
-            action (``None`` when no repair ran).
-    """
-
-    discrepancy: float
-    threshold: float
-    action: str
     defects: dict = dataclasses.field(default_factory=dict)
-    recovered_discrepancy: float | None = None
 
 
 @dataclasses.dataclass
@@ -192,8 +175,9 @@ class RunLog:
     )
     batches: list[TrialBatch] = dataclasses.field(default_factory=list)
     requests: list[RequestRecord] = dataclasses.field(default_factory=list)
-    drift_events: list[DriftEvent] = dataclasses.field(default_factory=list)
-    fleet_events: list[FleetEvent] = dataclasses.field(default_factory=list)
+    health_events: list[HealthEvent] = dataclasses.field(
+        default_factory=list
+    )
     progress: ProgressCallback | None = None
 
     # -- recording -----------------------------------------------------
@@ -244,40 +228,24 @@ class RunLog:
         self.requests.append(record)
         return record
 
-    def record_fleet(
+    def record_health(
         self,
         replica: int | None,
         action: str,
         seconds: float = 0.0,
         discrepancy: float | None = None,
         recovered_discrepancy: float | None = None,
-    ) -> FleetEvent:
-        event = FleetEvent(
+        defects: dict | None = None,
+    ) -> HealthEvent:
+        event = HealthEvent(
             replica=replica,
             action=action,
             seconds=seconds,
             discrepancy=discrepancy,
             recovered_discrepancy=recovered_discrepancy,
-        )
-        self.fleet_events.append(event)
-        return event
-
-    def record_drift(
-        self,
-        discrepancy: float,
-        threshold: float,
-        action: str,
-        defects: dict | None = None,
-        recovered_discrepancy: float | None = None,
-    ) -> DriftEvent:
-        event = DriftEvent(
-            discrepancy=discrepancy,
-            threshold=threshold,
-            action=action,
             defects=dict(defects) if defects else {},
-            recovered_discrepancy=recovered_discrepancy,
         )
-        self.drift_events.append(event)
+        self.health_events.append(event)
         return event
 
     def report_progress(self, label: str, done: int, total: int) -> None:
@@ -317,7 +285,7 @@ class RunLog:
         return sum(r.rows for r in self.requests if not r.ok)
 
     def serve_summary(self) -> dict:
-        """Aggregate serving telemetry (latency, drops, drift), in rows."""
+        """Aggregate serving telemetry (latency, drops, health), in rows."""
         summary = _row_summary(self.requests)
         answered = [r for r in self.requests if r.ok]
         summary["mean_batch_size"] = (
@@ -325,16 +293,12 @@ class RunLog:
             / summary["answered"]
             if answered else 0.0
         )
-        summary["drift_events"] = len(self.drift_events)
-        summary["remaps"] = sum(
-            1 for e in self.drift_events if e.action == "remap"
+        summary["health_events"] = len(self.health_events)
+        summary["repairs"] = sum(
+            1 for e in self.health_events
+            if e.action in ("remap", "restore")
         )
         summary.update(_row_percentiles(answered))
-        if self.fleet_events:
-            summary["fleet_events"] = len(self.fleet_events)
-            summary["reprograms"] = sum(
-                1 for e in self.fleet_events if e.action == "reprogram"
-            )
         return summary
 
     def label_summary(self) -> dict[str, dict]:
@@ -399,17 +363,8 @@ class RunLog:
                 f"({s['dropped']} dropped), "
                 f"p50 {s['p50'] * 1e3:.2f}ms p95 {s['p95'] * 1e3:.2f}ms "
                 f"p99 {s['p99'] * 1e3:.2f}ms, "
-                f"{s['drift_events']} drift events ({s['remaps']} remaps)"
-            )
-        if self.fleet_events:
-            reprograms = [
-                e for e in self.fleet_events if e.action == "reprogram"
-            ]
-            recovery = sum(e.seconds for e in reprograms)
-            lines.append(
-                f"fleet {len(self.fleet_events)} events "
-                f"({len(reprograms)} rolling reprograms, "
-                f"{recovery:.2f}s total recovery)"
+                f"{s['health_events']} health events "
+                f"({s['repairs']} repairs)"
             )
         return "\n".join(lines)
 
@@ -421,11 +376,8 @@ class RunLog:
                     dataclasses.asdict(r) for r in self.experiments
                 ],
                 "batches": [dataclasses.asdict(b) for b in self.batches],
-                "drift_events": [
-                    dataclasses.asdict(e) for e in self.drift_events
-                ],
-                "fleet_events": [
-                    dataclasses.asdict(e) for e in self.fleet_events
+                "health_events": [
+                    dataclasses.asdict(e) for e in self.health_events
                 ],
                 "recomputed_experiments": self.recomputed_experiments,
                 "cached_experiments": self.cached_experiments,

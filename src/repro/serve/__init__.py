@@ -20,11 +20,13 @@ accelerator:
 * :mod:`repro.serve.health` -- the drift monitor: the probe set is
   replayed between batches and compared against the programming-time
   baseline (the paper's Fig. 2 column-output discrepancy); when the
-  discrepancy crosses the policy threshold, the monitor triggers an
-  AMP re-pretest and remap.
+  discrepancy crosses the policy threshold, the monitor triggers the
+  lane's in-place repair.
 * :mod:`repro.serve.service` -- :class:`CrossbarService`, the facade
-  wiring all four layers together (and the repair path the monitor
-  invokes).  It is also the serving lane every fleet replica runs on.
+  wiring all four layers together, and the repair the monitor invokes
+  (an AMP re-pretest and remap of an array, a golden restore of a
+  tiled layer).  It is also the serving lane every fleet replica runs
+  on.
 """
 
 from repro.serve.artifact import (

@@ -6,10 +6,10 @@ the same way the paper's Fig. 2 surfaces fabrication variation --
 as a growing relative discrepancy between the column outputs and what
 the deployer expects.  The monitor replays a fixed probe set between
 request batches, measures exactly that discrepancy against the
-*programming-time* baseline, and invokes a repair callback (AMP
-re-pretest + remap + reprogram, see
-:class:`repro.serve.service.CrossbarService`) when the policy
-threshold is crossed.
+*programming-time* baseline, and invokes its lane's repair when the
+policy threshold is crossed: the paper's own answer to degradation,
+applied to the same hardware in place (see
+:meth:`repro.serve.service.CrossbarService.repair`).
 
 The baseline is never refreshed after a repair: recovery is only
 claimed when the array again produces the outputs it produced when it
@@ -28,10 +28,11 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.runtime.telemetry import DriftEvent, RunLog, resolve_run_log
+from repro.runtime.telemetry import HealthEvent
 from repro.serve.engine import InferenceEngine
 
 if TYPE_CHECKING:
+    from repro.fleet.plan import ProgrammedFleet
     from repro.serve.artifact import ProgrammedArray
 
 __all__ = ["DriftMonitor", "DriftPolicy"]
@@ -64,7 +65,7 @@ class DriftPolicy:
 
 
 class DriftMonitor:
-    """Probe-replay health check with an optional repair path.
+    """Probe-replay health check that repairs on a threshold crossing.
 
     Callable so it plugs directly into
     :class:`~repro.serve.scheduler.BatchScheduler`'s ``on_batch`` hook.
@@ -77,13 +78,10 @@ class DriftMonitor:
         baseline: Programming-time probe outputs ``(p, cols)``, or one
             ``(p, cols)`` partial per tile when the engine serves a
             :class:`~repro.xbar.tiling.TiledPair`.
+        repair: Callback ``(discrepancy) -> HealthEvent`` invoked on a
+            threshold crossing: it repairs the hardware in place,
+            re-measures it and returns the recorded event.
         policy: Thresholds and cadence.
-        repair: Callback invoked on a threshold crossing; returns a
-            defect-count dict for the telemetry record.  When ``None``
-            the monitor only records an alert (a fleet lane, which the
-            rolling reprogrammer restores under quorum instead).
-        log: Telemetry sink; ambient run log (or a private one) when
-            omitted.
     """
 
     def __init__(
@@ -91,9 +89,8 @@ class DriftMonitor:
         engine: InferenceEngine,
         probes: np.ndarray,
         baseline: np.ndarray,
+        repair: Callable[[float], HealthEvent],
         policy: DriftPolicy | None = None,
-        repair: Callable[[], dict] | None = None,
-        log: RunLog | None = None,
     ):
         self.engine = engine
         self.probes = np.asarray(probes, dtype=float)
@@ -110,17 +107,15 @@ class DriftMonitor:
                 )
         self.policy = policy if policy is not None else DriftPolicy()
         self.repair = repair
-        self.log = resolve_run_log(log)
         self._batches_seen = 0
 
     @classmethod
     def for_artifact(
         cls,
         engine: InferenceEngine,
-        artifact: ProgrammedArray,
+        artifact: ProgrammedArray | ProgrammedFleet,
+        repair: Callable[[float], HealthEvent],
         policy: DriftPolicy | None = None,
-        repair: Callable[[], dict] | None = None,
-        log: RunLog | None = None,
     ) -> DriftMonitor:
         """Monitor ``engine`` serving the hardware of ``artifact``.
 
@@ -135,9 +130,8 @@ class DriftMonitor:
             engine,
             probes=artifact.probes,
             baseline=artifact.baseline,
-            policy=policy,
             repair=repair,
-            log=log,
+            policy=policy,
         )
         if engine.ir_mode != artifact.ir_mode:
             monitor.baseline = monitor.read_probes()
@@ -173,25 +167,16 @@ class DriftMonitor:
         the worst tile's, so one drifted tile is enough to act on."""
         return max(self.tile_discrepancies())
 
-    def check(self) -> DriftEvent | None:
-        """Replay the probes; act and record if over threshold."""
+    def check(self) -> HealthEvent | None:
+        """Replay the probes; repair if over threshold.
+
+        Returns the repair's recorded event, or ``None`` while the
+        discrepancy is within the threshold.
+        """
         value = self.discrepancy()
         if value <= self.policy.threshold:
             return None
-        if self.repair is None:
-            return self.log.record_drift(
-                discrepancy=value,
-                threshold=self.policy.threshold,
-                action="alert",
-            )
-        defects = self.repair()
-        return self.log.record_drift(
-            discrepancy=value,
-            threshold=self.policy.threshold,
-            action="remap",
-            defects=defects,
-            recovered_discrepancy=self.discrepancy(),
-        )
+        return self.repair(value)
 
     def __call__(self) -> None:
         """Per-batch hook: check every ``policy.check_every`` batches."""

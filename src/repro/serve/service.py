@@ -1,4 +1,4 @@
-"""The serving lane: artifact in, scheduled drift-aware service out.
+"""The serving lane: artifact in, scheduled self-repairing service out.
 
 :class:`CrossbarService` wires the four layers together: it rebuilds
 the hardware from a :class:`~repro.serve.artifact.ProgrammedArray`,
@@ -6,37 +6,36 @@ wraps it in a batched :class:`~repro.serve.engine.InferenceEngine`,
 watches it with a :class:`~repro.serve.health.DriftMonitor`, and
 fronts it with a :class:`~repro.serve.scheduler.BatchScheduler`.
 
-It also owns the repair path the monitor triggers.  Repair is the
-paper's own answer to device degradation, reapplied at run time:
-re-pretest the fabric (Section 4.2.1) so drifted and newly-stuck
-devices show up in the measured thetas, rerun AMP so sensitive weight
-rows move off the bad devices, and reprogram open-loop.  The stored
-*logical* weights never change -- only their placement and the device
-states do.
+It also owns the repair the monitor triggers, and repairs the same
+hardware in place.  For a single array that is the paper's own answer
+to device degradation, reapplied at run time: re-pretest the fabric
+(Section 4.2.1) so drifted and newly-stuck devices show up in the
+measured thetas, rerun AMP so sensitive weight rows move off the bad
+devices, and reprogram open-loop.  The stored *logical* weights never
+change -- only their placement and the device states do.
 
 The same class is the fleet's serving lane:
 :class:`~repro.fleet.service.FleetService` serves every replica as one
 ``CrossbarService`` named ``r<j>`` over the replica's whole tiled
 layer (its artifact is the :class:`~repro.fleet.plan.ProgrammedFleet`,
-which offers the members read here).  A service over a fleet has no
-repair hook, so its monitor only raises an alert; in a fleet the
-rolling reprogrammer (:mod:`repro.fleet.health`) restores the lane
-under quorum.  Two liveness
-flags separate the failure modes a lane has:
+which offers the members read here).  A drifted tiled layer is
+reprogrammed to its golden shard snapshots instead, a noise-free
+restore.  Either repair runs on the lane's own worker between batches,
+so no read is in flight on the hardware it rewrites and the lane never
+leaves rotation.
 
-* ``alive`` -- cleared by :meth:`CrossbarService.kill` (a crash) or
-  when the per-batch health check or its repair raises (a read or
-  programming fault).  Queued and in-flight work fails loudly -- a
-  fleet lane's with :class:`ReplicaDeadError`, so the router replays
-  the block on a sibling -- and a dead lane never comes back.
-* ``draining`` -- set by the rolling reprogrammer while the lane is
-  being drained and reprogrammed.  A draining lane finishes what it
-  accepted, takes no new work, and returns to rotation afterwards.
+A lane leaves service only by dying: :meth:`CrossbarService.kill` (a
+crash), or a per-batch health check or repair that raises (a read or
+programming fault), clears ``alive``.  Queued and in-flight work then
+fails loudly -- a fleet lane's with :class:`ReplicaDeadError`, so the
+router replays the block on a sibling -- and a dead lane never comes
+back.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from repro.core.amp import run_amp
 from repro.core.old import program_pair_open_loop
 from repro.core.pretest import pretest_pair
-from repro.runtime.telemetry import RunLog, resolve_run_log
+from repro.runtime.telemetry import HealthEvent, RunLog, resolve_run_log
 from repro.serve.artifact import ProgrammedArray
 from repro.serve.engine import InferenceEngine
 from repro.serve.health import DriftMonitor, DriftPolicy
@@ -146,41 +145,28 @@ class CrossbarService(ServiceLifecycle):
         self.policy = policy if policy is not None else DriftPolicy()
         self.engine = InferenceEngine.from_artifact(artifact, ir_mode=ir_mode)
         self.pair = self.engine.target
-        # A tiled layer has no repair hook (remap re-places one
-        # array's weights); its monitor only alerts, and a fleet's
-        # rolling reprogrammer restores it under quorum instead.
         self.monitor = DriftMonitor.for_artifact(
-            self.engine,
-            artifact,
-            policy=self.policy,
-            repair=(
-                self.remap if isinstance(artifact, ProgrammedArray) else None
-            ),
-            log=self.log,
+            self.engine, artifact, repair=self.repair, policy=self.policy
         )
-        # Single-writer liveness flags, read racily on purpose: 'alive'
-        # flips True->False exactly once (kill on the caller thread, or
-        # a failed health hook on the worker thread) and is read
+        # Single-writer liveness flag, read racily on purpose: it flips
+        # True->False exactly once (kill on the caller thread, or a
+        # failed health hook on the worker thread) and is read
         # advisorily by router callbacks -- a stale read is harmless
         # because every downstream path fails fast with
-        # ReplicaDeadError and is retried.  'draining' is bracketed by
-        # the reprogrammer on the caller thread only.  Python bool
-        # loads/stores are atomic.
+        # ReplicaDeadError and is retried.  Python bool loads/stores
+        # are atomic.
         self.alive = True  # repro-lint: atomic
-        self.draining = False  # repro-lint: atomic
-        self._scheduler_kwargs = dict(
+        self.scheduler = BatchScheduler(
+            self.engine,
             max_batch=max_batch,
             max_queue=max_queue,
             default_deadline_s=default_deadline_s,
+            on_batch=self._on_batch,
+            log=self.log,
+            label=self.name,
         )
-        self.restart_scheduler()
 
     # -- liveness ------------------------------------------------------
-    @property
-    def live(self) -> bool:
-        """In rotation: accepting new queries."""
-        return self.alive and not self.draining
-
     @property
     def depth(self) -> int:
         """Queue depth (the router's least-loaded signal)."""
@@ -194,12 +180,16 @@ class CrossbarService(ServiceLifecycle):
         try:
             self.monitor()
         except Exception as exc:
-            # A probe read or repair fault: leave rotation and fail
+            if not self.alive:
+                # Killed mid-check: the read that raised was the dead
+                # target's, and the kill records itself.
+                raise
+            # A probe read or repair fault: leave service and fail
             # loudly.  The scheduler closes intake and fails every
             # queued request with what this raises -- for a fleet lane
             # a ReplicaDeadError, which the router replays on a sibling.
             self.alive = False
-            self.log.record_fleet(replica=self.replica_index, action="fail")
+            self.log.record_health(replica=self.replica_index, action="fail")
             if self.replica_index is None:
                 raise
             raise ReplicaDeadError(
@@ -216,10 +206,10 @@ class CrossbarService(ServiceLifecycle):
             ValueError: ``x`` is neither a query nor a non-empty block
                 of the served width.
             ServeOverloadedError: The queue is full.
-            ReplicaDeadError: The lane was killed or failed, or is
-                draining or drained; a fleet retries on a sibling.
+            ReplicaDeadError: The lane was killed, failed or drained; a
+                fleet retries on a sibling.
         """
-        if not self.live:
+        if not self.alive:
             raise ReplicaDeadError(
                 f"{self.name or 'the service'} is not accepting work"
             )
@@ -235,7 +225,7 @@ class CrossbarService(ServiceLifecycle):
             ) from exc
 
     def stats(self) -> dict:
-        """Serving telemetry summary (latency, drops, drift events)."""
+        """Serving telemetry summary (latency, drops, health events)."""
         return self.log.serve_summary()
 
     def status(self) -> dict:
@@ -257,16 +247,6 @@ class CrossbarService(ServiceLifecycle):
         """Stop intake, answer everything already queued."""
         self.scheduler.shutdown(timeout)
 
-    def restart_scheduler(self) -> None:
-        """Fresh batching worker (at start, and after a reprogram)."""
-        self.scheduler = BatchScheduler(
-            self.engine,
-            on_batch=self._on_batch,
-            log=self.log,
-            label=self.name,
-            **self._scheduler_kwargs,
-        )
-
     def kill(self, timeout: float | None = None) -> None:
         """Simulate a lane crash.
 
@@ -274,7 +254,7 @@ class CrossbarService(ServiceLifecycle):
         :class:`ReplicaDeadError`, so every queued and in-flight query
         fails fast (a fleet router retries them on siblings) instead
         of being served or silently stranded; then the worker is
-        joined.  A killed lane records a ``'kill'`` fleet event and
+        joined.  A killed lane records a ``'kill'`` health event and
         never returns to rotation.
         """
         if not self.alive:
@@ -282,9 +262,37 @@ class CrossbarService(ServiceLifecycle):
         self.alive = False
         self.engine.target = _DeadTarget(self.name, self.pair.shape)
         self.scheduler.shutdown(timeout)
-        self.log.record_fleet(replica=self.replica_index, action="kill")
+        self.log.record_health(replica=self.replica_index, action="kill")
 
     # -- repair path ---------------------------------------------------
+    def repair(self, discrepancy: float) -> HealthEvent:
+        """Repair the drifted hardware in place; record and return it.
+
+        A single array is re-mapped (:meth:`remap`, action
+        ``'remap'``); a tiled layer is reprogrammed to its golden
+        shard snapshots (action ``'restore'``), which brings its
+        re-measured discrepancy back to exactly zero.
+
+        Args:
+            discrepancy: The probe discrepancy that crossed the
+                threshold.
+        """
+        start = time.monotonic()
+        if isinstance(self.artifact, ProgrammedArray):
+            action, defects = "remap", self.remap()
+        else:
+            self.artifact.restore(self.pair)
+            action, defects = "restore", None
+        recovered = self.monitor.discrepancy()
+        return self.log.record_health(
+            replica=self.replica_index,
+            action=action,
+            seconds=time.monotonic() - start,
+            discrepancy=discrepancy,
+            recovered_discrepancy=recovered,
+            defects=defects,
+        )
+
     def remap(self) -> dict:
         """Re-pretest, re-map and reprogram the drifted fabric.
 

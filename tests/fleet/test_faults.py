@@ -1,4 +1,4 @@
-"""Fault paths under sustained mixed load: reprogram, then kill."""
+"""Fault paths under sustained mixed load: in-place restore, then kill."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def test_reprogram_then_kill_under_load_drops_nothing():
     reference = fleet.build_tiled().matvec(pool, "nodal")
     service = FleetService(
         fleet, replicas=2, max_queue=1024,
-        policy=DriftPolicy(threshold=0.05),
+        policy=DriftPolicy(threshold=0.05, check_every=1),
     )
     victim, sibling = service.group.replicas
     stop, entered, release = (threading.Event() for _ in range(3))
@@ -65,32 +65,42 @@ def test_reprogram_then_kill_under_load_drops_nothing():
         for thread in threads:
             thread.start()
         wait_for(lambda: answered("r0") > 0 and answered("r1") > 0)
-        # Take the victim out of rotation, let it answer what it
-        # accepted, then age one tile while nothing is in flight on it:
-        # no answer is ever read from the aged hardware.
-        victim.draining = True
-        victim.drain()
-        age_pair(
-            victim.engine.target.tiles[1], 3e5,
-            RetentionConfig(nu_median=0.05, nu_sigma=0.5),
-            np.random.default_rng(11),
-        )
-        value = victim.monitor.discrepancy()
-        assert value > 0.05
-        event = service.reprogrammer.recover(victim, value)
-        assert event.action == "reprogram"
+        # Age one tile of the victim just after one of its reads is
+        # answered: the lane's own check after that batch restores the
+        # tile before its next read, so no answer is ever read from
+        # the aged hardware.
+        forward = victim.engine.forward
+        aged = threading.Event()
+
+        def read_then_age(x):
+            answer = forward(x)
+            if not aged.is_set():
+                age_pair(
+                    victim.engine.target.tiles[1], 3e5,
+                    RetentionConfig(nu_median=0.05, nu_sigma=0.5),
+                    np.random.default_rng(11),
+                )
+                aged.set()
+            return answer
+
+        victim.engine.forward = read_then_age
+        wait_for(lambda: any(
+            e.action == "restore" for e in service.log.health_events
+        ))
+        event = service.log.health_events[0]
+        assert event.discrepancy > 0.05
         assert event.recovered_discrepancy == 0.0
-        assert victim.live
+        assert victim.alive
         before = answered("r0")
         wait_for(lambda: answered("r0") > before)
         # Kill the sibling with a read in flight and blocks queued
         # behind it: the router must replay every one on the victim.
-        forward = sibling.engine.forward
+        sibling_forward = sibling.engine.forward
 
         def held_forward(x):
             entered.set()
             release.wait(10.0)
-            return forward(x)
+            return sibling_forward(x)
 
         sibling.engine.forward = held_forward
         assert entered.wait(30.0)
@@ -120,5 +130,5 @@ def test_reprogram_then_kill_under_load_drops_nothing():
     assert stats["dropped"] == 0
     assert stats["answered"] == sum(k for _, k, _ in futures)
     assert [
-        (e.replica, e.action) for e in service.log.fleet_events
-    ] == [(0, "reprogram"), (1, "kill")]
+        (e.replica, e.action) for e in service.log.health_events
+    ] == [(0, "restore"), (1, "kill")]

@@ -1,24 +1,21 @@
-"""Rolling drift recovery: drain, reprogram, quorum, telemetry."""
+"""In-place drift repair: every fleet lane restores itself."""
 
 from __future__ import annotations
 
 import threading
+import types
 
 import numpy as np
 import pytest
 
 from repro.devices.retention import RetentionConfig, age_pair
-from repro.fleet import (
-    FleetConfig,
-    FleetService,
-    RollingReprogrammer,
-    program_fleet,
-)
+from repro.fleet import FleetConfig, FleetService, program_fleet
 from repro.serve.health import DriftPolicy
 from repro.serve.service import CrossbarService
 
 N_ROWS = 24
 COLS = 4
+EVERY_BATCH = DriftPolicy(threshold=0.05, check_every=1)
 
 
 def make_fleet(ir_mode="ideal", r_wire=0.0):
@@ -32,7 +29,7 @@ def make_fleet(ir_mode="ideal", r_wire=0.0):
 
 def make_service(replicas=2, ir_mode="ideal", r_wire=0.0, **kwargs):
     fleet = make_fleet(ir_mode, r_wire)
-    kwargs.setdefault("policy", DriftPolicy(threshold=0.05))
+    kwargs.setdefault("policy", EVERY_BATCH)
     return fleet, FleetService(fleet, replicas=replicas, **kwargs)
 
 
@@ -45,16 +42,25 @@ def drift_tile(replica, tile: int = 1) -> None:
     )
 
 
-class TestRollingReprogram:
-    def test_drifted_replica_recovers_while_sibling_serves(self):
-        self._recover_drifted_replica("ideal", r_wire=0.0)
+def actions(log) -> list[tuple[int | None, str]]:
+    return [(e.replica, e.action) for e in log.health_events]
+
+
+class TestSelfRepair:
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_drifted_replica_recovers(self, replicas):
+        self._restore_drifted_replica(replicas, "ideal", r_wire=0.0)
 
     def test_drifted_replica_recovers_under_nodal_ir(self):
-        self._recover_drifted_replica("nodal", r_wire=2.5)
+        self._restore_drifted_replica(2, "nodal", r_wire=2.5)
 
     @staticmethod
-    def _recover_drifted_replica(ir_mode: str, r_wire: float) -> None:
-        fleet, service = make_service(ir_mode=ir_mode, r_wire=r_wire)
+    def _restore_drifted_replica(
+        replicas: int, ir_mode: str, r_wire: float
+    ) -> None:
+        fleet, service = make_service(
+            replicas=replicas, ir_mode=ir_mode, r_wire=r_wire
+        )
         x = np.random.default_rng(6).random((8, N_ROWS))
         reference = fleet.build_tiled().matvec(x, ir_mode)
         try:
@@ -65,84 +71,34 @@ class TestRollingReprogram:
             assert tiles[1] > 0.05
             assert tiles[0] == tiles[2] == 0.0
             assert victim.monitor.discrepancy() == tiles[1]
-            # Queries in flight across the recovery are all answered
-            # (the sibling covers the drained replica); answers routed
-            # through the drifted hardware are off until recovery --
-            # that is what drift *is* -- but nothing is dropped, and
-            # post-recovery traffic is exact again.
-            before = [service.submit(row) for row in x]
-            events = service.run_recovery_cycle()
-            after = service.forward(x)
-            assert all(
-                f.result(timeout=30.0).shape == (COLS,) for f in before
-            )
-            assert np.array_equal(after, reference)
-            assert [e.action for e in events] == ["reprogram"]
-            event = events[0]
-            assert event.replica == 0
+            # The first block is read from the drifted hardware (that
+            # is what drift *is*); the lane's own check after that
+            # batch restores the tile before its next read.
+            for _ in range(3):
+                assert service.forward(x).shape == (8, COLS)
+            assert actions(service.log) == [(0, "restore")]
+            event = service.log.health_events[0]
             assert event.discrepancy > 0.05
             assert event.recovered_discrepancy == 0.0
             assert event.seconds > 0.0
-            # The recovered replica is back in rotation.
-            assert victim.live
+            assert np.array_equal(service.forward(x), reference)
+            # The lane never left rotation.
+            assert victim.alive
             assert victim.monitor.discrepancy() == 0.0
             assert service.stats()["dropped"] == 0
         finally:
             service.close()
 
     def test_healthy_fleet_has_nothing_to_recover(self):
-        _, service = make_service()
+        fleet, service = make_service()
+        x = np.random.default_rng(6).random((8, N_ROWS))
         try:
-            assert service.run_recovery_cycle() == []
-            assert service.log.fleet_events == []
-        finally:
-            service.close()
-
-    def test_recovery_defers_below_quorum(self):
-        _, service = make_service(replicas=1)
-        try:
-            victim = service.group.replicas[0]
-            drift_tile(victim)
-            events = service.run_recovery_cycle()
-            assert [e.action for e in events] == ["defer"]
-            assert events[0].discrepancy > 0.05
-            # Deferred means untouched: still drifted, still serving.
-            assert victim.live
-            assert victim.monitor.discrepancy() > 0.05
-        finally:
-            service.close()
-
-    def test_dead_sibling_blocks_recovery(self):
-        _, service = make_service(replicas=2)
-        try:
-            service.kill_replica(1)
-            drift_tile(service.group.replicas[0], tile=2)
-            events = service.run_recovery_cycle()
-            assert [e.action for e in events] == ["defer"]
-        finally:
-            service.close()
-
-    def test_custom_reprogram_fn_is_used(self):
-        _, service = make_service()
-        seen = []
-        reprogrammer = RollingReprogrammer(
-            service.group,
-            reprogram_fn=seen.append,
-            log=service.log,
-        )
-        try:
-            victim = service.group.replicas[1]
-            drift_tile(victim, tile=0)
-            reprogrammer.run_cycle()
-            assert seen == [victim]
-        finally:
-            service.close()
-
-    def test_min_live_validated(self):
-        _, service = make_service()
-        try:
-            with pytest.raises(ValueError, match="min_live"):
-                RollingReprogrammer(service.group, min_live=0)
+            for _ in range(3):
+                assert np.array_equal(
+                    service.forward(x), fleet.build_tiled().matvec(x)
+                )
+            assert service.log.health_events == []
+            assert service.stats()["health_events"] == 0
         finally:
             service.close()
 
@@ -152,11 +108,11 @@ class TestFleetTelemetry:
         _, service = make_service()
         try:
             drift_tile(service.group.replicas[0])
-            service.run_recovery_cycle()
-            service.predict(np.ones(N_ROWS), timeout=30.0)
+            for _ in range(2):
+                service.predict(np.ones(N_ROWS), timeout=30.0)
             summary = service.stats()
-            assert summary["fleet_events"] == 1
-            assert summary["reprograms"] == 1
+            assert summary["health_events"] == 1
+            assert summary["repairs"] == 1
             assert set(summary["lanes"]) <= {"r0", "r1"}
         finally:
             service.close()
@@ -167,13 +123,16 @@ class TestFleetTelemetry:
         _, service = make_service()
         try:
             drift_tile(service.group.replicas[0])
-            service.run_recovery_cycle()
+            for _ in range(2):
+                service.predict(np.ones(N_ROWS), timeout=30.0)
         finally:
             service.close()
         doc = json.loads(service.log.to_json())
-        events = doc["fleet_events"]
+        events = doc["health_events"]
         assert len(events) == 1
-        assert events[0]["action"] == "reprogram"
+        assert events[0]["action"] == "restore"
+        assert events[0]["replica"] == 0
+        assert events[0]["recovered_discrepancy"] == 0.0
 
 
 class TestReadModeOverride:
@@ -219,65 +178,106 @@ class TestLaneFaults:
             # replayed on the sibling: nothing is lost or changed.
             got = np.stack([f.result(timeout=5.0) for f in futures])
             assert np.array_equal(got, reference)
-            assert not victim.alive and sibling.live
-            assert [
-                (e.replica, e.action) for e in service.log.fleet_events
-            ] == [(0, "fail")]
+            assert not victim.alive and sibling.alive
+            assert actions(service.log) == [(0, "fail")]
             assert service.status()["live"] == 1
             assert service.stats()["dropped"] == 0
         finally:
             release.set()
             service.close()
 
-    def test_standalone_fleet_service_alerts_on_drift(self):
+    def test_kill_during_health_check_records_one_kill(self):
+        fleet, service = make_service()
+        victim = service.group.replicas[0]
+        entered, release = threading.Event(), threading.Event()
+        discrepancy = victim.monitor.discrepancy
+
+        def held_discrepancy():
+            entered.set()
+            release.wait(10.0)
+            return discrepancy()
+
+        victim.monitor.discrepancy = held_discrepancy
+        try:
+            future = service.submit(np.ones(N_ROWS))
+            assert entered.wait(10.0)  # the worker is inside its check
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            service.kill_replica(0)
+            timer.join()
+            assert np.array_equal(
+                future.result(timeout=10.0),
+                fleet.build_tiled().matvec(np.ones(N_ROWS)),
+            )
+            assert actions(service.log) == [(0, "kill")]
+        finally:
+            release.set()
+            service.close()
+
+    def test_standalone_fleet_service_repairs_itself(self):
         # A CrossbarService over a whole fleet, outside FleetService,
-        # has no repair hook: a drifted tile raises an alert, and the
-        # service stays alive and keeps answering.
+        # restores a drifted tile itself and keeps answering.
         fleet = make_fleet()
         x = np.random.default_rng(6).random((4, N_ROWS))
-        service = CrossbarService(
-            fleet, policy=DriftPolicy(threshold=0.05, check_every=1)
-        )
+        reference = fleet.build_tiled().matvec(x)
+        service = CrossbarService(fleet, policy=EVERY_BATCH)
         try:
-            assert service.monitor.repair is None
             drift_tile(service)
             drifted = service.engine.target.matvec(x, "ideal")
+            assert not np.array_equal(drifted, reference)
             got = service.submit(x).result(timeout=10.0)
             assert np.array_equal(got, drifted)
-            assert service.submit(x).result(timeout=10.0).shape == (4, COLS)
+            # Served after the check that followed the first batch.
+            got = service.submit(x).result(timeout=10.0)
+            assert np.array_equal(got, reference)
             assert service.alive
-            assert [e.action for e in service.log.drift_events][:1] == [
-                "alert"
-            ]
-            assert service.status()["discrepancy"] > 0.05
-            assert service.log.fleet_events == []
+            assert actions(service.log) == [(None, "restore")]
+            assert service.log.health_events[0].recovered_discrepancy == 0.0
+            assert service.status()["discrepancy"] == 0.0
         finally:
             service.close()
 
     def test_failing_reprogram_kills_the_replica(self):
+        # A restore that raises (a programming fault on real hardware)
+        # takes the lane down loudly; its queued block replays on the
+        # sibling and no answer is read from the drifted tile.
         fleet, service = make_service()
-
-        def broken_reprogram(replica):
-            raise OSError("programming fault")
-
-        service.reprogrammer.reprogram_fn = broken_reprogram
         x = np.random.default_rng(6).random((8, N_ROWS))
         reference = fleet.build_tiled().matvec(x, "ideal")
-        try:
-            victim, sibling = service.group.replicas
+        victim, sibling = service.group.replicas
+
+        def broken_restore(tiled):
+            raise OSError("programming fault")
+
+        victim.artifact = types.SimpleNamespace(restore=broken_restore)
+        entered, release = threading.Event(), threading.Event()
+        forward = victim.engine.forward
+
+        def read_then_age(rows):
+            entered.set()
+            release.wait(10.0)
+            answer = forward(rows)
             drift_tile(victim)
-            with pytest.raises(OSError, match="programming fault"):
-                service.run_recovery_cycle()
-            # Drained and half-reprogrammed: out of rotation for good.
-            assert not victim.alive and not victim.live
-            assert [
-                (e.replica, e.action) for e in service.log.fleet_events
-            ] == [(0, "kill")]
+            return answer
+
+        victim.engine.forward = read_then_age
+        try:
+            futures = [service.submit(x[:4])]
+            assert entered.wait(10.0)  # the first block is in the read
+            futures.append(service.submit(x[4:]))
+            assert victim.depth == 1  # and the second is queued
+            release.set()
+            got = np.concatenate([f.result(timeout=10.0) for f in futures])
+            assert np.array_equal(got, reference)
+            assert not victim.alive and sibling.alive
+            assert actions(service.log) == [(0, "fail")]
             status = service.status()
             assert status["live"] == 1
             assert [r["alive"] for r in status["replicas"]] == [False, True]
             assert status["replicas"][0]["discrepancy"] is None
             assert service.group.pick() is sibling
             assert np.array_equal(service.forward(x), reference)
+            assert service.stats()["dropped"] == 0
         finally:
+            release.set()
             service.close()

@@ -97,16 +97,6 @@ class TestRouting:
         finally:
             service.close()
 
-    def test_draining_replicas_are_skipped(self):
-        _, service = make_service(10)
-        try:
-            group = service.group
-            group.replicas[0].draining = True
-            assert group.pick().replica_index == 1
-            assert len(group.live_replicas) == 1
-        finally:
-            service.close()
-
     def test_exclusion_exhaustion_raises(self):
         _, service = make_service(10, replicas=1)
         try:
@@ -142,7 +132,7 @@ class TestFailureRetry:
         finally:
             service.close()
         kills = [
-            e for e in service.log.fleet_events if e.action == "kill"
+            e for e in service.log.health_events if e.action == "kill"
         ]
         assert len(kills) == 1
         assert kills[0].replica == 0
@@ -161,7 +151,7 @@ class TestFailureRetry:
         try:
             replica = service.group.replicas[0]
             replica.kill()
-            assert not replica.live
+            assert not replica.alive
             from repro.fleet import ReplicaDeadError
 
             with pytest.raises(ReplicaDeadError):
@@ -231,30 +221,41 @@ class TestBlockPath:
         victim, sibling = service.group.replicas
         entered, release = threading.Event(), threading.Event()
         hold_reads(victim, entered, release)
-        # Every block goes to the victim until it is killed.
-        sibling.draining = True
+        # Every block goes to the victim until it is killed: the
+        # sibling is held in a read with two more queries queued
+        # behind it, so its queue stays the deeper one.
+        held, free = threading.Event(), threading.Event()
+        hold_reads(sibling, held, free)
+        queries = np.random.default_rng(10).random((3, N_ROWS))
         try:
+            fillers = [sibling.submit(queries[0])]
+            assert held.wait(10.0)
+            fillers += [sibling.submit(q) for q in queries[1:]]
             futures = [service.submit(blocks[0])]
             assert entered.wait(10.0)  # a block is in flight
             futures += [service.submit(b) for b in blocks[1:]]
             assert victim.depth == 2  # and two more are queued
-            sibling.draining = False
+            free.set()
             timer = threading.Timer(0.05, release.set)
             timer.start()
             service.kill_replica(0)
             got = [f.result(timeout=30.0) for f in futures]
+            filled = [f.result(timeout=30.0) for f in fillers]
             timer.join()
         finally:
+            free.set()
             release.set()
             service.close()
         for block, expected in zip(got, reference):
             assert np.array_equal(block, expected)
+        assert np.array_equal(np.stack(filled), tiled.matvec(queries, ir_mode))
         stats = service.stats()
         assert stats["dropped"] == 0
-        # The sibling served every replayed row, each counted once.
-        assert stats["lanes"]["r1"]["answered"] == 21
+        # The sibling served every replayed row, each counted once,
+        # besides its own three queries.
+        assert stats["lanes"]["r1"]["answered"] == 21 + 3
         assert "r0" not in stats["lanes"]
-        assert (stats["requests"], stats["answered"]) == (21, 21)
+        assert (stats["requests"], stats["answered"]) == (24, 24)
 
     def test_failed_replay_counts_the_block_as_dropped(self):
         _, service = make_service(10, replicas=1)

@@ -45,17 +45,6 @@ class TestRep002:
     def test_clean_on_module_level_callables(self):
         assert codes_of(lint_fixture("rep002_good.py")) == []
 
-    def test_flags_unpicklable_fleet_repair_callables(self):
-        result = lint_fixture("rep002_fleet_bad.py")
-        assert codes_of(result) == ["REP002"] * 3
-        assert [v.line for v in result.violations] == [9, 15, 23]
-        assert all(
-            "RollingReprogrammer" in v.message for v in result.violations
-        )
-
-    def test_clean_on_picklable_fleet_repair_callables(self):
-        assert codes_of(lint_fixture("rep002_fleet_good.py")) == []
-
 
 class TestRep003:
     def test_flags_mutable_and_unstable_key_classes(self):
@@ -160,18 +149,18 @@ class TestSyntaxError:
 
 
 @pytest.mark.parametrize(
-    "name", ["rep001_bad.py", "rep002_bad.py", "rep002_fleet_bad.py",
-             "rep003_bad.py", "rep004_bad.py", "rep005_bad.py",
-             "rep007_bad.py", "rep008_bad.py", "rep009_bad.py"]
+    "name", ["rep001_bad.py", "rep002_bad.py", "rep003_bad.py",
+             "rep004_bad.py", "rep005_bad.py", "rep007_bad.py",
+             "rep008_bad.py", "rep009_bad.py"]
 )
 def test_every_positive_fixture_is_dirty(name):
     assert lint_fixture(name).violations
 
 
 @pytest.mark.parametrize(
-    "name", ["rep001_good.py", "rep002_good.py", "rep002_fleet_good.py",
-             "rep003_good.py", "rep004_good.py", "rep005_good.py",
-             "rep007_good.py", "rep008_good.py", "rep009_good.py"]
+    "name", ["rep001_good.py", "rep002_good.py", "rep003_good.py",
+             "rep004_good.py", "rep005_good.py", "rep007_good.py",
+             "rep008_good.py", "rep009_good.py"]
 )
 def test_every_negative_fixture_is_clean(name):
     assert not lint_fixture(name).violations

@@ -222,14 +222,21 @@ class TestTelemetry:
 
 
 class TestHealth:
-    def test_drifted_layer_replica_recovers(
+    def test_drifted_layer_replica_recovers(self, mlp_config, mlp_artifact):
+        self._restore_drifted_layer(mlp_config, mlp_artifact, replicas=2)
+
+    def test_drifted_unreplicated_layer_recovers(
         self, mlp_config, mlp_artifact
     ):
+        self._restore_drifted_layer(mlp_config, mlp_artifact, replicas=1)
+
+    @staticmethod
+    def _restore_drifted_layer(mlp_config, mlp_artifact, replicas: int):
         x = mlp_config.dataset().x_test[:4]
         expected = offline_engine(mlp_artifact).forward(x)
         with PipelineService(
-            mlp_artifact, replicas=2,
-            policy=DriftPolicy(threshold=0.05),
+            mlp_artifact, replicas=replicas,
+            policy=DriftPolicy(threshold=0.05, check_every=1),
         ) as service:
             victim = service.layer_services[1].group.replicas[0]
             age_pair(
@@ -237,11 +244,19 @@ class TestHealth:
                 RetentionConfig(nu_median=0.05, nu_sigma=0.5),
                 np.random.default_rng(11),
             )
-            events = service.run_recovery_cycle()
-            assert set(events) == {"layer0", "layer1"}
-            assert events["layer0"] == []
-            assert [e.action for e in events["layer1"]] == ["reprogram"]
-            # Post-recovery traffic is exact again.
+            assert victim.monitor.discrepancy() > 0.05
+            # The lane's own check after its first batch restores the
+            # aged tile in place.
+            for _ in range(3):
+                service.forward(x, timeout=30.0)
+            events = service.log.health_events
+            assert [(e.replica, e.action) for e in events] == [
+                (0, "restore")
+            ]
+            assert events[0].recovered_discrepancy == 0.0
+            assert victim.alive
+            assert victim.monitor.discrepancy() == 0.0
+            # Later traffic is exact again.
             assert np.array_equal(
                 service.forward(x, timeout=30.0), expected
             )

@@ -49,15 +49,16 @@ class TestDriftPolicy:
 
 class TestDriftMonitor:
     def test_fresh_restore_has_zero_discrepancy(self, artifact):
+        repairs = []
         monitor = DriftMonitor(
             InferenceEngine.from_artifact(artifact),
             probes=artifact.probes,
             baseline=artifact.baseline,
-            log=RunLog(),
+            repair=repairs.append,
         )
         assert monitor.discrepancy() == 0.0
         assert monitor.check() is None
-        assert monitor.log.drift_events == []
+        assert repairs == []
 
     def test_read_mode_override_records_its_own_baseline(self):
         # A snapshot deployed under the ideal read and served under the
@@ -80,32 +81,20 @@ class TestDriftMonitor:
                 service.monitor.baseline, snapshot.baseline
             )
 
-    def test_alert_without_repair_path(self, artifact):
-        engine = InferenceEngine.from_artifact(artifact)
-        drift_the_pair(engine.target)
-        log = RunLog()
-        monitor = DriftMonitor(
-            engine, artifact.probes, artifact.baseline,
-            policy=DriftPolicy(threshold=0.08), log=log,
-        )
-        event = monitor.check()
-        assert event is not None and event.action == "alert"
-        assert event.discrepancy > 0.08
-        assert event.recovered_discrepancy is None
-
     def test_cadence_respects_check_every(self, artifact):
         engine = InferenceEngine.from_artifact(artifact)
         drift_the_pair(engine.target)
-        log = RunLog()
+        repairs = []
         monitor = DriftMonitor(
-            engine, artifact.probes, artifact.baseline,
-            policy=DriftPolicy(threshold=0.08, check_every=4), log=log,
+            engine, artifact.probes, artifact.baseline, repairs.append,
+            policy=DriftPolicy(threshold=0.08, check_every=4),
         )
         for _ in range(3):
             monitor()
-        assert log.drift_events == []  # not yet at the 4th batch
+        assert repairs == []  # not yet at the 4th batch
         monitor()
-        assert len(log.drift_events) == 1
+        assert len(repairs) == 1
+        assert repairs[0] > 0.08  # the repair gets the discrepancy
 
     def test_probe_baseline_shape_mismatch_rejected(self, artifact):
         with pytest.raises(ValueError, match="baseline"):
@@ -113,6 +102,7 @@ class TestDriftMonitor:
                 InferenceEngine.from_artifact(artifact),
                 probes=artifact.probes,
                 baseline=artifact.baseline[:-1],
+                repair=lambda discrepancy: None,
             )
 
 
@@ -137,16 +127,17 @@ class TestRemapRoundTrip:
                 )
         finally:
             service.close()
-        remaps = [e for e in log.drift_events if e.action == "remap"]
-        assert len(remaps) == 1
-        event = remaps[0]
+        assert [(e.replica, e.action) for e in log.health_events] == [
+            (None, "remap")
+        ]
+        event = log.health_events[0]
         assert event.discrepancy > 0.08
         assert event.recovered_discrepancy is not None
         assert event.recovered_discrepancy < 0.08
         # The re-pretest saw both injected stuck-at-HRS cells.
         assert event.defects["stuck_at_hrs"] >= 2
         summary = log.serve_summary()
-        assert summary["remaps"] == 1
+        assert summary["repairs"] == 1
         assert summary["dropped"] == 0
 
     def test_remap_avoids_stuck_cells_with_redundancy(self, artifact):
@@ -179,7 +170,7 @@ class TestFailingHealthHook:
         )
         entered, release = threading.Event(), threading.Event()
 
-        def broken_repair():
+        def broken_repair(discrepancy):
             entered.set()
             release.wait(10.0)
             raise OSError("write driver fault")
@@ -197,10 +188,10 @@ class TestFailingHealthHook:
             for future in queued:
                 with pytest.raises(OSError, match="write driver fault"):
                     future.result(timeout=3.0)
-            assert not service.alive and not service.live
+            assert not service.alive
             with pytest.raises(ReplicaDeadError):
                 service.submit(x[0])
-            assert [(e.replica, e.action) for e in log.fleet_events] == [
+            assert [(e.replica, e.action) for e in log.health_events] == [
                 (None, "fail")
             ]
         finally:
