@@ -67,6 +67,10 @@ class MemristorArray:
         # (e.g. the crossbar's cached nodal factorisation) compare it to
         # detect that their view of the conductances went stale.
         self.state_version = 0
+        # ``(state_version, g)`` of the last conductance computed, kept
+        # as one pair so a reader never matches a stale ``g`` to a new
+        # version.
+        self._conductance_memo: tuple[int, np.ndarray | None] = (-1, None)
         # Fabrication: one persistent theta and defect flag per device.
         self.theta = self.variation.sample_parametric_theta(self.shape)
         self.defects = self.variation.sample_defects(self.shape)
@@ -98,9 +102,33 @@ class MemristorArray:
 
     @property
     def conductance(self) -> np.ndarray:
-        """Actual cell conductances (S), honouring stuck-at defects."""
-        g = self.switching.conductance_of(self.state)
-        return apply_defects_to_conductance(g, self.defects, self.device)
+        """Actual cell conductances (S), honouring stuck-at defects.
+
+        Computed once per ``state_version`` and returned read-only: every
+        read of an unchanged device state shares one array, so a caller
+        that needs to modify it must copy it first.
+        """
+        # Version before state, so a concurrent write can only make the
+        # pair look stale (a recompute), never fresh.
+        version = self.state_version
+        memo = self._conductance_memo
+        if memo[0] != version:
+            g = apply_defects_to_conductance(
+                self.switching.conductance_of(self.state),
+                self.defects,
+                self.device,
+            )
+            g.flags.writeable = False
+            memo = (version, g)
+            self._conductance_memo = memo
+        return memo[1]
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles drop the memo: numpy restores arrays
+        # writeable, and the copy recomputes a read-only one on demand.
+        state = self.__dict__.copy()
+        state["_conductance_memo"] = (-1, None)
+        return state
 
     @property
     def resistance(self) -> np.ndarray:

@@ -149,6 +149,10 @@ class HealthEvent:
         recovered_discrepancy: Probe discrepancy re-measured after a
             repair.
         defects: Stuck-at counts reported by a remap's re-pretest.
+        lane: The lane's label, e.g. ``'r0'`` in a fleet or
+            ``'layer1/r0'`` in a pipeline (``''`` for a standalone
+            service); unlike ``replica`` it tells apart equal replica
+            indices of different layers.
     """
 
     replica: int | None
@@ -157,6 +161,7 @@ class HealthEvent:
     discrepancy: float | None = None
     recovered_discrepancy: float | None = None
     defects: dict = dataclasses.field(default_factory=dict)
+    lane: str = ""
 
 
 @dataclasses.dataclass
@@ -236,6 +241,7 @@ class RunLog:
         discrepancy: float | None = None,
         recovered_discrepancy: float | None = None,
         defects: dict | None = None,
+        lane: str = "",
     ) -> HealthEvent:
         event = HealthEvent(
             replica=replica,
@@ -244,6 +250,7 @@ class RunLog:
             discrepancy=discrepancy,
             recovered_discrepancy=recovered_discrepancy,
             defects=dict(defects) if defects else {},
+            lane=lane,
         )
         self.health_events.append(event)
         return event

@@ -94,11 +94,7 @@ class DriftMonitor:
     ):
         self.engine = engine
         self.probes = np.asarray(probes, dtype=float)
-        self.baseline = (
-            [np.asarray(part, dtype=float) for part in baseline]
-            if isinstance(baseline, list)
-            else np.asarray(baseline, dtype=float)
-        )
+        self.baseline = baseline
         for part in self._parts(self.baseline):
             if self.probes.shape[0] != part.shape[0]:
                 raise ValueError(
@@ -137,6 +133,25 @@ class DriftMonitor:
             monitor.baseline = monitor.read_probes()
         return monitor
 
+    @property
+    def baseline(self) -> np.ndarray | list[np.ndarray]:
+        """Programming-time probe outputs, whole or one part per tile."""
+        return self._baseline
+
+    @baseline.setter
+    def baseline(self, value: np.ndarray | list[np.ndarray]) -> None:
+        self._baseline = (
+            [np.asarray(part, dtype=float) for part in value]
+            if isinstance(value, list)
+            else np.asarray(value, dtype=float)
+        )
+        # The discrepancy's denominator, mean |y0| per part, is fixed
+        # for as long as the baseline is, so every check reuses it.
+        self._denominators = [
+            float(np.mean(np.abs(part)))
+            for part in self._parts(self._baseline)
+        ]
+
     @staticmethod
     def _parts(outputs) -> list[np.ndarray]:
         return outputs if isinstance(outputs, list) else [outputs]
@@ -156,9 +171,11 @@ class DriftMonitor:
         deviation normalised by the mean absolute baseline output.
         """
         return [
-            _relative_discrepancy(y, y0)
-            for y, y0 in zip(
-                self._parts(self.read_probes()), self._parts(self.baseline)
+            _relative_discrepancy(y, y0, denom)
+            for y, y0, denom in zip(
+                self._parts(self.read_probes()),
+                self._parts(self.baseline),
+                self._denominators,
             )
         ]
 
@@ -185,8 +202,10 @@ class DriftMonitor:
             self.check()
 
 
-def _relative_discrepancy(y: np.ndarray, baseline: np.ndarray) -> float:
-    denom = float(np.mean(np.abs(baseline)))
+def _relative_discrepancy(
+    y: np.ndarray, baseline: np.ndarray, denom: float
+) -> float:
+    """``mean |y - y0| / denom``, with ``denom = mean |y0|`` precomputed."""
     if denom == 0.0:
         return float(np.mean(np.abs(y)))
     return float(np.mean(np.abs(y - baseline)) / denom)

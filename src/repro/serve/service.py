@@ -189,7 +189,9 @@ class CrossbarService(ServiceLifecycle):
             # queued request with what this raises -- for a fleet lane
             # a ReplicaDeadError, which the router replays on a sibling.
             self.alive = False
-            self.log.record_health(replica=self.replica_index, action="fail")
+            self.log.record_health(
+                replica=self.replica_index, action="fail", lane=self.name
+            )
             if self.replica_index is None:
                 raise
             raise ReplicaDeadError(
@@ -262,7 +264,9 @@ class CrossbarService(ServiceLifecycle):
         self.alive = False
         self.engine.target = _DeadTarget(self.name, self.pair.shape)
         self.scheduler.shutdown(timeout)
-        self.log.record_health(replica=self.replica_index, action="kill")
+        self.log.record_health(
+            replica=self.replica_index, action="kill", lane=self.name
+        )
 
     # -- repair path ---------------------------------------------------
     def repair(self, discrepancy: float) -> HealthEvent:
@@ -291,6 +295,7 @@ class CrossbarService(ServiceLifecycle):
             discrepancy=discrepancy,
             recovered_discrepancy=recovered,
             defects=defects,
+            lane=self.name,
         )
 
     def remap(self) -> dict:

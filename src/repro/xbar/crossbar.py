@@ -100,7 +100,8 @@ class Crossbar:
 
     @property
     def conductance(self) -> np.ndarray:
-        """Actual device conductances, shape ``(rows, cols)``."""
+        """Actual device conductances, shape ``(rows, cols)``, read-only
+        (cached per device state; see :attr:`MemristorArray.conductance`)."""
         return self.array.conductance
 
     # ------------------------------------------------------------------
@@ -108,9 +109,7 @@ class Crossbar:
     # ------------------------------------------------------------------
     def program(self, target_g: np.ndarray, with_cycle_noise: bool = True):
         """Open-loop program all cells toward target conductances."""
-        result = self.array.program_conductance(target_g, with_cycle_noise)
-        self._reference_factors = None
-        return result
+        return self.array.program_conductance(target_g, with_cycle_noise)
 
     def update(
         self,
@@ -119,11 +118,9 @@ class Crossbar:
         with_cycle_noise: bool = True,
     ):
         """Close-loop incremental conductance update."""
-        result = self.array.update_conductance(
+        return self.array.update_conductance(
             delta_g, efficiency, with_cycle_noise
         )
-        self._reference_factors = None
-        return result
 
     # ------------------------------------------------------------------
     # reading
@@ -184,17 +181,16 @@ class Crossbar:
         """
         validate_ir_mode(ir_mode)
         x = np.asarray(x, dtype=float)
-        g = self.conductance
         v_read = self.config.v_read
         if ir_mode == "ideal" or self.config.r_wire == 0:
-            currents = v_read * batch_invariant_matmul(x, g)
+            currents = v_read * batch_invariant_matmul(x, self.conductance)
         elif ir_mode == "reference":
             currents = (
                 v_read
-                * batch_invariant_matmul(x, g)
+                * batch_invariant_matmul(x, self.conductance)
                 * self._get_reference_factors()
             )
-        else:  # nodal
+        else:  # nodal: the cached network alone, no conductance fetch
             currents = self._get_network().read_batch(x, v_read)
         if self.sense is not None:
             currents = self.sense.sense(currents)

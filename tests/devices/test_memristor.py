@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.config import DeviceConfig, VariationConfig
+from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
+from repro.devices.defects import STUCK_AT_LRS, apply_defects_to_conductance
 from repro.devices.memristor import MemristorArray
+from repro.devices.retention import RetentionConfig, age_array
+from repro.xbar.crossbar import Crossbar
+from repro.xbar.ir_drop import read_column_gains
+from repro.xbar.matmul import batch_invariant_matmul
+from repro.xbar.programming import execute_plan, plan_programming
 
 
 def make_array(sigma=0.0, sigma_cycle=0.0, defect_rate=0.0, seed=0,
@@ -130,3 +139,97 @@ class TestReset:
         array.program_conductance(np.full((8, 4), 5e-5))
         array.reset_to_hrs()
         assert np.allclose(array.conductance, array.device.g_off)
+
+
+def recomputed(array):
+    """The conductances of the current device state, from scratch."""
+    return apply_defects_to_conductance(
+        array.switching.conductance_of(array.state), array.defects,
+        array.device,
+    )
+
+
+def physically_program(array):
+    plan = plan_programming(
+        array.switching, array.state, np.full(array.shape, 3e-5)
+    )
+    execute_plan(array, plan)
+
+
+class TestConductanceMemo:
+    """Conductances are computed once per device state, read-only."""
+
+    def test_returned_array_is_read_only(self):
+        array = make_array()
+        with pytest.raises(ValueError, match="read-only"):
+            array.conductance[0, 0] = 1.0
+        achieved = array.program_conductance(np.full((8, 4), 2e-5))
+        with pytest.raises(ValueError, match="read-only"):
+            achieved += 1.0
+
+    def test_repeated_reads_share_one_array(self):
+        array = make_array(sigma=0.3, defect_rate=0.2, seed=1)
+        array.program_conductance(np.full((8, 4), 2e-5))
+        assert array.conductance is array.conductance
+
+    @pytest.mark.parametrize("write", [
+        lambda a: a.program_conductance(np.full(a.shape, 4e-5)),
+        lambda a: a.update_conductance(np.full(a.shape, 1e-6)),
+        lambda a: a.reset_to_hrs(),
+        lambda a: a.restore_state(conductance=np.full(a.shape, 3e-5)),
+        lambda a: a.restore_state(defects=np.full(a.shape, STUCK_AT_LRS)),
+        lambda a: age_array(
+            a, 1e4, RetentionConfig(nu_median=0.05),
+            np.random.default_rng(3),
+        ),
+        physically_program,
+    ], ids=[
+        "program", "update", "reset", "restore-conductance",
+        "restore-defects", "age", "physical-programming",
+    ])
+    def test_every_writer_yields_fresh_conductances(self, write):
+        array = make_array(sigma=0.3, sigma_cycle=0.05, defect_rate=0.2,
+                           seed=4)
+        array.program_conductance(np.full(array.shape, 2e-5))
+        before = array.conductance
+        write(array)
+        after = array.conductance
+        assert after is not before
+        assert not after.flags.writeable
+        assert np.array_equal(after, recomputed(array))
+        assert not np.array_equal(after, before)
+
+    def test_copies_recompute_a_read_only_array(self):
+        array = make_array(sigma=0.3, defect_rate=0.2, seed=1)
+        array.program_conductance(np.full((8, 4), 2e-5))
+        for clone in (copy.deepcopy(array),
+                      pickle.loads(pickle.dumps(array))):
+            assert not clone.conductance.flags.writeable
+            assert np.array_equal(clone.conductance, array.conductance)
+
+    def test_reference_read_follows_a_reprogram(self):
+        xbar = Crossbar(
+            CrossbarConfig(rows=8, cols=4, r_wire=2.5),
+            variation=VariationConfig(sigma=0.3, sigma_cycle=0.05),
+            rng=np.random.default_rng(2),
+        )
+        x = np.linspace(0.0, 1.0, 8)
+
+        def expected():
+            g = recomputed(xbar.array)
+            return (
+                xbar.config.v_read
+                * batch_invariant_matmul(x, g)
+                * read_column_gains(
+                    g, np.full(8, 0.5), xbar.config.r_wire,
+                    xbar.config.v_read,
+                )
+            )
+
+        for write in (
+            lambda: xbar.program(np.full((8, 4), 2e-5)),
+            lambda: xbar.program(np.full((8, 4), 4e-5)),
+            lambda: xbar.update(np.full((8, 4), -1e-6)),
+        ):
+            write()
+            assert np.array_equal(xbar.read(x, "reference"), expected())

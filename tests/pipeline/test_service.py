@@ -250,8 +250,9 @@ class TestHealth:
             for _ in range(3):
                 service.forward(x, timeout=30.0)
             events = service.log.health_events
-            assert [(e.replica, e.action) for e in events] == [
-                (0, "restore")
+            # The lane label tells layer 1's replica 0 from layer 0's.
+            assert [(e.replica, e.lane, e.action) for e in events] == [
+                (0, "layer1/r0", "restore")
             ]
             assert events[0].recovered_discrepancy == 0.0
             assert victim.alive

@@ -96,6 +96,22 @@ class TestDriftMonitor:
         assert len(repairs) == 1
         assert repairs[0] > 0.08  # the repair gets the discrepancy
 
+    def test_discrepancy_divides_by_the_current_baseline(self, artifact):
+        engine = InferenceEngine.from_artifact(artifact)
+        monitor = DriftMonitor(
+            engine, artifact.probes, artifact.baseline,
+            repair=lambda discrepancy: None,
+        )
+        drift_the_pair(engine.target)
+        y = engine.forward(artifact.probes)
+        for baseline in (artifact.baseline, 2.0 * artifact.baseline):
+            # A replaced baseline brings its own denominator.
+            monitor.baseline = baseline
+            assert monitor.discrepancy() == float(
+                np.mean(np.abs(y - baseline))
+                / float(np.mean(np.abs(baseline)))
+            )
+
     def test_probe_baseline_shape_mismatch_rejected(self, artifact):
         with pytest.raises(ValueError, match="baseline"):
             DriftMonitor(
