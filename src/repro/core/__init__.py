@@ -5,6 +5,7 @@ from repro.core.amp import (
     AMPResult,
     RowMapping,
     effective_sigma,
+    program_amp,
     row_read_factors,
     run_amp,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "position_cost",
     "pretest_array",
     "pretest_pair",
+    "program_amp",
     "program_pair_open_loop",
     "program_pair_physical",
     "program_pair_write_verify",

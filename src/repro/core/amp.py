@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.greedy import greedy_mapping, optimal_mapping
 from repro.core.pretest import PretestResult, pretest_pair, robust_sigma
+from repro.core.old import OLDConfig, program_pair_open_loop
 from repro.core.sensitivity import mapping_order, row_sensitivity
 from repro.core.swv import position_cost, swv_pair
 from repro.config import SensingConfig
@@ -32,6 +33,7 @@ __all__ = [
     "RowMapping",
     "AMPResult",
     "run_amp",
+    "program_amp",
     "effective_sigma",
     "row_read_factors",
 ]
@@ -263,3 +265,40 @@ def run_amp(
         swv=swv,
         effective_sigma=sigma_eff,
     )
+
+
+def program_amp(
+    pair: DifferentialCrossbar,
+    weights: np.ndarray,
+    x_mean: np.ndarray,
+    pretest: PretestResult,
+    config: OLDConfig | None = None,
+) -> RowMapping:
+    """Place the weight rows by Algorithm 1 and program them open-loop.
+
+    The one placement step of every AMP experiment and of the serving
+    lane's drift repair: :func:`run_amp` on an existing pre-test (so it
+    draws nothing), then :func:`~repro.core.old.program_pair_open_loop`
+    with the weights and the IR-drop reference input both routed
+    through the chosen mapping.
+
+    Args:
+        pair: Fabricated pair to program.
+        weights: Signed logical weights ``(n_logical, m)``.
+        x_mean: Mean input activity per logical feature.
+        pretest: The pair's measured variations.
+        config: Open-loop programming settings (``OLDConfig()`` when
+            omitted).
+
+    Returns:
+        The mapping the pair was programmed with; route run-time
+        inputs through ``mapping.inputs_to_physical``.
+    """
+    mapping = run_amp(pair, weights, x_mean, pretest=pretest).mapping
+    program_pair_open_loop(
+        pair,
+        mapping.weights_to_physical(weights),
+        config,
+        x_reference=mapping.inputs_to_physical(x_mean),
+    )
+    return mapping

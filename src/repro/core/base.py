@@ -11,7 +11,7 @@ identical footing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,12 +28,21 @@ from repro.xbar.crossbar import trial_stacked_matmul, validate_ir_mode
 from repro.xbar.mapping import WeightScaler
 from repro.xbar.pair import DifferentialCrossbar
 
+if TYPE_CHECKING:
+    from repro.core.amp import RowMapping
+
+# One programmed state of a Monte-Carlo trial: the pair as programmed,
+# and the AMP mapping its inputs go through (``None`` for identity).
+Slot = tuple[DifferentialCrossbar, "RowMapping | None"]
+
 __all__ = [
     "HardwareSpec",
     "TrainingOutcome",
     "build_pair",
     "hardware_test_rate",
     "batched_hardware_test_rates",
+    "slot_rates",
+    "batched_slot_rates",
     "ideal_read_path",
     "software_rates",
 ]
@@ -290,6 +299,78 @@ def batched_hardware_test_rates(  # repro-lint: batch-invariant
     if not blocks:
         return np.zeros(0)
     return np.concatenate(blocks)
+
+
+def slot_rates(
+    slots: Iterable[Slot],
+    x: np.ndarray,
+    labels: np.ndarray,
+    ir_mode: str,
+) -> np.ndarray:
+    """Test rate of every programmed state a trial yields, in order.
+
+    ``slots`` is a trial's ``*_programmed`` generator: each yielded
+    pair is read with :func:`hardware_test_rate` before the generator
+    resumes (and reprograms it) -- the looped reference of
+    :func:`batched_slot_rates`.
+    """
+    return np.array([
+        hardware_test_rate(
+            pair, x, labels, ir_mode,
+            input_map=None if mapping is None else mapping.inputs_to_physical,
+        )
+        for pair, mapping in slots
+    ])
+
+
+def batched_slot_rates(
+    trials: Sequence[Iterable[Slot]],
+    x: np.ndarray,
+    labels: np.ndarray,
+    spec: HardwareSpec,
+    scaler: WeightScaler,
+) -> np.ndarray:
+    """:func:`slot_rates` of a chunk of trials, one stacked read per slot.
+
+    Runs every trial's generator to the end, keeping each yielded
+    pair's conductances (read-only per device state, so no copy) and
+    mapping; reads draw nothing, so deferring them leaves every stream
+    unchanged.  Slot ``k`` of all trials is then one
+    :func:`batched_hardware_test_rates` call, so row ``t`` of the
+    ``(len(trials), slots)`` result equals ``slot_rates`` of trial
+    ``t`` bit for bit.  A non-ideal read path (:func:`ideal_read_path`)
+    cannot be stacked and loops :func:`slot_rates` instead.
+    """
+    if not ideal_read_path(spec):
+        return np.stack([
+            slot_rates(slots, x, labels, spec.ir_mode) for slots in trials
+        ])
+    x = np.asarray(x, dtype=float)
+    snapshots = [
+        [
+            (
+                pair.positive.conductance,
+                pair.negative.conductance,
+                None if mapping is None else mapping.assignment,
+            )
+            for pair, mapping in slots
+        ]
+        for slots in trials
+    ]
+    n_trials = len(snapshots)
+    rates = np.empty((n_trials, len(snapshots[0])))
+    for k in range(rates.shape[1]):
+        g_pos = np.stack([trial[k][0] for trial in snapshots])
+        g_neg = np.stack([trial[k][1] for trial in snapshots])
+        x_k = x
+        if snapshots[0][k][2] is not None:
+            x_k = np.zeros((n_trials, x.shape[0], g_pos.shape[1]))
+            for t, trial in enumerate(snapshots):
+                x_k[t][:, trial[k][2]] = x
+        rates[:, k] = batched_hardware_test_rates(
+            g_pos, g_neg, x_k, labels, spec, scaler
+        )
+    return rates
 
 
 def software_rates(

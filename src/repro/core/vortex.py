@@ -25,14 +25,11 @@ import dataclasses
 import numpy as np
 
 from repro.config import SensingConfig
-from repro.core.amp import AMPResult, RowMapping, effective_sigma, run_amp
+from repro.core.amp import AMPResult, RowMapping, run_amp
 from repro.core.base import hardware_test_rate
 from repro.core.old import OLDConfig, program_pair_open_loop
 from repro.core.pretest import pretest_pair
 from repro.core.self_tuning import SelfTuningConfig, TuneResult, tune_gamma
-from repro.core.sensitivity import mapping_order
-from repro.core.greedy import greedy_mapping, optimal_mapping
-from repro.core.swv import swv_pair
 from repro.nn.metrics import rate_from_scores
 from repro.seeding import ensure_rng
 from repro.xbar.pair import DifferentialCrossbar
@@ -172,27 +169,12 @@ def run_vortex(
             )
             weights = tune.weights
             gamma = tune.best_gamma
-            swv = swv_pair(
-                weights, pretest.theta_pos, pretest.theta_neg, pair.scaler
+            amp_result = run_amp(
+                pair, weights, x_mean, method=cfg.amp_method,
+                pretest=pretest,
             )
-            order = mapping_order(weights, x_mean)
-            if cfg.amp_method == "greedy":
-                assignment = greedy_mapping(swv, order)
-            else:
-                assignment = optimal_mapping(swv)
-            mapping = RowMapping(
-                assignment=assignment, n_physical=pair.shape[0]
-            )
-            sigma_eff = effective_sigma(
-                mapping, weights, pretest.theta_pos, pretest.theta_neg,
-                scaler=pair.scaler,
-            )
-            amp_result = dataclasses.replace(
-                amp_result,
-                mapping=mapping,
-                swv=swv,
-                effective_sigma=sigma_eff,
-            )
+            sigma_eff = amp_result.effective_sigma
+            mapping = amp_result.mapping
     else:
         mapping = RowMapping(
             assignment=np.arange(n_logical), n_physical=pair.shape[0]

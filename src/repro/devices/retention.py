@@ -18,12 +18,15 @@ with ``nu`` a persistent, per-device lognormal-ish positive exponent.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.devices.memristor import MemristorArray
 from repro.seeding import ensure_rng
-from repro.xbar.pair import DifferentialCrossbar
+
+if TYPE_CHECKING:
+    from repro.xbar.pair import DifferentialCrossbar
 
 __all__ = [
     "RetentionConfig",

@@ -13,24 +13,21 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.analysis.montecarlo import run_monte_carlo
-from repro.core.amp import RowMapping
+from repro.core.amp import program_amp
 from repro.core.base import (
     HardwareSpec,
-    batched_hardware_test_rates,
+    Slot,
+    batched_slot_rates,
     build_pair,
-    hardware_test_rate,
-    ideal_read_path,
+    slot_rates,
 )
-from repro.core.greedy import greedy_mapping
 from repro.core.old import OLDConfig, program_pair_open_loop
 from repro.core.pretest import pretest_pair
-from repro.core.sensitivity import mapping_order
-from repro.core.swv import swv_pair
 from repro.core.vat import VATConfig
 from repro.config import CrossbarConfig, VariationConfig
 from repro.data.datasets import N_CLASSES
@@ -77,6 +74,28 @@ class AMPStudyResult:
         ]
 
 
+def _fig7_programmed(
+    rng: np.random.Generator,
+    spec: HardwareSpec,
+    scaler: WeightScaler,
+    weights_per_gamma: list[np.ndarray],
+    x_mean: np.ndarray,
+) -> Iterator[Slot]:
+    """One fabrication draw, programmed twice per gamma.
+
+    Yields the pair after each programming step: per gamma, once with
+    the identity placement ("before AMP") and once with the greedy
+    mapping of Algorithm 1 on the measured fabric ("after AMP").  Every
+    draw comes from ``rng``, so the fabric is worker-count independent.
+    """
+    pair = build_pair(spec, scaler, rng)
+    pretest = pretest_pair(pair, spec.sensing, rng=rng)
+    for weights in weights_per_gamma:
+        program_pair_open_loop(pair, weights, OLDConfig())
+        yield pair, None
+        yield pair, program_amp(pair, weights, x_mean, pretest, OLDConfig())
+
+
 def _fig7_trial(
     rng: np.random.Generator,
     spec: HardwareSpec,
@@ -89,38 +108,13 @@ def _fig7_trial(
     """One fabrication draw: (before-AMP, after-AMP) rates per gamma.
 
     Module-level so the engine can dispatch fabrication trials to
-    worker processes; the generator fully determines the fabricated
-    fabric, so trial values are identical at any worker count.
+    worker processes.
     """
-    n = spec.crossbar.rows
-    identity = RowMapping(assignment=np.arange(n), n_physical=n)
-    pair = build_pair(spec, scaler, rng)
-    pretest = pretest_pair(pair, spec.sensing, rng=rng)
-    rates = np.zeros((2, len(weights_per_gamma)))
-    for gi, weights in enumerate(weights_per_gamma):
-        # Before AMP: identity placement.
-        program_pair_open_loop(pair, weights, OLDConfig())
-        rates[0, gi] = hardware_test_rate(
-            pair, x_test, y_test, spec.ir_mode,
-            input_map=identity.inputs_to_physical,
-        )
-        # After AMP: greedy mapping on the measured fabric.
-        swv = swv_pair(
-            weights, pretest.theta_pos, pretest.theta_neg, scaler
-        )
-        order = mapping_order(weights, x_mean)
-        mapping = RowMapping(
-            assignment=greedy_mapping(swv, order), n_physical=n
-        )
-        program_pair_open_loop(
-            pair, mapping.weights_to_physical(weights), OLDConfig(),
-            x_reference=mapping.inputs_to_physical(x_mean),
-        )
-        rates[1, gi] = hardware_test_rate(
-            pair, x_test, y_test, spec.ir_mode,
-            input_map=mapping.inputs_to_physical,
-        )
-    return rates
+    rates = slot_rates(
+        _fig7_programmed(rng, spec, scaler, weights_per_gamma, x_mean),
+        x_test, y_test, spec.ir_mode,
+    )
+    return rates.reshape(-1, 2).T
 
 
 def _fig7_trial_batch(
@@ -134,65 +128,18 @@ def _fig7_trial_batch(
 ) -> np.ndarray:
     """Trial-batched kernel for :func:`_fig7_trial`.
 
-    The generator-consuming stages (fabrication, pre-test, open-loop
-    programming) run per trial exactly as the scalar trial would --
-    forward evaluations consume no randomness, so they can be deferred
-    without disturbing any stream.  The deferred evaluations then run
-    as one stacked hardware pass per (mapping kind, gamma) slot via
-    :func:`batched_hardware_test_rates`, which is where the wall-clock
-    of this experiment lives.
+    The same programmed states, read as one stacked hardware pass per
+    (gamma, mapping kind) slot by :func:`batched_slot_rates`, which is
+    where the wall-clock of this experiment lives.
     """
-    if not ideal_read_path(spec):
-        return np.stack([
-            _fig7_trial(
-                rng, spec, scaler, weights_per_gamma, x_test, y_test,
-                x_mean,
-            )
+    rates = batched_slot_rates(
+        [
+            _fig7_programmed(rng, spec, scaler, weights_per_gamma, x_mean)
             for rng in rngs
-        ])
-    n = spec.crossbar.rows
-    identity = RowMapping(assignment=np.arange(n), n_physical=n)
-    n_trials = len(rngs)
-    n_gammas = len(weights_per_gamma)
-    cols = weights_per_gamma[0].shape[1]
-    gp = np.empty((2, n_gammas, n_trials, n, cols))
-    gn = np.empty((2, n_gammas, n_trials, n, cols))
-    assignments = np.empty((n_gammas, n_trials, n), dtype=int)
-    for t, rng in enumerate(rngs):
-        pair = build_pair(spec, scaler, rng)
-        pretest = pretest_pair(pair, spec.sensing, rng=rng)
-        for gi, weights in enumerate(weights_per_gamma):
-            program_pair_open_loop(pair, weights, OLDConfig())
-            gp[0, gi, t] = pair.positive.conductance
-            gn[0, gi, t] = pair.negative.conductance
-            swv = swv_pair(
-                weights, pretest.theta_pos, pretest.theta_neg, scaler
-            )
-            order = mapping_order(weights, x_mean)
-            mapping = RowMapping(
-                assignment=greedy_mapping(swv, order), n_physical=n
-            )
-            program_pair_open_loop(
-                pair, mapping.weights_to_physical(weights), OLDConfig(),
-                x_reference=mapping.inputs_to_physical(x_mean),
-            )
-            gp[1, gi, t] = pair.positive.conductance
-            gn[1, gi, t] = pair.negative.conductance
-            assignments[gi, t] = mapping.assignment
-
-    rates = np.zeros((n_trials, 2, n_gammas))
-    x_identity = identity.inputs_to_physical(np.asarray(x_test, dtype=float))
-    for gi in range(n_gammas):
-        rates[:, 0, gi] = batched_hardware_test_rates(
-            gp[0, gi], gn[0, gi], x_identity, y_test, spec, scaler
-        )
-        x_stack = np.zeros((n_trials,) + x_identity.shape)
-        for t in range(n_trials):
-            x_stack[t][:, assignments[gi, t]] = x_identity
-        rates[:, 1, gi] = batched_hardware_test_rates(
-            gp[1, gi], gn[1, gi], x_stack, y_test, spec, scaler
-        )
-    return rates
+        ],
+        x_test, y_test, spec, scaler,
+    )
+    return rates.reshape(len(rngs), -1, 2).transpose(0, 2, 1)
 
 
 def run_fig7(
@@ -233,22 +180,17 @@ def run_fig7(
          for gamma in scale.gammas],
     )
 
+    trial_args = dict(
+        spec=spec, scaler=scaler,
+        weights_per_gamma=[o.weights for o in outcomes],
+        x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
+    )
     summary = run_monte_carlo(
-        functools.partial(
-            _fig7_trial,
-            spec=spec, scaler=scaler,
-            weights_per_gamma=[o.weights for o in outcomes],
-            x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
-        ),
+        functools.partial(_fig7_trial, **trial_args),
         trials=scale.mc_trials,
         seed=scale.seed + 70,
         label="fig7",
-        batch_trial=functools.partial(
-            _fig7_trial_batch,
-            spec=spec, scaler=scaler,
-            weights_per_gamma=[o.weights for o in outcomes],
-            x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
-        ),
+        batch_trial=functools.partial(_fig7_trial_batch, **trial_args),
     )
     before = summary.mean[0]
     after = summary.mean[1]

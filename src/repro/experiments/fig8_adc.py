@@ -18,13 +18,10 @@ import functools
 import numpy as np
 
 from repro.analysis.montecarlo import run_monte_carlo
-from repro.core.amp import RowMapping
+from repro.core.amp import program_amp
 from repro.core.base import HardwareSpec, build_pair, hardware_test_rate
-from repro.core.greedy import greedy_mapping
-from repro.core.old import OLDConfig, program_pair_open_loop
+from repro.core.old import OLDConfig
 from repro.core.pretest import pretest_pair
-from repro.core.sensitivity import mapping_order
-from repro.core.swv import swv_pair
 from repro.core.vat import VATConfig
 from repro.config import CrossbarConfig, SensingConfig, VariationConfig
 from repro.data.datasets import N_CLASSES
@@ -99,17 +96,7 @@ def _fig8_trial(
             spec, scaler, np.random.default_rng(fab_seed)
         )
         pretest = pretest_pair(pair, spec.sensing, rng=rng)
-        swv = swv_pair(
-            weights, pretest.theta_pos, pretest.theta_neg, scaler
-        )
-        order = mapping_order(weights, x_mean)
-        mapping = RowMapping(
-            assignment=greedy_mapping(swv, order), n_physical=n
-        )
-        program_pair_open_loop(
-            pair, mapping.weights_to_physical(weights), OLDConfig(),
-            x_reference=mapping.inputs_to_physical(x_mean),
-        )
+        mapping = program_amp(pair, weights, x_mean, pretest, OLDConfig())
         rates[bi] = hardware_test_rate(
             pair, x_test, y_test, spec.ir_mode,
             input_map=mapping.inputs_to_physical,

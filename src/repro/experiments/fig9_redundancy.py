@@ -16,27 +16,24 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.overhead import CostModel
-from repro.core.amp import RowMapping
+from repro.core.amp import program_amp
 from repro.core.base import (
     HardwareSpec,
-    batched_hardware_test_rates,
+    Slot,
+    batched_slot_rates,
     build_pair,
-    hardware_test_rate,
-    ideal_read_path,
+    slot_rates,
 )
 from repro.core.cld import CLDConfig, train_cld
-from repro.core.greedy import greedy_mapping
 from repro.core.old import OLDConfig, program_pair_open_loop, train_old
 from repro.core.pretest import pretest_pair
 from repro.core.self_tuning import SelfTuningConfig, tune_gamma
-from repro.core.sensitivity import mapping_order
-from repro.core.swv import swv_pair
 from repro.config import CrossbarConfig, VariationConfig
 from repro.data.datasets import N_CLASSES
 from repro.experiments.common import ExperimentScale, get_dataset
@@ -76,13 +73,53 @@ class RedundancyStudyResult:
     area_overhead: np.ndarray
 
 
+def _fig9_programmed(
+    rng: np.random.Generator,
+    spec: HardwareSpec,
+    scaler: WeightScaler,
+    old_weights: np.ndarray,
+    vortex_weights: np.ndarray,
+    paper_programming: OLDConfig,
+    redundancy: tuple[int, ...],
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_mean: np.ndarray,
+) -> Iterator[Slot]:
+    """One fabrication draw per scheme: OLD, CLD, then Vortex per ``p``.
+
+    Yields each freshly fabricated pair once it is programmed; every
+    stochastic element flows from ``rng``, so values are worker-count
+    independent.
+    """
+    n = spec.crossbar.rows
+    # --- OLD baseline (p = 0). ---
+    pair = build_pair(spec, scaler, rng)
+    program_pair_open_loop(
+        pair, old_weights, paper_programming, x_reference=x_mean
+    )
+    yield pair, None
+    # --- CLD baseline (p = 0). ---
+    pair = build_pair(spec, scaler, rng)
+    train_cld(
+        pair, x_train, y_train, N_CLASSES,
+        CLDConfig(ir_mode_read="ideal"), rng,
+    )
+    yield pair, None
+    # --- Vortex at each redundancy level. ---
+    for extra in redundancy:
+        pair = build_pair(spec, scaler, rng, rows=n + extra)
+        pretest = pretest_pair(pair, spec.sensing, rng=rng)
+        yield pair, program_amp(
+            pair, vortex_weights, x_mean, pretest, paper_programming
+        )
+
+
 def _fig9_trial(
     rng: np.random.Generator,
     spec: HardwareSpec,
     scaler: WeightScaler,
     old_weights: np.ndarray,
     vortex_weights: np.ndarray,
-    order: np.ndarray,
     paper_programming: OLDConfig,
     redundancy: tuple[int, ...],
     x_train: np.ndarray,
@@ -94,45 +131,15 @@ def _fig9_trial(
     """One fabrication draw: ``[OLD, CLD, Vortex(p) ...]`` rates.
 
     Module-level so the engine can dispatch fabrication trials to
-    worker processes; every stochastic element flows from the trial
-    generator, so values are worker-count independent.
+    worker processes.
     """
-    n = spec.crossbar.rows
-    rates = np.zeros(2 + len(redundancy))
-    # --- OLD baseline (p = 0). ---
-    pair = build_pair(spec, scaler, rng)
-    program_pair_open_loop(
-        pair, old_weights, paper_programming, x_reference=x_mean
+    return slot_rates(
+        _fig9_programmed(
+            rng, spec, scaler, old_weights, vortex_weights,
+            paper_programming, redundancy, x_train, y_train, x_mean,
+        ),
+        x_test, y_test, spec.ir_mode,
     )
-    rates[0] = hardware_test_rate(pair, x_test, y_test, spec.ir_mode)
-    # --- CLD baseline (p = 0). ---
-    pair = build_pair(spec, scaler, rng)
-    train_cld(
-        pair, x_train, y_train, N_CLASSES,
-        CLDConfig(ir_mode_read="ideal"), rng,
-    )
-    rates[1] = hardware_test_rate(pair, x_test, y_test, spec.ir_mode)
-    # --- Vortex at each redundancy level. ---
-    for pi, extra in enumerate(redundancy):
-        pair = build_pair(spec, scaler, rng, rows=n + extra)
-        pretest = pretest_pair(pair, spec.sensing, rng=rng)
-        swv = swv_pair(
-            vortex_weights, pretest.theta_pos, pretest.theta_neg, scaler
-        )
-        mapping = RowMapping(
-            assignment=greedy_mapping(swv, order),
-            n_physical=n + extra,
-        )
-        program_pair_open_loop(
-            pair, mapping.weights_to_physical(vortex_weights),
-            paper_programming,
-            x_reference=mapping.inputs_to_physical(x_mean),
-        )
-        rates[2 + pi] = hardware_test_rate(
-            pair, x_test, y_test, spec.ir_mode,
-            input_map=mapping.inputs_to_physical,
-        )
-    return rates
 
 
 def _fig9_trial_batch(
@@ -141,7 +148,6 @@ def _fig9_trial_batch(
     scaler: WeightScaler,
     old_weights: np.ndarray,
     vortex_weights: np.ndarray,
-    order: np.ndarray,
     paper_programming: OLDConfig,
     redundancy: tuple[int, ...],
     x_train: np.ndarray,
@@ -152,88 +158,19 @@ def _fig9_trial_batch(
 ) -> np.ndarray:
     """Trial-batched kernel for :func:`_fig9_trial`.
 
-    Fabrication, open-loop programming, CLD training and AMP
-    pre-testing stay per trial (they consume each trial's generator in
-    the scalar order), while the forward evaluations -- which draw
-    nothing -- are deferred and executed as one stacked hardware pass
-    per scheme/redundancy slot.
+    The same programmed states, read as one stacked hardware pass per
+    scheme/redundancy slot by :func:`batched_slot_rates`.
     """
-    if not ideal_read_path(spec):
-        return np.stack([
-            _fig9_trial(
-                rng, spec, scaler, old_weights, vortex_weights, order,
-                paper_programming, redundancy, x_train, y_train, x_test,
-                y_test, x_mean,
+    return batched_slot_rates(
+        [
+            _fig9_programmed(
+                rng, spec, scaler, old_weights, vortex_weights,
+                paper_programming, redundancy, x_train, y_train, x_mean,
             )
             for rng in rngs
-        ])
-    n = spec.crossbar.rows
-    n_trials = len(rngs)
-    cols = old_weights.shape[1]
-    old_gp = np.empty((n_trials, n, cols))
-    old_gn = np.empty_like(old_gp)
-    cld_gp = np.empty_like(old_gp)
-    cld_gn = np.empty_like(old_gp)
-    vortex_gp = [
-        np.empty((n_trials, n + extra, cols)) for extra in redundancy
-    ]
-    vortex_gn = [np.empty_like(g) for g in vortex_gp]
-    vortex_assign = [
-        np.empty((n_trials, n), dtype=int) for _ in redundancy
-    ]
-    for t, rng in enumerate(rngs):
-        # --- OLD baseline (p = 0). ---
-        pair = build_pair(spec, scaler, rng)
-        program_pair_open_loop(
-            pair, old_weights, paper_programming, x_reference=x_mean
-        )
-        old_gp[t] = pair.positive.conductance
-        old_gn[t] = pair.negative.conductance
-        # --- CLD baseline (p = 0). ---
-        pair = build_pair(spec, scaler, rng)
-        train_cld(
-            pair, x_train, y_train, N_CLASSES,
-            CLDConfig(ir_mode_read="ideal"), rng,
-        )
-        cld_gp[t] = pair.positive.conductance
-        cld_gn[t] = pair.negative.conductance
-        # --- Vortex at each redundancy level. ---
-        for pi, extra in enumerate(redundancy):
-            pair = build_pair(spec, scaler, rng, rows=n + extra)
-            pretest = pretest_pair(pair, spec.sensing, rng=rng)
-            swv = swv_pair(
-                vortex_weights, pretest.theta_pos, pretest.theta_neg,
-                scaler,
-            )
-            mapping = RowMapping(
-                assignment=greedy_mapping(swv, order),
-                n_physical=n + extra,
-            )
-            program_pair_open_loop(
-                pair, mapping.weights_to_physical(vortex_weights),
-                paper_programming,
-                x_reference=mapping.inputs_to_physical(x_mean),
-            )
-            vortex_gp[pi][t] = pair.positive.conductance
-            vortex_gn[pi][t] = pair.negative.conductance
-            vortex_assign[pi][t] = mapping.assignment
-
-    rates = np.zeros((n_trials, 2 + len(redundancy)))
-    x = np.asarray(x_test, dtype=float)
-    rates[:, 0] = batched_hardware_test_rates(
-        old_gp, old_gn, x, y_test, spec, scaler
+        ],
+        x_test, y_test, spec, scaler,
     )
-    rates[:, 1] = batched_hardware_test_rates(
-        cld_gp, cld_gn, x, y_test, spec, scaler
-    )
-    for pi, extra in enumerate(redundancy):
-        x_stack = np.zeros((n_trials, x.shape[0], n + extra))
-        for t in range(n_trials):
-            x_stack[t][:, vortex_assign[pi][t]] = x
-        rates[:, 2 + pi] = batched_hardware_test_rates(
-            vortex_gp[pi], vortex_gn[pi], x_stack, y_test, spec, scaler
-        )
-    return rates
 
 
 def run_fig9(
@@ -293,31 +230,20 @@ def run_fig9(
             ),
             np.random.default_rng(scale.seed + 90 + si),
         )
-        weights = tune.weights
-        order = mapping_order(weights, x_mean)
-
+        trial_args = dict(
+            spec=spec, scaler=scaler, old_weights=old_weights,
+            vortex_weights=tune.weights,
+            paper_programming=paper_programming,
+            redundancy=tuple(int(p) for p in redundancy),
+            x_train=ds.x_train, y_train=ds.y_train,
+            x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
+        )
         summary = run_monte_carlo(
-            functools.partial(
-                _fig9_trial,
-                spec=spec, scaler=scaler, old_weights=old_weights,
-                vortex_weights=weights, order=order,
-                paper_programming=paper_programming,
-                redundancy=tuple(int(p) for p in redundancy),
-                x_train=ds.x_train, y_train=ds.y_train,
-                x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
-            ),
+            functools.partial(_fig9_trial, **trial_args),
             trials=scale.mc_trials,
             seed=scale.seed + 900 + si,
             label=f"fig9[sigma={sigma:g}]",
-            batch_trial=functools.partial(
-                _fig9_trial_batch,
-                spec=spec, scaler=scaler, old_weights=old_weights,
-                vortex_weights=weights, order=order,
-                paper_programming=paper_programming,
-                redundancy=tuple(int(p) for p in redundancy),
-                x_train=ds.x_train, y_train=ds.y_train,
-                x_test=ds.x_test, y_test=ds.y_test, x_mean=x_mean,
-            ),
+            batch_trial=functools.partial(_fig9_trial_batch, **trial_args),
         )
         old_rates[si] = summary.mean[0]
         cld_rates[si] = summary.mean[1]

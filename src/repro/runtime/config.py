@@ -49,13 +49,6 @@ class RuntimeConfig:
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
 
-    @property
-    def effective_jobs(self) -> int:
-        """Worker count with ``0`` resolved to the CPU count."""
-        if self.jobs == 0:
-            return os.cpu_count() or 1
-        return self.jobs
-
 
 _CURRENT: contextvars.ContextVar[RuntimeConfig] = contextvars.ContextVar(
     "repro_runtime_config", default=RuntimeConfig()
@@ -78,9 +71,12 @@ def use_runtime(config: RuntimeConfig) -> Iterator[RuntimeConfig]:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """An explicit ``jobs`` argument, or the ambient one when ``None``."""
+    """An explicit ``jobs`` argument, or the ambient one when ``None``.
+
+    ``0`` resolves to one worker per CPU.
+    """
     if jobs is None:
-        return current_runtime().effective_jobs
+        jobs = current_runtime().jobs
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:

@@ -33,16 +33,18 @@ pickled (e.g. a closure), when only one worker is requested, or when
 the platform cannot start worker processes -- parallelism is an
 optimisation here, never a requirement.
 
-Chunk results cross process boundaries as whole ``ndarray`` blocks
-(one binary pickle per chunk) and are assembled into a preallocated
-output array; large blocks ride through POSIX shared memory when the
-platform provides it, so the parent never re-serialises bulk trial
-values through per-trial Python lists.
+Looped trials run through the same chunk-kernel path as batched ones:
+:func:`map_trials` wraps the scalar trial as a kernel that calls it
+once per generator of the chunk.  Chunk results cross process
+boundaries as whole ``ndarray`` blocks (one binary pickle per chunk)
+and are assembled into a preallocated output array, so the parent
+never re-serialises bulk trial values through per-trial Python lists.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import pickle
 import time
 from typing import Any, Callable, Iterable, Sequence, TypeVar
@@ -109,28 +111,22 @@ def chunk_bounds(
     ]
 
 
-def _run_chunk(trial: TrialFn, seed: int, start: int, stop: int) -> np.ndarray:
-    """Run trials ``start..stop`` with their dedicated generators.
-
-    Returns one stacked block of shape ``(stop - start,) + value_shape``
-    so a chunk crosses the process boundary as a single binary array
-    payload instead of a pickled list of per-trial arrays.
-    """
-    return np.stack([
-        np.asarray(trial(trial_rng(seed, i)), dtype=float)
-        for i in range(start, stop)
-    ])
+def _loop_kernel(
+    trial: TrialFn, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """A scalar trial as a chunk kernel: one call per generator, stacked."""
+    return np.stack([np.asarray(trial(rng), dtype=float) for rng in rngs])
 
 
 def _run_batch_chunk(
     batch_trial: BatchTrialFn, seed: int, start: int, stop: int
 ) -> np.ndarray:
-    """Run one chunk through a vectorised kernel.
+    """Run one chunk through a kernel.
 
-    The kernel receives the *same* per-trial child generators, in the
-    same order, that :func:`_run_chunk` would hand to the scalar trial
-    one by one -- the stream identity that makes batched results
-    bit-identical to looped ones.
+    The kernel receives trials ``start..stop``'s child generators in
+    index order -- for :func:`map_trials` the scalar trial consumes them
+    one by one (:func:`_loop_kernel`), which is the stream identity
+    that makes batched results bit-identical to looped ones.
     """
     rngs = [trial_rng(seed, i) for i in range(start, stop)]
     block = np.asarray(batch_trial(rngs), dtype=float)
@@ -140,61 +136,6 @@ def _run_batch_chunk(
             f"{stop - start} trials; expected a leading trial axis"
         )
     return block
-
-
-# Chunk blocks above this size cross the process boundary through
-# POSIX shared memory instead of a pickle copy.
-_SHM_THRESHOLD_BYTES = 1 << 20
-
-
-def _export_block(block: np.ndarray) -> tuple:
-    """Package a worker's chunk block for the cheapest transfer home."""
-    if block.nbytes >= _SHM_THRESHOLD_BYTES:
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(
-                create=True, size=block.nbytes
-            )
-            view = np.ndarray(
-                block.shape, dtype=block.dtype, buffer=segment.buf
-            )
-            view[...] = block
-            name = segment.name
-            segment.close()
-            return ("shm", name, block.shape, str(block.dtype))
-        except (ImportError, OSError):
-            pass  # No /dev/shm (or too small): pickle the array.
-    return ("array", block)
-
-
-def _import_block(payload: tuple) -> np.ndarray:
-    """Materialise a worker's chunk block in the parent process."""
-    if payload[0] == "array":
-        return payload[1]
-    from multiprocessing import shared_memory
-
-    _, name, shape, dtype = payload
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        return np.array(
-            np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-        )
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _run_chunk_remote(
-    trial: TrialFn, seed: int, start: int, stop: int
-) -> tuple:
-    return _export_block(_run_chunk(trial, seed, start, stop))
-
-
-def _run_batch_chunk_remote(
-    batch_trial: BatchTrialFn, seed: int, start: int, stop: int
-) -> tuple:
-    return _export_block(_run_batch_chunk(batch_trial, seed, start, stop))
 
 
 def _is_picklable(obj: Any) -> bool:
@@ -259,7 +200,7 @@ def map_trials(
         Array of shape ``(trials,) + value_shape``.
     """
     return _map_chunked(
-        _run_chunk, _run_chunk_remote, trial, trials,
+        functools.partial(_loop_kernel, trial), trials,
         seed=seed, jobs=jobs, chunk_size=chunk_size, label=label,
         kernel="loop",
     )
@@ -303,16 +244,14 @@ def map_trials_batched(
         Array of shape ``(trials,) + value_shape``.
     """
     return _map_chunked(
-        _run_batch_chunk, _run_batch_chunk_remote, batch_trial, trials,
+        batch_trial, trials,
         seed=seed, jobs=jobs, chunk_size=chunk_size, label=label,
         kernel="batched",
     )
 
 
 def _map_chunked(
-    run_chunk: Callable[..., np.ndarray],
-    run_chunk_remote: Callable[..., tuple],
-    fn: Callable,
+    batch_trial: BatchTrialFn,
     trials: int,
     seed: int,
     jobs: int | None,
@@ -320,7 +259,7 @@ def _map_chunked(
     label: str,
     kernel: str,
 ) -> np.ndarray:
-    """Shared chunked dispatch of the looped and batched trial paths."""
+    """Chunked dispatch of a kernel, serial or over worker processes."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     jobs = resolve_jobs(jobs)
@@ -329,15 +268,14 @@ def _map_chunked(
 
     t0 = time.perf_counter()
     values: np.ndarray | None = None
-    if jobs > 1 and trials > 1 and _is_picklable(fn):
+    if jobs > 1 and trials > 1 and _is_picklable(batch_trial):
         values = _map_chunks_parallel(
-            run_chunk, run_chunk_remote, fn, seed, bounds, jobs, label,
-            trials,
+            batch_trial, seed, bounds, jobs, label, trials
         )
     if values is None:
         done = 0
         for start, stop in bounds:
-            block = run_chunk(fn, seed, start, stop)
+            block = _run_batch_chunk(batch_trial, seed, start, stop)
             values = _store_block(values, block, trials, start, stop)
             done += stop - start
             if log is not None:
@@ -377,9 +315,7 @@ def _store_block(
 
 
 def _map_chunks_parallel(
-    run_chunk: Callable[..., np.ndarray],
-    run_chunk_remote: Callable[..., tuple],
-    fn: Callable,
+    batch_trial: BatchTrialFn,
     seed: int,
     bounds: Sequence[tuple[int, int]],
     jobs: int,
@@ -399,14 +335,14 @@ def _map_chunks_parallel(
             max_workers=min(jobs, len(bounds))
         ) as pool:
             futures = [
-                pool.submit(run_chunk_remote, fn, seed, start, stop)
+                pool.submit(_run_batch_chunk, batch_trial, seed, start, stop)
                 for start, stop in bounds
             ]
             done = 0
             for future, (start, stop) in zip(futures, bounds):
                 # Await in submission order: completion order varies
                 # run to run, assembly order must not.
-                block = _import_block(future.result())
+                block = future.result()
                 values = _store_block(values, block, total, start, stop)
                 done += stop - start
                 if log is not None:

@@ -12,8 +12,8 @@ accelerator:
   serving process reconstructs the hardware bit-for-bit without
   re-training.
 * :mod:`repro.serve.engine` -- the vectorized forward pass: inputs are
-  routed through the AMP permutation and read in microbatches, so one
-  IR-drop solve serves a whole batch instead of one query.
+  routed through the AMP permutation and a whole batch is one read, so
+  one IR-drop solve serves a whole batch instead of one query.
 * :mod:`repro.serve.scheduler` -- a thread-based request queue with
   bounded depth, backpressure (reject with a retry-after hint),
   per-request deadlines and graceful shutdown.

@@ -12,8 +12,9 @@ dispatch per query.
 The engine wraps any matvec-capable target (a
 :class:`~repro.xbar.pair.DifferentialCrossbar` or a
 :class:`~repro.xbar.tiling.TiledPair`), routes logical inputs through
-the AMP permutation, and chunks very large batches into microbatches
-so each hardware read stays memory-bounded.
+the AMP permutation, and reads a whole batch in one hardware read (a
+scheduler batch is at most ``max_batch`` rows, and every read path is
+linear in its rows).
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class InferenceEngine:
         mapping: AMP input routing; identity when ``None``.
         ir_mode: Read-fidelity model for every forward pass (checked
             here, not at the first read).
-        microbatch: Maximum rows per hardware read; larger input
-            batches are chunked to bound the size of each read.
     """
 
     def __init__(
@@ -44,14 +43,10 @@ class InferenceEngine:
         target,
         mapping: RowMapping | None = None,
         ir_mode: str = "ideal",
-        microbatch: int = 64,
     ):
-        if microbatch < 1:
-            raise ValueError(f"microbatch must be >= 1, got {microbatch}")
         self.target = target
         self.mapping = mapping
         self.ir_mode = validate_ir_mode(ir_mode)
-        self.microbatch = int(microbatch)
 
     @classmethod
     def from_artifact(
@@ -103,13 +98,9 @@ class InferenceEngine:
                 f"input width {xb.shape[1]} != engine width "
                 f"{self.n_features}"
             )
-        chunks = []
-        for start in range(0, xb.shape[0], self.microbatch):
-            chunk = xb[start : start + self.microbatch]
-            if self.mapping is not None:
-                chunk = self.mapping.inputs_to_physical(chunk)
-            chunks.append(self.target.matvec(chunk, self.ir_mode))
-        scores = np.concatenate(chunks, axis=0)
+        if self.mapping is not None:
+            xb = self.mapping.inputs_to_physical(xb)
+        scores = self.target.matvec(xb, self.ir_mode)
         return scores[0] if single else scores
 
     def predict(self, x: np.ndarray) -> np.ndarray | int:

@@ -72,8 +72,7 @@ class DriftMonitor:
 
     Args:
         engine: Engine whose hardware is being watched (the probes run
-            through the same routed, microbatched read path requests
-            use).
+            through the same routed read path requests use).
         probes: Logical probe inputs ``(p, n_features)``.
         baseline: Programming-time probe outputs ``(p, cols)``, or one
             ``(p, cols)`` partial per tile when the engine serves a

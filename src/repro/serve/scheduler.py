@@ -2,11 +2,10 @@
 
 A request is one query ``(n,)`` or a block of query rows ``(k, n)``.
 One worker thread drains a bounded queue, packs whole waiting requests
-until their rows reach ``max_batch`` (a larger block is served alone,
-chunked by the engine's microbatch), makes a single forward pass, and
-resolves each request's future with its own rows of the answer.  The
-design choices mirror a real serving stack scaled down to in-process
-size:
+until their rows reach ``max_batch`` (a larger block is served alone),
+makes a single forward pass, and resolves each request's future with
+its own rows of the answer.  The design choices mirror a real serving
+stack scaled down to in-process size:
 
 * **Bounded depth + rejection.**  An unbounded queue converts overload
   into unbounded latency; a full queue instead rejects immediately

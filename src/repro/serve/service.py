@@ -40,8 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.amp import run_amp
-from repro.core.old import program_pair_open_loop
+from repro.core.amp import program_amp
 from repro.core.pretest import pretest_pair
 from repro.runtime.telemetry import HealthEvent, RunLog, resolve_run_log
 from repro.serve.artifact import ProgrammedArray
@@ -309,18 +308,8 @@ class CrossbarService(ServiceLifecycle):
         """
         artifact = self.artifact
         pretest = pretest_pair(self.pair, rng=self._rng)
-        amp = run_amp(
-            self.pair,
-            artifact.weights,
-            artifact.x_mean,
-            rng=self._rng,
-            pretest=pretest,
-        )
-        mapping = amp.mapping
-        program_pair_open_loop(
-            self.pair,
-            mapping.weights_to_physical(artifact.weights),
-            x_reference=mapping.inputs_to_physical(artifact.x_mean),
+        mapping = program_amp(
+            self.pair, artifact.weights, artifact.x_mean, pretest
         )
         self.engine.replace_mapping(mapping)
         theta = np.concatenate(

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.config import CrossbarConfig, SensingConfig, VariationConfig
-from repro.core.amp import RowMapping, effective_sigma, run_amp
+from repro.core.amp import RowMapping, effective_sigma, program_amp, run_amp
 from repro.core.base import HardwareSpec, build_pair
-from repro.core.old import program_pair_open_loop
+from repro.core.greedy import greedy_mapping
+from repro.core.old import OLDConfig, program_pair_open_loop
+from repro.core.pretest import pretest_pair
+from repro.core.sensitivity import mapping_order
+from repro.core.swv import swv_pair
 from repro.xbar.mapping import WeightScaler
 
 
@@ -177,3 +181,51 @@ class TestRunAMP:
             )
             gains.append(with_amp - without)
         assert np.mean(gains) > 0.0
+
+
+class TestProgramAMP:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("extra", [0, 6])
+    def test_equals_the_inline_recipe(self, seed, extra):
+        # Two identically fabricated pairs: one programmed by the
+        # step-by-step recipe program_amp replaces, one by program_amp.
+        n, cols = 16, 10
+        spec = HardwareSpec(
+            variation=VariationConfig(sigma=0.6, sigma_cycle=0.01),
+            crossbar=CrossbarConfig(rows=n + extra, cols=cols, r_wire=2.5),
+        )
+        gen = np.random.default_rng(100 + seed)
+        weights = np.clip(gen.normal(scale=0.3, size=(n, cols)), -0.9, 0.9)
+        x_mean = gen.random(n)
+        pairs, pretests = [], []
+        for _ in range(2):
+            pair = build_pair(
+                spec, WeightScaler(1.0), np.random.default_rng(seed)
+            )
+            pairs.append(pair)
+            pretests.append(pretest_pair(
+                pair, spec.sensing, rng=np.random.default_rng(seed + 50)
+            ))
+        recipe, amp = pairs
+
+        pretest = pretests[0]
+        swv = swv_pair(
+            weights, pretest.theta_pos, pretest.theta_neg, recipe.scaler
+        )
+        expected = RowMapping(
+            assignment=greedy_mapping(swv, mapping_order(weights, x_mean)),
+            n_physical=n + extra,
+        )
+        program_pair_open_loop(
+            recipe, expected.weights_to_physical(weights), OLDConfig(),
+            x_reference=expected.inputs_to_physical(x_mean),
+        )
+        mapping = program_amp(amp, weights, x_mean, pretests[1], OLDConfig())
+
+        assert np.array_equal(mapping.assignment, expected.assignment)
+        assert np.array_equal(
+            amp.positive.conductance, recipe.positive.conductance
+        )
+        assert np.array_equal(
+            amp.negative.conductance, recipe.negative.conductance
+        )

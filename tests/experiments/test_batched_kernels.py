@@ -10,7 +10,6 @@ experiment kernel and the self-tuning injection scores.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -20,7 +19,6 @@ from repro.config import CrossbarConfig, VariationConfig
 from repro.core.base import HardwareSpec
 from repro.core.old import OLDConfig
 from repro.core.self_tuning import injected_rate, injected_rate_looped
-from repro.core.sensitivity import mapping_order
 from repro.data.datasets import N_CLASSES
 from repro.experiments.common import ExperimentScale, get_dataset
 from repro.experiments.fig2_column import (
@@ -136,7 +134,6 @@ class TestFig9Kernel:
         kwargs = dict(
             spec=spec, scaler=WeightScaler(1.0),
             old_weights=old_weights, vortex_weights=vortex_weights,
-            order=mapping_order(vortex_weights, x_mean),
             paper_programming=OLDConfig(
                 compensate_ir_drop=False, digital_calibration=False
             ),
@@ -153,7 +150,8 @@ class TestFig9Kernel:
 
 
 class TestFig7NonIdealFallback:
-    def test_falls_back_to_scalar_loop(self, tiny_dataset):
+    @pytest.mark.parametrize("kernel", ["fig7", "fig9"])
+    def test_falls_back_to_scalar_loop(self, tiny_dataset, kernel):
         # A non-ideal read path cannot be stacked; the kernel must
         # degrade to looping the scalar trial -- still bit-identical.
         ds = tiny_dataset
@@ -164,18 +162,33 @@ class TestFig7NonIdealFallback:
             ir_mode="reference",
         )
         gen = np.random.default_rng(9)
+
+        def weights():
+            return np.clip(
+                gen.normal(scale=0.3, size=(n, N_CLASSES)), -0.9, 0.9
+            )
+
         kwargs = dict(
             spec=spec, scaler=WeightScaler(1.0),
-            weights_per_gamma=[
-                np.clip(gen.normal(scale=0.3, size=(n, N_CLASSES)),
-                        -0.9, 0.9)
-            ],
             x_test=ds.x_test, y_test=ds.y_test,
             x_mean=ds.x_train.mean(axis=0),
         )
+        if kernel == "fig7":
+            trial, batch_trial = _fig7_trial, _fig7_trial_batch
+            kwargs.update(weights_per_gamma=[weights()])
+        else:
+            trial, batch_trial = _fig9_trial, _fig9_trial_batch
+            kwargs.update(
+                old_weights=weights(), vortex_weights=weights(),
+                paper_programming=OLDConfig(
+                    compensate_ir_drop=False, digital_calibration=False
+                ),
+                redundancy=(0, 6),
+                x_train=ds.x_train, y_train=ds.y_train,
+            )
         assert_batched_bit_identical(
-            functools.partial(_fig7_trial, **kwargs),
-            functools.partial(_fig7_trial_batch, **kwargs),
+            functools.partial(trial, **kwargs),
+            functools.partial(batch_trial, **kwargs),
             trials=2, seed=42, combos=((1, 2),),
         )
 

@@ -8,6 +8,7 @@ kernel under ``src/repro`` fails the suite (and the ``repro-lint`` CI job)
 until fixed or explicitly suppressed.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -103,3 +104,34 @@ def test_baseline_file_carries_no_hidden_debt():
     doc = json.loads(baseline_path.read_text(encoding="utf-8"))
     assert doc["schema_version"] == 1
     assert doc["fingerprints"] == []
+
+
+def _run_time_imports(tree: ast.AST):
+    """Modules imported outside ``if TYPE_CHECKING:`` blocks."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and getattr(
+            node.test, "id", getattr(node.test, "attr", None)
+        ) == "TYPE_CHECKING":
+            node.body = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_devices_never_import_xbar_at_run_time():
+    # ``repro.xbar`` builds on ``repro.devices``; a run-time import the
+    # other way closes a cycle (xbar.crossbar -> devices ->
+    # xbar.pair -> xbar.crossbar) that only resolves when something
+    # happens to import ``repro.devices`` first.  Annotations import
+    # under TYPE_CHECKING instead.
+    offenders = [
+        f"{path.name}: {module}"
+        for path in sorted((SRC_ROOT / "devices").glob("*.py"))
+        for module in _run_time_imports(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if module == "repro.xbar" or module.startswith("repro.xbar.")
+    ]
+    assert offenders == []

@@ -101,13 +101,6 @@ class TestInferenceEngine:
         )
         return pair
 
-    def test_microbatching_is_invisible(self):
-        pair = self.make_pair()
-        x = np.random.default_rng(2).uniform(0.0, 1.0, size=(13, 8))
-        one_shot = InferenceEngine(pair, microbatch=64).forward(x)
-        chunked = InferenceEngine(pair, microbatch=3).forward(x)
-        assert np.array_equal(one_shot, chunked)
-
     def test_mapping_routes_logical_inputs(self):
         pair = self.make_pair(rows=8)
         mapping = RowMapping(
@@ -165,7 +158,7 @@ class TestScheduledNodalReads:
         )
         queries = np.random.default_rng(44).uniform(size=(200, rows))
         log = RunLog()
-        engine = InferenceEngine(pair, ir_mode="nodal", microbatch=64)
+        engine = InferenceEngine(pair, ir_mode="nodal")
         with BatchScheduler(
             engine, max_batch=64, max_queue=200, log=log
         ) as scheduler:
@@ -186,7 +179,7 @@ class TestScheduledNodalReads:
         w = np.random.default_rng(42).uniform(-1, 1, (128, 10))
         tiled = program_fleet(config, w).build_tiled()
         queries = np.random.default_rng(43).random((96, 128))
-        engine = InferenceEngine(tiled, ir_mode="nodal", microbatch=64)
+        engine = InferenceEngine(tiled, ir_mode="nodal")
         with BatchScheduler(engine, max_batch=16, max_queue=96) as sched:
             futures = [sched.submit(q) for q in queries]
             served = np.stack([f.result(timeout=60.0) for f in futures])
