@@ -54,7 +54,7 @@ from repro.core import (
     tune_gamma,
 )
 from repro.data import Dataset, make_dataset
-from repro.nn import LinearClassifier, one_vs_all_targets, train_gdt
+from repro.nn import one_vs_all_targets, train_gdt
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
 from repro.xbar import Crossbar, DifferentialCrossbar, WeightScaler
 
@@ -69,7 +69,6 @@ __all__ = [
     "DeviceConfig",
     "DifferentialCrossbar",
     "HardwareSpec",
-    "LinearClassifier",
     "OLDConfig",
     "RowMapping",
     "RunLog",

@@ -1,43 +1,19 @@
-"""Statistical analysis substrate: Monte Carlo, chi-square bound, fits."""
+"""Statistical analysis substrate: Monte Carlo, chi-square bound, cost model."""
 
-from repro.analysis.chi2 import (
-    expected_theta_norm,
-    norm_exceedance_probability,
-    rho_bound,
-)
-from repro.analysis.lognormal import (
-    LognormalFit,
-    fit_lognormal_multipliers,
-    ks_lognormal,
-)
+from repro.analysis.chi2 import rho_bound
 from repro.analysis.overhead import AreaEstimate, CostModel, EnergyEstimate
 from repro.analysis.montecarlo import (
     MonteCarloSummary,
-    child_rngs,
     run_monte_carlo,
     summarize_values,
-)
-from repro.analysis.stats import (
-    mean_absolute_deviation,
-    relative_discrepancy,
-    summarize_array,
 )
 
 __all__ = [
     "AreaEstimate",
     "CostModel",
     "EnergyEstimate",
-    "LognormalFit",
     "MonteCarloSummary",
-    "child_rngs",
-    "expected_theta_norm",
-    "fit_lognormal_multipliers",
-    "ks_lognormal",
-    "mean_absolute_deviation",
-    "norm_exceedance_probability",
-    "relative_discrepancy",
     "rho_bound",
     "run_monte_carlo",
-    "summarize_array",
     "summarize_values",
 ]

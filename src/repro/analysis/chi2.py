@@ -8,7 +8,7 @@ confidence level ``c`` the norm is bounded by
 
     rho = sigma * sqrt(chi2_ppf(c, n)).
 
-This module computes ``rho`` and its companions.
+This module computes ``rho``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-__all__ = ["rho_bound", "norm_exceedance_probability", "expected_theta_norm"]
+__all__ = ["rho_bound"]
 
 
 def rho_bound(sigma: float, n: int, confidence: float = 0.95) -> float:
@@ -40,24 +40,3 @@ def rho_bound(sigma: float, n: int, confidence: float = 0.95) -> float:
     if sigma == 0:
         return 0.0
     return float(sigma * np.sqrt(stats.chi2.ppf(confidence, df=n)))
-
-
-def norm_exceedance_probability(rho: float, sigma: float, n: int) -> float:
-    """Probability that ``||theta||_2`` exceeds a given ``rho``."""
-    if sigma <= 0:
-        return 0.0 if rho >= 0 else 1.0
-    return float(stats.chi2.sf((rho / sigma) ** 2, df=n))
-
-
-def expected_theta_norm(sigma: float, n: int) -> float:
-    """Mean of ``||theta||_2`` (chi distribution mean, scaled)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # E[chi_n] = sqrt(2) * Gamma((n+1)/2) / Gamma(n/2); evaluate in
-    # log space to stay finite for large n.
-    from scipy.special import gammaln
-
-    log_mean = 0.5 * np.log(2.0) + gammaln((n + 1) / 2.0) - gammaln(n / 2.0)
-    return float(sigma * np.exp(log_mean))

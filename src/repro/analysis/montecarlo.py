@@ -32,7 +32,6 @@ __all__ = [
     "MonteCarloSummary",
     "run_monte_carlo",
     "summarize_values",
-    "child_rngs",
 ]
 
 
@@ -57,14 +56,6 @@ class MonteCarloSummary:
     @property
     def n_trials(self) -> int:
         return self.values.shape[0]
-
-
-def child_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators from one master seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(count)]
 
 
 def summarize_values(values: np.ndarray) -> MonteCarloSummary:

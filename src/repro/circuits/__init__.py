@@ -1,7 +1,6 @@
-"""Peripheral circuit substrate: ADC, input driver, current sensing."""
+"""Peripheral circuit substrate: ADC and current sensing."""
 
 from repro.circuits.adc import ADC
-from repro.circuits.dac import InputDriver
-from repro.circuits.sensing import CurrentSense, repeated_sense_average
+from repro.circuits.sensing import CurrentSense
 
-__all__ = ["ADC", "CurrentSense", "InputDriver", "repeated_sense_average"]
+__all__ = ["ADC", "CurrentSense"]

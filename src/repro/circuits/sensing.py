@@ -14,7 +14,7 @@ import numpy as np
 from repro.circuits.adc import ADC
 from repro.seeding import ensure_rng
 
-__all__ = ["CurrentSense", "repeated_sense_average"]
+__all__ = ["CurrentSense"]
 
 
 class CurrentSense:
@@ -56,22 +56,3 @@ class CurrentSense:
     def resolution(self) -> float:
         """Smallest distinguishable current step (A); 0 if ideal."""
         return self.adc.lsb if self.adc is not None else 0.0
-
-
-def repeated_sense_average(
-    sense: CurrentSense, currents: np.ndarray, repeats: int
-) -> np.ndarray:
-    """Average of ``repeats`` independent sense operations.
-
-    Pre-testing in AMP senses each device multiple times "to eliminate
-    the impacts of switching variations" (Section 4.2.1).  Averaging
-    suppresses the random components (readout noise) but cannot recover
-    information below the quantisation floor, which is why Fig. 8 shows
-    a hard saturation with ADC resolution.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    acc = np.zeros_like(np.asarray(currents, dtype=float))
-    for _ in range(repeats):
-        acc = acc + sense.sense(currents)
-    return acc / repeats

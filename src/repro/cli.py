@@ -7,7 +7,6 @@ Usage::
     python -m repro report --paper-scale --image-size 28
     python -m repro report --jobs 8 --cache-dir ~/.cache/repro
     python -m repro quickstart             # end-to-end Vortex demo
-    python -m repro lint src               # determinism contract check
     python -m repro program --cache-dir C  # program + snapshot an array
     python -m repro fleet program --cache-dir C --image-size 14
     python -m repro pipeline program --cache-dir C --kind bsb
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.experiments.common import ExperimentScale
 from repro.experiments.report import EXPERIMENT_RUNNERS, generate_report
-from repro.lint.cli import add_lint_arguments, run_lint
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
 from repro.runtime.cache import ArtifactCache
 from repro.xbar.crossbar import IR_MODES, validate_ir_mode
@@ -182,16 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=14)
     quick.add_argument("--seed", type=int, default=42)
     quick.set_defaults(run=_run_quickstart)
-
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "check the determinism/picklability/cache contracts "
-            "(rules REP001-REP005 and REP007-REP009, see docs/linting.md)"
-        ),
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(run=run_lint)
 
     program = sub.add_parser(
         "program", help="train, program and snapshot a crossbar (prints its key)"

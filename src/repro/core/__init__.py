@@ -14,10 +14,9 @@ from repro.core.base import (
     TrainingOutcome,
     build_pair,
     hardware_test_rate,
-    software_rates,
 )
 from repro.core.cld import CLDConfig, train_cld
-from repro.core.greedy import greedy_mapping, identity_mapping, optimal_mapping
+from repro.core.greedy import greedy_mapping, optimal_mapping
 from repro.core.old import (
     OLDConfig,
     program_pair_open_loop,
@@ -68,7 +67,6 @@ __all__ = [
     "effective_sigma",
     "greedy_mapping",
     "hardware_test_rate",
-    "identity_mapping",
     "injected_rate",
     "mapping_order",
     "optimal_mapping",
@@ -84,7 +82,6 @@ __all__ = [
     "row_sensitivity",
     "run_amp",
     "run_vortex",
-    "software_rates",
     "swv_pair",
     "swv_single",
     "train_cld",

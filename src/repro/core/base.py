@@ -44,7 +44,6 @@ __all__ = [
     "slot_rates",
     "batched_slot_rates",
     "ideal_read_path",
-    "software_rates",
 ]
 
 
@@ -371,17 +370,3 @@ def batched_slot_rates(
             g_pos, g_neg, x_k, labels, spec, scaler
         )
     return rates
-
-
-def software_rates(
-    weights: np.ndarray,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_test: np.ndarray,
-    y_test: np.ndarray,
-) -> tuple[float, float]:
-    """(training rate, test rate) of ideal software weights."""
-    return (
-        rate_from_scores(np.asarray(x_train) @ weights, y_train),
-        rate_from_scores(np.asarray(x_test) @ weights, y_test),
-    )

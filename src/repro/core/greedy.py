@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["greedy_mapping", "optimal_mapping", "identity_mapping"]
+__all__ = ["greedy_mapping", "optimal_mapping"]
 
 
 def _validate_swv(swv: np.ndarray) -> np.ndarray:
@@ -26,11 +26,6 @@ def _validate_swv(swv: np.ndarray) -> np.ndarray:
             f"have {swv.shape[1]}"
         )
     return swv
-
-
-def identity_mapping(n_logical: int) -> np.ndarray:
-    """The trivial mapping: weight row ``p`` on physical row ``p``."""
-    return np.arange(n_logical)
 
 
 def greedy_mapping(

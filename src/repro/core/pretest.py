@@ -9,9 +9,8 @@ by the ADC resolution, which is exactly the lever of the paper's Fig. 8
 study.
 
 The pre-test keeps all other devices at HRS with grounded unselected
-word lines, so sneak paths are suppressed (see :mod:`repro.xbar.sneak`
-for what that avoids); the residual measurement error here is
-quantisation plus readout noise.
+word lines, so sneak paths are suppressed; the residual measurement
+error here is quantisation plus readout noise.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from repro.data.datasets import N_CLASSES, Dataset, make_dataset
 from repro.data.glyphs import GLYPH_COLS, GLYPH_ROWS, GLYPHS, glyph_bitmaps
 from repro.data.mnist_like import IMAGE_SIZE, DigitRenderer, RenderParams
-from repro.data.sampling import undersample, undersample_flat, valid_sizes
+from repro.data.sampling import undersample, undersample_flat
 
 __all__ = [
     "GLYPHS",
@@ -18,5 +18,4 @@ __all__ = [
     "make_dataset",
     "undersample",
     "undersample_flat",
-    "valid_sizes",
 ]

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["undersample", "undersample_flat", "valid_sizes"]
-
-
-def valid_sizes(original: int = 28) -> tuple[int, ...]:
-    """Target sizes the paper uses for a 28-pixel original."""
-    return (original, original // 2, original // 4)
+__all__ = ["undersample", "undersample_flat"]
 
 
 def undersample(images: np.ndarray, target: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from repro.devices.defects import (
     STUCK_AT_LRS,
     apply_defects_to_conductance,
     count_defects,
-    defect_theta,
 )
 from repro.devices.memristor import MemristorArray
 from repro.devices.retention import (
@@ -42,7 +41,6 @@ __all__ = [
     "age_pair",
     "apply_defects_to_conductance",
     "count_defects",
-    "defect_theta",
     "drift_factor",
     "equivalent_sigma_at",
     "lognormal_multipliers",

@@ -3,10 +3,10 @@
 Section 4.2.2 of the paper notes that fabrication defects leave cells
 stuck at HRS or LRS, and that AMP detects them as devices with extreme
 variation and routes high-impact weight rows away from them.  This
-module provides the defect map representation and the conversion of a
-defect map into equivalent extreme ``theta`` values so that the rest of
-the pipeline (pre-testing, SWV, greedy mapping) handles defects with no
-special cases.
+module provides the defect map representation and overwrites defective
+cells with their stuck conductances, so that the rest of the pipeline
+(pre-testing, SWV, greedy mapping) sees a stuck cell as a device with
+extreme variation and needs no special cases.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "STUCK_AT_LRS",
     "STUCK_AT_HRS",
     "HEALTHY",
-    "defect_theta",
     "apply_defects_to_conductance",
     "count_defects",
 ]
@@ -27,43 +26,6 @@ __all__ = [
 HEALTHY = 0
 STUCK_AT_LRS = 1
 STUCK_AT_HRS = -1
-
-
-def defect_theta(
-    defects: np.ndarray,
-    target_conductance: np.ndarray,
-    device: DeviceConfig | None = None,
-) -> np.ndarray:
-    """Equivalent ``theta`` for stuck-at cells given programming targets.
-
-    A cell stuck at LRS behaves as if programmed to ``g_on`` regardless
-    of target, i.e. an effective multiplier ``g_on / g_target``; a cell
-    stuck at HRS behaves as multiplier ``g_off / g_target``.  Healthy
-    cells get ``theta = 0``.
-
-    Args:
-        defects: Integer defect map (0 / +1 / -1).
-        target_conductance: Targets the cells would be programmed to.
-        device: Device parameters providing ``g_on`` / ``g_off``.
-
-    Returns:
-        Array of equivalent theta values, same shape as ``defects``.
-    """
-    device = device if device is not None else DeviceConfig()
-    target = np.asarray(target_conductance, dtype=float)
-    if target.shape != defects.shape:
-        raise ValueError(
-            f"defect map shape {defects.shape} does not match target "
-            f"shape {target.shape}"
-        )
-    if np.any(target <= 0):
-        raise ValueError("target conductances must be positive")
-    theta = np.zeros(defects.shape, dtype=float)
-    lrs = defects == STUCK_AT_LRS
-    hrs = defects == STUCK_AT_HRS
-    theta[lrs] = np.log(device.g_on / target[lrs])
-    theta[hrs] = np.log(device.g_off / target[hrs])
-    return theta
 
 
 def apply_defects_to_conductance(

@@ -26,7 +26,7 @@ rules over a repo-wide symbol table:
             ``@``/``sum``/``+=`` loops
 ==========  ==========================================================
 
-Run it as ``python -m repro.lint src`` or ``repro lint``; suppress a
+Run it as ``python -m repro.lint src``; suppress a
 reviewed finding inline with ``# repro-lint: disable=REPxxx``.  The
 sibling runtime check — the lock-order sanitizer in
 :mod:`repro.lint.sanitize` — is enabled with ``REPRO_SANITIZE=1``.
@@ -34,14 +34,12 @@ See ``docs/linting.md`` for the full rule catalogue with examples and
 ``docs/determinism.md`` for the underlying contracts.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.engine import LintResult, discover_files, lint_paths, lint_sources
 from repro.lint.suppress import SuppressionMap, parse_suppressions
 from repro.lint.violation import ALL_CODES, RULES, Violation
 
 __all__ = [
     "ALL_CODES",
-    "Baseline",
     "LintResult",
     "RULES",
     "SuppressionMap",
@@ -49,7 +47,5 @@ __all__ = [
     "discover_files",
     "lint_paths",
     "lint_sources",
-    "load_baseline",
     "parse_suppressions",
-    "write_baseline",
 ]

@@ -1,19 +1,17 @@
 """Lint driver: file discovery, the two-phase run, suppression filtering.
 
 Phase 1 analyses every file independently (REP001/2/4/5/9 plus the
-raw material for the cross-file passes) — optionally in parallel over
-worker processes (``jobs``), which is sound because per-file analysis
-is a pure function of ``(path, source)``.  Phase 2 joins the per-file
-tables across the whole file set: dataclass definitions against
-cache-key uses (REP003) and the project symbol table for the
-concurrency/lifecycle rules (REP007/REP008).
-Suppression directives and the optional baseline are applied last so
-the engine can report how many findings a tree is explicitly living
-with.
+raw material for the cross-file passes); per-file analysis is a pure
+function of ``(path, source)``.  Phase 2 joins the per-file tables
+across the whole file set: dataclass definitions against cache-key
+uses (REP003) and the project symbol table for the
+concurrency/lifecycle rules (REP007/REP008).  Suppression directives
+are applied last so the engine can report how many findings a tree is
+explicitly living with.
 
 Everything here is stdlib-only and deterministic: files are discovered
 and reported in sorted order, so two runs over the same tree emit
-byte-identical output (at any ``jobs``).
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,11 +20,10 @@ import dataclasses
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.cachekeys import check_cache_keys
 from repro.lint.project import check_project
-from repro.lint.rules import FileAnalysis, analyze_file
-from repro.lint.suppress import SuppressionMap, parse_suppressions
+from repro.lint.rules import analyze_file
+from repro.lint.suppress import parse_suppressions
 from repro.lint.violation import ALL_CODES, Violation
 
 __all__ = ["LintResult", "discover_files", "lint_sources", "lint_paths"]
@@ -45,15 +42,12 @@ class LintResult:
     Attributes:
         violations: Unsuppressed findings, sorted by (path, line, col).
         suppressed: Findings covered by an inline directive.
-        baselined: Findings covered by the baseline file (accepted
-            pre-existing debt, excluded from the failure exit code).
         files_checked: Number of files analysed.
     """
 
     violations: tuple[Violation, ...]
     suppressed: tuple[Violation, ...]
     files_checked: int
-    baselined: tuple[Violation, ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
@@ -88,54 +82,20 @@ def _sort_key(violation: Violation) -> tuple[str, int, int, str]:
     return (violation.path, violation.line, violation.col, violation.code)
 
 
-def _analyze_source(
-    pair: tuple[str, str],
-) -> tuple[FileAnalysis, SuppressionMap]:
-    """Phase-1 analysis of one ``(path, source)`` pair.
-
-    Module-level (not a closure) so ``jobs > 1`` can ship it to worker
-    processes; both halves of the return value are plain frozen
-    dataclasses and pickle cleanly.
-    """
-    path, source = pair
-    return analyze_file(path, source), parse_suppressions(source)
-
-
 def lint_sources(
     sources: Sequence[tuple[str, str]],
     select: Iterable[str] | None = None,
-    allow_unseeded: Iterable[str] = (),
-    jobs: int = 1,
-    baseline: Baseline | None = None,
 ) -> LintResult:
     """Lint in-memory ``(path, source)`` pairs (the testable core).
 
     Args:
         sources: Files as ``(display path, source text)``.
         select: Rule codes to enforce (default: all).
-        allow_unseeded: Path suffixes of sanctioned entry points where
-            REP001 does not apply (e.g. a demo script that genuinely
-            wants OS entropy).
-        jobs: Worker processes for phase-1 analysis (1 = in-process;
-            results are identical at any value).
-        baseline: Accepted pre-existing findings; matches are reported
-            as ``baselined`` instead of ``violations``.
     """
     selected = frozenset(select) if select is not None else ALL_CODES
-    allow = tuple(allow_unseeded)
-
-    if jobs > 1 and len(sources) > 1:
-        # Lazy import: the default lint path stays stdlib-only.
-        from repro.runtime.executor import parallel_map
-
-        analyzed = parallel_map(
-            _analyze_source, list(sources), jobs=jobs, label="lint"
-        )
-    else:
-        analyzed = [_analyze_source(pair) for pair in sources]
-    analyses = [analysis for analysis, _ in analyzed]
+    analyses = [analyze_file(path, source) for path, source in sources]
     suppression_by_path = {
-        path: smap for (path, _), (_, smap) in zip(sources, analyzed)
+        path: parse_suppressions(source) for path, source in sources
     }
 
     all_violations: list[Violation] = []
@@ -168,13 +128,8 @@ def lint_sources(
 
     kept: list[Violation] = []
     suppressed: list[Violation] = []
-    baselined: list[Violation] = []
     for violation in sorted(all_violations, key=_sort_key):
         if violation.code not in selected and violation.code != "REP000":
-            continue
-        if violation.code == "REP001" and any(
-            violation.path.endswith(suffix) for suffix in allow
-        ):
             continue
         smap = suppression_by_path.get(violation.path)
         # REP000 (broken file / broken directive) is never suppressible:
@@ -186,14 +141,11 @@ def lint_sources(
             and smap.is_suppressed(violation)
         ):
             suppressed.append(violation)
-        elif baseline is not None and baseline.absorb(violation):
-            baselined.append(violation)
         else:
             kept.append(violation)
     return LintResult(
         violations=tuple(kept),
         suppressed=tuple(suppressed),
-        baselined=tuple(baselined),
         files_checked=len(sources),
     )
 
@@ -201,9 +153,6 @@ def lint_sources(
 def lint_paths(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,
-    allow_unseeded: Iterable[str] = (),
-    jobs: int = 1,
-    baseline: Baseline | None = None,
 ) -> LintResult:
     """Discover, read and lint files under ``paths``.
 
@@ -227,13 +176,7 @@ def lint_paths(
             )
             continue
         sources.append((str(path), text))
-    result = lint_sources(
-        sources,
-        select=select,
-        allow_unseeded=allow_unseeded,
-        jobs=jobs,
-        baseline=baseline,
-    )
+    result = lint_sources(sources, select=select)
     if unreadable:
         merged = sorted(
             list(result.violations) + unreadable, key=_sort_key

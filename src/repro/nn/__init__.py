@@ -10,17 +10,8 @@ from repro.nn.bsb import (
 )
 from repro.nn.gdt import GDTConfig, GDTResult, train_gdt, train_gdt_stacked
 from repro.nn.mlp import MLPConfig, MLPOnCrossbars, MLPWeights, train_mlp
-from repro.nn.linear import (
-    LinearClassifier,
-    add_bias_feature,
-    one_vs_all_targets,
-)
-from repro.nn.metrics import (
-    classification_rate,
-    confusion_matrix,
-    per_class_rates,
-    rate_from_scores,
-)
+from repro.nn.linear import add_bias_feature, one_vs_all_targets
+from repro.nn.metrics import rate_from_scores
 from repro.nn.objectives import (
     hinge_gradient,
     hinge_loss,
@@ -35,20 +26,16 @@ __all__ = [
     "BSBResult",
     "GDTConfig",
     "GDTResult",
-    "LinearClassifier",
     "MLPConfig",
     "MLPOnCrossbars",
     "MLPWeights",
     "Split",
     "add_bias_feature",
     "bsb_recall",
-    "classification_rate",
-    "confusion_matrix",
     "hinge_gradient",
     "hinge_loss",
     "noisy_probe",
     "one_vs_all_targets",
-    "per_class_rates",
     "rate_from_scores",
     "recall_success_rate",
     "robust_hinge_gradient",

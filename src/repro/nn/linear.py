@@ -1,4 +1,4 @@
-"""One-vs-all linear classifier (the paper's network model).
+"""Encoding for the one-vs-all linear classifier (the paper's network model).
 
 The NCS implements a two-layer network: the input layer drives the
 crossbar rows and the ten output currents directly score the ten digit
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LinearClassifier", "one_vs_all_targets", "add_bias_feature"]
+__all__ = ["one_vs_all_targets", "add_bias_feature"]
 
 
 def add_bias_feature(x: np.ndarray, value: float = 1.0) -> np.ndarray:
@@ -43,44 +43,3 @@ def one_vs_all_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
     y = -np.ones((labels.size, n_classes))
     y[np.arange(labels.size), labels] = 1.0
     return y
-
-
-class LinearClassifier:
-    """A weight matrix with argmax decision rule.
-
-    Args:
-        weights: Weight matrix ``(n_features, n_classes)``; copied.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        w = np.array(weights, dtype=float, copy=True)
-        if w.ndim != 2:
-            raise ValueError("weights must be 2-D")
-        self.weights = w
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[1]
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Class scores ``x @ W`` for a sample or batch."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_features:
-            raise ValueError(
-                f"input width {x.shape[-1]} != n_features {self.n_features}"
-            )
-        return x @ self.weights
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted class indices (argmax of scores)."""
-        s = self.scores(x)
-        return np.argmax(s, axis=-1)
-
-    def accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Classification accuracy against integer labels."""
-        labels = np.asarray(labels)
-        return float(np.mean(self.predict(x) == labels))

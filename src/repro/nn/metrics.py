@@ -11,16 +11,9 @@ hardware read path).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-__all__ = [
-    "classification_rate",
-    "rate_from_scores",
-    "confusion_matrix",
-    "per_class_rates",
-]
+__all__ = ["rate_from_scores"]
 
 
 def rate_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -30,42 +23,3 @@ def rate_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     if scores.ndim != 2 or scores.shape[0] != labels.size:
         raise ValueError("scores must be (s, m) with one row per label")
     return float(np.mean(np.argmax(scores, axis=1) == labels))
-
-
-def classification_rate(
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    labels: np.ndarray,
-) -> float:
-    """Accuracy of an arbitrary scoring function on a dataset.
-
-    Args:
-        score_fn: Maps an input batch ``(s, n)`` to scores ``(s, m)``
-            -- e.g. ``classifier.scores`` or a hardware read path.
-        x: Inputs.
-        labels: Integer class labels.
-    """
-    return rate_from_scores(score_fn(np.asarray(x, dtype=float)), labels)
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Confusion counts ``C[true, predicted]``."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    c = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(c, (labels, predictions), 1)
-    return c
-
-
-def per_class_rates(
-    predictions: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Recall per class; NaN for classes absent from ``labels``."""
-    c = confusion_matrix(predictions, labels, n_classes)
-    totals = c.sum(axis=1).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, np.diag(c) / totals, np.nan)

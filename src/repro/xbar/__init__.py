@@ -1,16 +1,14 @@
 """Crossbar circuit substrate.
 
 The crossbar array, differential pair, IR-drop models (fast ladder
-decomposition and full nodal analysis), V/2 pulse planning, sneak-path
-estimation, and weight <-> conductance mapping.
+decomposition and full nodal analysis), V/2 pulse planning, and
+weight <-> conductance mapping.
 """
 
 from repro.xbar.crossbar import IR_MODES, Crossbar
 from repro.xbar.ir_drop import (
-    CorrectedDecomposition,
     IRDropDecomposition,
     column_ladder_solve,
-    fit_decomposed_correction,
     program_column_factors,
     program_factors,
     program_row_factors,
@@ -22,18 +20,12 @@ from repro.xbar.mapping import WeightScaler, split_signed
 from repro.xbar.nodal import CrossbarNetwork, NodalSolution
 from repro.xbar.pair import DifferentialCrossbar
 from repro.xbar.programming import PulsePlan, execute_plan, plan_programming
-from repro.xbar.sneak import (
-    floating_row_read,
-    grounded_row_read,
-    sneak_current_estimate,
-)
 from repro.xbar.tiling import TiledPair, split_rows
 
 __all__ = [
     "IR_MODES",
     "Crossbar",
     "CrossbarNetwork",
-    "CorrectedDecomposition",
     "DifferentialCrossbar",
     "IRDropDecomposition",
     "NodalSolution",
@@ -41,10 +33,7 @@ __all__ = [
     "TiledPair",
     "WeightScaler",
     "column_ladder_solve",
-    "fit_decomposed_correction",
     "execute_plan",
-    "floating_row_read",
-    "grounded_row_read",
     "plan_programming",
     "program_column_factors",
     "program_factors",
@@ -52,7 +41,6 @@ __all__ = [
     "read_attenuation_reference",
     "read_column_gains",
     "read_output_currents",
-    "sneak_current_estimate",
     "split_rows",
     "split_signed",
 ]

@@ -26,13 +26,9 @@ import dataclasses
 import numpy as np
 from scipy.linalg import solve_banded
 
-from repro.xbar.nodal import CrossbarNetwork
-
 __all__ = [
-    "CorrectedDecomposition",
     "IRDropDecomposition",
     "column_ladder_solve",
-    "fit_decomposed_correction",
     "program_column_factors",
     "program_row_factors",
     "program_factors",
@@ -236,100 +232,6 @@ def program_factors(
         combined=combined,
         beta=beta,
         d_skew=d_skew,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class CorrectedDecomposition:
-    """A beta/D decomposition with a per-geometry fitted correction.
-
-    The paper's decomposition (:func:`program_factors`) is first-order:
-    it composes the exact 1-D ladder solutions and under- or
-    over-states the 2-D coupling by a geometry-dependent amount.
-    Fitting a single drop-scale ``gain`` against the exact nodal solve
-    on a deterministic sample of cells recovers most of that gap at
-    decomposed cost, so large sweeps can run near-reference accuracy
-    without per-state nodal solves.
-
-    Attributes:
-        base: The uncorrected decomposition.
-        gain: Fitted scale on the modelled voltage *drop*:
-            ``corrected = 1 - gain * (1 - base.combined)``.
-        combined: Corrected per-cell delivered-voltage factors,
-            clipped to (0, 1].
-        sample_cells: The ``(row, col)`` cells the fit was anchored on.
-        raw_error: Max relative factor error of ``base.combined``
-            against the exact solve on the sample cells.
-        fitted_error: Same measure for the corrected factors.
-    """
-
-    base: IRDropDecomposition
-    gain: float
-    combined: np.ndarray
-    sample_cells: tuple[tuple[int, int], ...]
-    raw_error: float
-    fitted_error: float
-
-
-def _sample_cells(n: int, m: int, samples: int) -> list[tuple[int, int]]:
-    """A deterministic cell grid covering corners, edges and interior."""
-    side = max(2, int(round(float(samples) ** 0.5)))
-    rows = np.unique(np.linspace(0, n - 1, side).round().astype(int))
-    cols = np.unique(np.linspace(0, m - 1, side).round().astype(int))
-    return [(int(r), int(c)) for r in rows for c in cols]
-
-
-def fit_decomposed_correction(
-    conductance: np.ndarray,
-    r_wire: float,
-    v_prog: float,
-    samples: int = 16,
-) -> CorrectedDecomposition:
-    """Fit the decomposed model's drop scale against the exact solve.
-
-    Computes the exact delivered-voltage factors on a deterministic
-    sample of cells (one batched nodal solve of the V/2 scheme,
-    :meth:`~repro.xbar.nodal.CrossbarNetwork.program_voltages_batch`)
-    and least-squares fits the scalar ``gain`` minimising
-    ``|exact_drop - gain * modelled_drop|`` over the sample.
-
-    Args:
-        conductance: Crossbar conductances ``(n, m)``.
-        r_wire: Wire segment resistance (> 0).
-        v_prog: Nominal programming voltage.
-        samples: Approximate number of anchor cells (gridded over the
-            geometry; corners always included).
-
-    Returns:
-        A :class:`CorrectedDecomposition`.
-    """
-    g = np.asarray(conductance, dtype=float)
-    n, m = g.shape
-    base = program_factors(g, r_wire, v_prog)
-    cells = _sample_cells(n, m, samples)
-    rows, cols = np.array(cells).T
-    solution = CrossbarNetwork(g, r_wire).program_voltages_batch(
-        cells, v_prog
-    )
-    exact = solution.device_voltage[np.arange(len(cells)), rows, cols] / v_prog
-
-    modelled = base.combined[rows, cols]
-    exact_drop = 1.0 - exact
-    model_drop = 1.0 - modelled
-    denom = float(np.dot(model_drop, model_drop))
-    gain = float(np.dot(model_drop, exact_drop)) / denom if denom > 0 else 1.0
-    corrected = np.clip(1.0 - gain * (1.0 - base.combined), 1e-9, 1.0)
-
-    raw_error = float(np.max(np.abs(modelled - exact) / exact))
-    fitted = corrected[rows, cols]
-    fitted_error = float(np.max(np.abs(fitted - exact) / exact))
-    return CorrectedDecomposition(
-        base=base,
-        gain=gain,
-        combined=corrected,
-        sample_cells=tuple(cells),
-        raw_error=raw_error,
-        fitted_error=fitted_error,
     )
 
 

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.chi2 import (
-    expected_theta_norm,
-    norm_exceedance_probability,
-    rho_bound,
-)
+from repro.analysis.chi2 import rho_bound
 
 
 class TestRhoBound:
@@ -47,33 +43,3 @@ class TestRhoBound:
         )
         coverage = np.mean(norms <= rho)
         assert coverage == pytest.approx(conf, abs=0.02)
-
-
-class TestExceedance:
-    def test_consistent_with_rho(self):
-        rho = rho_bound(0.5, 100, 0.9)
-        p = norm_exceedance_probability(rho, 0.5, 100)
-        assert p == pytest.approx(0.1, rel=1e-6)
-
-    def test_zero_sigma_never_exceeds(self):
-        assert norm_exceedance_probability(1.0, 0.0, 10) == 0.0
-
-
-class TestExpectedNorm:
-    def test_matches_monte_carlo(self):
-        rng = np.random.default_rng(1)
-        sigma, n = 0.6, 300
-        expected = expected_theta_norm(sigma, n)
-        norms = np.linalg.norm(
-            rng.normal(0, sigma, size=(3000, n)), axis=1
-        )
-        assert expected == pytest.approx(norms.mean(), rel=0.01)
-
-    def test_large_n_stays_finite(self):
-        assert np.isfinite(expected_theta_norm(0.5, 100000))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            expected_theta_norm(-1.0, 10)
-        with pytest.raises(ValueError, match="n"):
-            expected_theta_norm(0.5, 0)

@@ -8,28 +8,8 @@ import functools
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import child_rngs, run_monte_carlo
+from repro.analysis.montecarlo import run_monte_carlo
 from repro.runtime import RunLog, RuntimeConfig, use_run_log, use_runtime
-
-
-class TestChildRngs:
-    def test_count(self):
-        assert len(child_rngs(0, 5)) == 5
-
-    def test_independent_streams(self):
-        rngs = child_rngs(0, 3)
-        draws = [r.random(10) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_deterministic(self):
-        a = [r.random() for r in child_rngs(42, 4)]
-        b = [r.random() for r in child_rngs(42, 4)]
-        assert a == b
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            child_rngs(0, 0)
 
 
 class TestRunMonteCarlo:
@@ -101,7 +81,10 @@ class TestParallelDeterminism:
         summary = run_monte_carlo(
             functools.partial(_mc_trial), trials=12, seed=5, jobs=2
         )
-        legacy = np.asarray([_mc_trial(rng) for rng in child_rngs(5, 12)])
+        legacy = np.asarray([
+            _mc_trial(np.random.default_rng(child))
+            for child in np.random.SeedSequence(5).spawn(12)
+        ])
         assert np.array_equal(summary.values, legacy)
 
     def test_ambient_jobs_do_not_change_values(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.adc import ADC
-from repro.circuits.sensing import CurrentSense, repeated_sense_average
+from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, VariationConfig
 from repro.core.base import HardwareSpec, build_pair
 from repro.serve.artifact import ProgramConfig, program_array
@@ -40,32 +40,6 @@ class TestCurrentSense:
         assert CurrentSense().resolution == 0.0
         adc = ADC(4, 1.6)
         assert CurrentSense(adc=adc).resolution == pytest.approx(0.1)
-
-
-class TestRepeatedSense:
-    def test_averaging_suppresses_noise(self, rng):
-        sense = CurrentSense(noise_std=1e-5, rng=rng)
-        x = np.full(2000, 1e-4)
-        avg = repeated_sense_average(sense, x, repeats=16)
-        assert np.std(avg - x) < 0.5e-5
-
-    def test_single_repeat_matches_sense_statistics(self, rng):
-        sense = CurrentSense(rng=rng)
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(repeated_sense_average(sense, x, 1), x)
-
-    def test_zero_repeats_rejected(self, rng):
-        sense = CurrentSense(rng=rng)
-        with pytest.raises(ValueError, match="repeats"):
-            repeated_sense_average(sense, np.ones(3), 0)
-
-    def test_averaging_cannot_beat_quantisation_without_dither(self):
-        adc = ADC(3, 1.0)
-        sense = CurrentSense(adc=adc)  # no noise: no dither
-        x = np.full(10, 0.3)
-        avg = repeated_sense_average(sense, x, repeats=32)
-        # Deterministic quantisation: averaging repeats changes nothing.
-        assert np.allclose(avg, adc.quantize(x))
 
 
 class TestNoiselessSenseTakesNoGenerator:

@@ -10,7 +10,6 @@ from repro.core.base import (
     HardwareSpec,
     build_pair,
     hardware_test_rate,
-    software_rates,
 )
 from repro.xbar.mapping import WeightScaler
 
@@ -97,12 +96,3 @@ class TestHardwareTestRate:
             return out
 
         assert hardware_test_rate(pair, x, labels, "ideal", route) == 1.0
-
-
-class TestSoftwareRates:
-    def test_rates(self, rng):
-        w = np.eye(3)
-        x = np.eye(3)
-        labels = np.arange(3)
-        tr, te = software_rates(w, x, labels, x, labels)
-        assert tr == 1.0 and te == 1.0

@@ -10,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.greedy import (
-    greedy_mapping,
-    identity_mapping,
-    optimal_mapping,
-)
+from repro.core.greedy import greedy_mapping, optimal_mapping
 
 
 def brute_force_cost(swv):
@@ -89,8 +85,3 @@ class TestOptimal:
         greedy_cost = swv[np.arange(4), greedy_mapping(swv)].sum()
         optimal_cost = swv[np.arange(4), optimal_mapping(swv)].sum()
         assert optimal_cost <= greedy_cost + 1e-9
-
-
-class TestIdentity:
-    def test_identity(self):
-        assert identity_mapping(4).tolist() == [0, 1, 2, 3]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.sampling import undersample, undersample_flat, valid_sizes
+from repro.data.sampling import undersample, undersample_flat
 
 
 class TestUndersample:
@@ -61,8 +61,3 @@ class TestUndersampleFlat:
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ValueError, match="width"):
             undersample_flat(rng.random((2, 100)), 28, 14)
-
-
-class TestValidSizes:
-    def test_default(self):
-        assert valid_sizes() == (28, 14, 7)

@@ -12,46 +12,12 @@ from repro.devices.defects import (
     STUCK_AT_LRS,
     apply_defects_to_conductance,
     count_defects,
-    defect_theta,
 )
 
 
 @pytest.fixture
 def device() -> DeviceConfig:
     return DeviceConfig()
-
-
-class TestDefectTheta:
-    def test_healthy_cells_get_zero(self, device):
-        defects = np.zeros((3, 3), dtype=int)
-        targets = np.full((3, 3), 1e-5)
-        assert np.all(defect_theta(defects, targets, device) == 0.0)
-
-    def test_stuck_lrs_theta_reproduces_g_on(self, device):
-        defects = np.array([[STUCK_AT_LRS]])
-        targets = np.array([[1e-5]])
-        theta = defect_theta(defects, targets, device)
-        assert targets[0, 0] * np.exp(theta[0, 0]) == pytest.approx(
-            device.g_on
-        )
-
-    def test_stuck_hrs_theta_reproduces_g_off(self, device):
-        defects = np.array([[STUCK_AT_HRS]])
-        targets = np.array([[1e-5]])
-        theta = defect_theta(defects, targets, device)
-        assert targets[0, 0] * np.exp(theta[0, 0]) == pytest.approx(
-            device.g_off
-        )
-
-    def test_shape_mismatch_raises(self, device):
-        with pytest.raises(ValueError, match="shape"):
-            defect_theta(np.zeros((2, 2), dtype=int), np.ones((3, 3)), device)
-
-    def test_nonpositive_target_raises(self, device):
-        with pytest.raises(ValueError, match="positive"):
-            defect_theta(
-                np.zeros((1, 1), dtype=int), np.zeros((1, 1)), device
-            )
 
 
 class TestApplyDefects:

@@ -9,7 +9,6 @@ until fixed or explicitly suppressed.
 """
 
 import ast
-import json
 import re
 from pathlib import Path
 
@@ -97,15 +96,6 @@ def test_batch_invariant_marker_coverage_is_pinned():
     assert marked == BATCH_INVARIANT_KERNELS
 
 
-def test_baseline_file_carries_no_hidden_debt():
-    # The shipped baseline is empty: the tree owes nothing.  If a rule
-    # lands that needs deferrals, they become visible diff here.
-    baseline_path = REPO_ROOT / "lint-baseline.json"
-    doc = json.loads(baseline_path.read_text(encoding="utf-8"))
-    assert doc["schema_version"] == 1
-    assert doc["fingerprints"] == []
-
-
 def _run_time_imports(tree: ast.AST):
     """Modules imported outside ``if TYPE_CHECKING:`` blocks."""
     for node in ast.walk(tree):
@@ -135,3 +125,64 @@ def test_devices_never_import_xbar_at_run_time():
         if module == "repro.xbar" or module.startswith("repro.xbar.")
     ]
     assert offenders == []
+
+
+# Public definitions whose only callers are tests, each kept on purpose.
+TEST_ONLY_PUBLIC = {
+    "swv_single": "paper-exact Eq. 12 oracle for the SWV kernels",
+    "train_gdt": "looped reference for train_gdt_stacked",
+    "injected_rate_looped": "per-injection oracle for injected_rate",
+    "hinge_loss": "Eq. 3 oracle for robust_hinge_loss",
+    "hinge_gradient": "Eq. 3 oracle for robust_hinge_gradient",
+    "variation_penalty": "Eq. 7 oracle for the VAT penalty term",
+    "Service": "protocol declaration that REP008 checks lanes against",
+    "findings": "test seam of the lock-order sanitizer",
+}
+
+# Directories whose code counts as a caller; tests/ does not.
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
+
+
+def _public_definitions():
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                yield node.name, path.relative_to(SRC_ROOT).as_posix()
+
+
+def _referenced_names():
+    """Names loaded or attributes read anywhere in the caller dirs.
+
+    Imports and ``__all__`` strings are not references, so a
+    re-export alone does not keep a definition alive.
+    """
+    names = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    # A public function or class only tests call is code that serves
+    # nothing: delete it with its tests, or, if it is an oracle the
+    # production code is checked against, name it above with a reason.
+    referenced = _referenced_names()
+    unused = sorted(
+        f"{module}::{name}"
+        for name, module in _public_definitions()
+        if name not in referenced and name not in TEST_ONLY_PUBLIC
+    )
+    assert unused == []
+    # An exemption whose name gained a real caller is stale.
+    assert sorted(set(TEST_ONLY_PUBLIC) & referenced) == []

@@ -27,13 +27,6 @@ class TestRep001:
     def test_clean_on_seeded_randomness(self):
         assert codes_of(lint_fixture("rep001_good.py")) == []
 
-    def test_allowlist_waives_entry_points(self):
-        result = lint_paths(
-            [FIXTURES / "rep001_bad.py"],
-            allow_unseeded=["rep001_bad.py"],
-        )
-        assert codes_of(result) == []
-
 
 class TestRep002:
     def test_flags_unpicklable_callables(self):

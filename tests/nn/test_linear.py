@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.linear import (
-    LinearClassifier,
-    add_bias_feature,
-    one_vs_all_targets,
-)
+from repro.nn.linear import add_bias_feature, one_vs_all_targets
 
 
 class TestOneVsAll:
@@ -40,36 +36,3 @@ class TestBiasFeature:
         out = add_bias_feature(np.zeros((3, 2)), value=0.5)
         assert out.shape == (3, 3)
         assert np.all(out[:, -1] == 0.5)
-
-
-class TestLinearClassifier:
-    def test_predict_argmax(self):
-        clf = LinearClassifier(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        x = np.array([[2.0, 1.0], [0.5, 3.0]])
-        assert np.array_equal(clf.predict(x), [0, 1])
-
-    def test_accuracy(self):
-        clf = LinearClassifier(np.eye(2))
-        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        labels = np.array([0, 1, 1])
-        assert clf.accuracy(x, labels) == pytest.approx(2 / 3)
-
-    def test_weights_copied(self):
-        w = np.eye(2)
-        clf = LinearClassifier(w)
-        w[0, 0] = 99.0
-        assert clf.weights[0, 0] == 1.0
-
-    def test_width_validated(self):
-        clf = LinearClassifier(np.eye(2))
-        with pytest.raises(ValueError, match="width"):
-            clf.scores(np.ones(3))
-
-    def test_rejects_1d_weights(self):
-        with pytest.raises(ValueError, match="2-D"):
-            LinearClassifier(np.ones(4))
-
-    def test_properties(self):
-        clf = LinearClassifier(np.zeros((5, 3)))
-        assert clf.n_features == 5
-        assert clf.n_classes == 3

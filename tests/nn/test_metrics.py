@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.metrics import (
-    classification_rate,
-    confusion_matrix,
-    per_class_rates,
-    rate_from_scores,
-)
+from repro.nn.metrics import rate_from_scores
 
 
 class TestRateFromScores:
@@ -25,40 +20,3 @@ class TestRateFromScores:
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="one row"):
             rate_from_scores(np.ones((3, 2)), np.array([0, 1]))
-
-
-class TestClassificationRate:
-    def test_with_callable(self):
-        w = np.eye(2)
-        rate = classification_rate(
-            lambda x: x @ w,
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            np.array([0, 1]),
-        )
-        assert rate == 1.0
-
-
-class TestConfusion:
-    def test_counts(self):
-        preds = np.array([0, 1, 1, 2])
-        labels = np.array([0, 1, 2, 2])
-        c = confusion_matrix(preds, labels, 3)
-        assert c[0, 0] == 1
-        assert c[1, 1] == 1
-        assert c[2, 1] == 1
-        assert c[2, 2] == 1
-        assert c.sum() == 4
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same shape"):
-            confusion_matrix(np.array([0]), np.array([0, 1]), 2)
-
-
-class TestPerClass:
-    def test_rates(self):
-        preds = np.array([0, 0, 1, 1])
-        labels = np.array([0, 1, 1, 1])
-        rates = per_class_rates(preds, labels, 3)
-        assert rates[0] == 1.0
-        assert rates[1] == pytest.approx(2 / 3)
-        assert np.isnan(rates[2])

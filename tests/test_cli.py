@@ -80,7 +80,7 @@ class TestParser:
             yield " ".join(prefix)
 
         assert sorted(leaves(build_parser())) == [
-            "cache prune", "cache stats", "fleet program", "lint",
+            "cache prune", "cache stats", "fleet program",
             "pipeline eval", "pipeline program", "program", "quickstart",
             "report", "serve", "status",
         ]
@@ -88,23 +88,6 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_lint_defaults(self):
-        args = build_parser().parse_args(["lint"])
-        assert args.command == "lint"
-        assert args.paths == ["src"]
-        assert args.format == "text"
-
-    def test_lint_options(self):
-        args = build_parser().parse_args([
-            "lint", "src", "tests", "--format", "json",
-            "--select", "REP001,REP004",
-            "--allow-unseeded", "examples/demo.py",
-        ])
-        assert args.paths == ["src", "tests"]
-        assert args.format == "json"
-        assert args.select == "REP001,REP004"
-        assert args.allow_unseeded == ["examples/demo.py"]
 
 
 class TestGenerateReport:
@@ -222,13 +205,14 @@ class TestMain:
         assert "=== run log ===" in out
         assert "fig3     computed" in out
 
-    def test_lint_subcommand_on_clean_package(self, capsys):
+    def test_lint_on_clean_package(self, capsys):
         from pathlib import Path
 
         import repro
+        from repro.lint.cli import main as lint_main
 
         src_root = str(Path(repro.__file__).parent)
-        assert main(["lint", src_root]) == 0
+        assert lint_main([src_root]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_seed_override(self, monkeypatch, capsys):

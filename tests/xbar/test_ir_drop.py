@@ -10,7 +10,6 @@ from repro.xbar.ir_drop import (
     _ladder_banded,
     _ladder_inverse_diag,
     column_ladder_solve,
-    fit_decomposed_correction,
     program_column_factors,
     program_factors,
     program_row_factors,
@@ -182,25 +181,3 @@ class TestReadModels:
         factors = read_attenuation_reference(g, rng.random(16), 2.5)
         assert factors.shape == (16, 4)
         assert np.all(factors > 0) and np.all(factors <= 1)
-
-
-class TestFittedCorrection:
-    def test_correction_reduces_error(self):
-        g = np.full((64, 10), 1e-4)
-        corrected = fit_decomposed_correction(g, 2.5, 2.9)
-        assert corrected.fitted_error <= corrected.raw_error
-        assert corrected.combined.shape == g.shape
-        assert np.all(corrected.combined > 0)
-        assert np.all(corrected.combined <= 1.0)
-
-    def test_gain_near_one_for_easy_geometry(self):
-        """Tiny crossbars have little 2-D coupling: gain stays near 1."""
-        g = np.full((4, 3), 1e-4)
-        corrected = fit_decomposed_correction(g, 2.5, 2.9)
-        assert 0.5 < corrected.gain < 2.0
-
-    def test_base_preserved(self):
-        g = np.full((16, 5), 1e-4)
-        corrected = fit_decomposed_correction(g, 2.5, 2.9)
-        base = program_factors(g, 2.5, 2.9)
-        assert np.array_equal(corrected.base.combined, base.combined)
